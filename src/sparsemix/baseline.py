@@ -5,6 +5,10 @@ sigma_k^2 * I and means are free vectors.  Initialization (means at K
 random data points), variance floor, restart policy and stopping rule
 all mirror the sparse driver so benchmark gaps isolate the estimator
 difference rather than harness differences.
+
+As in the sparse driver, one evaluation of the log-joint matrix per
+iteration gives both the log likelihood after the M-step and the
+responsibilities of the next E-step.
 """
 
 from __future__ import annotations
@@ -12,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     EmptyClusterError,
     Hyperparams,
-    MixtureParams,
     SampleSet,
-    _log_weights,
-    log_responsibilities_from_densities,
+    log_joint,
     spherical_log_density_matrix,
 )
 from .sparse_em import (
@@ -73,24 +74,18 @@ class BaselineReport:
     diagnostic: str | None = None
 
 
+def _evaluate(params: SphericalParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Log-joint matrix at ``params`` and its row log-normalizers."""
+    return log_joint(spherical_log_density_matrix(Y.data, params.means, params.variances), params.weights)
+
+
 def spherical_log_likelihood(params: SphericalParams, Y: SampleSet) -> float:
-    logp = (
-        spherical_log_density_matrix(Y.data, params.means, params.variances)
-        + _log_weights(params.weights)[None, :]
-    )
-    return float(np.sum(logsumexp(logp, axis=1)))
+    return float(np.sum(_evaluate(params, Y)[1]))
 
 
 def spherical_e_step(params: SphericalParams, Y: SampleSet) -> np.ndarray:
-    log_dens = spherical_log_density_matrix(Y.data, params.means, params.variances)
-    return np.exp(log_responsibilities_from_densities(log_dens, params.weights))
-
-
-def from_mixture_params(params: MixtureParams, Y: SampleSet) -> SphericalParams:
-    """Realize a self-regression parameter vector as explicit means."""
-    return SphericalParams(
-        weights=params.weights, means=params.means(Y), variances=params.variances
-    )
+    logp, lse = _evaluate(params, Y)
+    return np.exp(logp - lse[:, None])
 
 
 def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> SphericalParams:
@@ -128,9 +123,10 @@ def _fit_once(Y: SampleSet, params: SphericalParams, hp: Hyperparams, restart_in
     converged = False
     diagnostic = None
     iterations = 0
+    logp, lse = _evaluate(params, Y)
 
     for it in range(hp.max_cycles):
-        tau = spherical_e_step(params, Y)
+        tau = np.exp(logp - lse[:, None])
         try:
             params = _m_step(tau, Y, floor)
         except EmptyClusterError as err:
@@ -139,16 +135,17 @@ def _fit_once(Y: SampleSet, params: SphericalParams, hp: Hyperparams, restart_in
             reseed_events.append((it, k))
             if reseed_counts[k] > MAX_RESEEDS:
                 diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
-                trace.append(spherical_log_likelihood(params, Y))
+                trace.append(float(np.sum(lse)))
                 break
             params = _reseed(params, tau, k, Y, sigma2_init)
-        trace.append(spherical_log_likelihood(params, Y))
+        logp, lse = _evaluate(params, Y)
+        trace.append(float(np.sum(lse)))
         iterations = it + 1
         if it >= 1 and abs(trace[-1] - trace[-2]) <= hp.tol * (1.0 + abs(trace[-1])):
             converged = True
             break
 
-    tau = spherical_e_step(params, Y)
+    tau = np.exp(logp - lse[:, None])
     return BaselineReport(
         params=params,
         loglik_trace=np.asarray(trace),

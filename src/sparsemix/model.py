@@ -15,15 +15,24 @@ containers and the objective functions every other module evaluates.
 
 All likelihood arithmetic is done in log space with per-row max shifts,
 so dimensions up to a few hundred do not underflow.
+
+The log-joint matrix ``logp[i, k] = log pi_k + log N(y_i; Y beta_k,
+sigma_k^2 I)`` and its row log-normalizers ``lse`` (:func:`log_joint`)
+carry everything a partial step needs: ``sum(lse)`` is the mixture log
+likelihood and ``exp(logp - lse[:, None])`` the responsibilities.  The
+fitting drivers evaluate this pair once per partial step and read both
+views from it.  Inside those loops parameters are rebuilt through
+:meth:`MixtureParams._trusted`, unvalidated by construction; parameters
+built outside those loops (user input, initialization, re-seeding) are
+validated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 CENTERING_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
@@ -56,13 +65,16 @@ class SampleSet:
     """Centered data matrix with the centering offset retained.
 
     ``data`` has one observation per row, shape (n, d); the column means
-    are zero to within 1e-10.  ``center_offset`` is the mean that was
+    are zero to within 1e-10 times the data scale, max(1, max|data|,
+    max|center_offset|).  ``center_offset`` is the mean that was
     subtracted, so fitted quantities can be mapped back to the original
-    coordinates via :meth:`uncenter`.
+    coordinates via :meth:`uncenter`.  ``max_row_norm`` is the largest
+    Euclidean norm of an observation (a design column), computed once.
     """
 
     data: np.ndarray
     center_offset: np.ndarray
+    max_row_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = _as_float_array(self.data, "data")
@@ -71,21 +83,25 @@ class SampleSet:
             raise ValueError("data must be a non-empty 2-d array (n, d)")
         if offset.shape != (data.shape[1],):
             raise ValueError("center_offset must have shape (d,)")
-        if np.max(np.abs(data.mean(axis=0))) > CENTERING_TOL:
-            raise ValueError("data is not centered: column means exceed 1e-10")
+        # rounding in the mean grows with the coordinates, so the
+        # tolerance does too
+        scale = max(1.0, float(np.max(np.abs(data))), float(np.max(np.abs(offset))))
+        if np.max(np.abs(data.mean(axis=0))) > CENTERING_TOL * scale:
+            raise ValueError("data is not centered: column means exceed 1e-10 times the data scale")
         data = data.copy()
         data.setflags(write=False)
         offset = offset.copy()
         offset.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "center_offset", offset)
+        object.__setattr__(self, "max_row_norm", math.sqrt(float(np.max(np.sum(data**2, axis=1)))))
 
     @classmethod
     def from_points(cls, points) -> "SampleSet":
         """Center raw observations (rows) and keep the subtracted mean.
 
-        Centering runs twice so the residual column means stay below the
-        1e-10 invariant even for large coordinate scales.
+        Centering runs twice so the residual column means stay within the
+        relative 1e-10 invariant even for large coordinate scales.
         """
         pts = _as_float_array(points, "points")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -163,6 +179,20 @@ class MixtureParams:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, betas: np.ndarray, variances: np.ndarray) -> "MixtureParams":
+        """Build without validation from float arrays no one else writes to.
+
+        For the fitting loops, whose updates keep every invariant checked
+        by ``__post_init__`` by construction.  The arrays are frozen
+        read-only in place rather than copied.
+        """
+        self = object.__new__(cls)
+        for name, arr in (("weights", weights), ("betas", betas), ("variances", variances)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        return self
 
     @property
     def K(self) -> int:
@@ -284,20 +314,47 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-def log_responsibilities_from_densities(log_dens: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-normalized log posteriors from log densities and weights."""
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=1))`` for a real 2-d array, stably.
+
+    Same arithmetic, step for step, as ``scipy.special.logsumexp(a,
+    axis=1)`` on real input, so results agree bit for bit: the terms tied
+    at the row max are counted instead of exponentiated, and rows whose
+    shifted result is not finite (all -inf, or an inf/nan entry) fall
+    back to the direct formula.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        tie = a == a_max
+        m = np.sum(tie, axis=1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(tie, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=1)))
+    return out
+
+
+def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-joint matrix ``logp = log_dens + log weights`` and its row log-normalizers.
+
+    ``sum(lse)`` is the mixture log likelihood and ``exp(logp - lse[:,
+    None])`` the responsibilities, so one evaluation serves both.
+    """
     logp = log_dens + _log_weights(weights)[None, :]
-    return logp - logsumexp(logp, axis=1, keepdims=True)
+    return logp, logsumexp_rows(logp)
 
 
 def log_responsibilities(params: MixtureParams, Y: SampleSet) -> np.ndarray:
-    return log_responsibilities_from_densities(log_density_matrix(params, Y), params.weights)
+    """Row-normalized log posteriors at ``params``."""
+    logp, lse = log_joint(log_density_matrix(params, Y), params.weights)
+    return logp - lse[:, None]
 
 
 def self_regression_log_likelihood(params: MixtureParams, Y: SampleSet) -> float:
     """Mixture log likelihood with means realized as Y beta_k."""
-    logp = log_density_matrix(params, Y) + _log_weights(params.weights)[None, :]
-    return float(np.sum(logsumexp(logp, axis=1)))
+    return float(np.sum(log_joint(log_density_matrix(params, Y), params.weights)[1]))
 
 
 def penalized_objective(params: MixtureParams, Y: SampleSet, lam: float) -> float:

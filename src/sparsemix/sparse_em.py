@@ -11,12 +11,19 @@ decreases along the trace when the penalty weight is held fixed.
 Clusters that lose all responsibility mass are re-seeded at the least
 committed data point; a cluster that needs more than three re-seeds
 aborts the fit as non-converged.
+
+The model is evaluated once per partial step: the trace entry of step t
+and the responsibilities of step t + 1 are two views of one log-joint
+matrix (see :func:`sparsemix.model.log_joint`).  Parameters inside the
+loop are built by :meth:`MixtureParams._trusted` and so are unvalidated
+by construction; the initial parameters and re-seeded ones are
+validated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .model import (
     NumericalError,
     SampleSet,
     log_density_matrix,
-    log_responsibilities_from_densities,
+    log_joint,
     self_regression_log_likelihood,
 )
 
@@ -119,8 +126,7 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     """
     if hp.lam is not None:
         return hp.lam
-    col_max = math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
-    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * col_max / math.sqrt(sigma2)
+    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
     critical = (total_weight / sigma2) * float(np.max(np.abs(Y.data @ target), initial=0.0))
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
     return min(noise, fraction * critical)
@@ -150,13 +156,21 @@ def penalized_value(params: MixtureParams, Y: SampleSet, lams: np.ndarray) -> fl
 # Partial steps
 # ---------------------------------------------------------------------------
 
-def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
-    """Posterior component memberships, one normalized row per point."""
-    log_tau = log_responsibilities_from_densities(log_density_matrix(params, Y), params.weights)
-    tau = np.exp(log_tau)
+def _evaluate(params: MixtureParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Log-joint matrix at ``params`` and its row log-normalizers."""
+    return log_joint(log_density_matrix(params, Y), params.weights)
+
+
+def _responsibilities(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    tau = np.exp(logp - lse[:, None])
     if not np.all(np.isfinite(tau)):
         raise NumericalError("responsibilities contain non-finite entries")
     return tau
+
+
+def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
+    """Posterior component memberships, one normalized row per point."""
+    return _responsibilities(*_evaluate(params, Y))
 
 
 def update_weights(tau: np.ndarray) -> np.ndarray:
@@ -266,27 +280,28 @@ def _fit_once(
     converged = False
     cycles_run = 0
     aborted = False
+    logp, lse = _evaluate(params, Y)
 
     for cycle in range(hp.max_cycles):
         for step_idx, (kind, k) in enumerate(schedule.order):
-            tau = e_step(params, Y)
+            tau = _responsibilities(logp, lse)
             try:
                 if kind == "weights":
-                    params = replace(params, weights=update_weights(tau))
+                    params = MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
                 elif kind == "beta":
                     new = update_beta(k, params, tau, Y, hp)
                     if hp.relax < 1.0:
                         new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
                     betas = params.betas.copy()
                     betas[k] = new
-                    params = replace(params, betas=betas)
+                    params = MixtureParams._trusted(params.weights, betas, params.variances)
                 else:
                     new = update_sigma(k, params, tau, Y, hp)
                     if hp.relax < 1.0:
                         new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
                     variances = params.variances.copy()
                     variances[k] = new
-                    params = replace(params, variances=variances)
+                    params = MixtureParams._trusted(params.weights, params.betas, variances)
             except EmptyClusterError:
                 reseed_counts[k] += 1
                 reseed_events.append((cycle, step_idx, k))
@@ -296,7 +311,9 @@ def _fit_once(
                 else:
                     params = _reseed(params, tau, k, Y, sigma2_init)
             lams = effective_lams(params, tau, Y, hp)
-            trace.append(penalized_value(params, Y, lams))
+            logp, lse = _evaluate(params, Y)
+            # penalized_value(params, Y, lams), from the shared evaluation
+            trace.append(float(np.sum(lse)) - float(lams @ params.l1_norms()))
             if aborted:
                 break
         if aborted:
@@ -310,7 +327,7 @@ def _fit_once(
                 break
         cycles_run = cycle + 1
 
-    tau = e_step(params, Y)
+    tau = _responsibilities(logp, lse)
     assignments = np.argmax(tau, axis=1)
     return FitReport(
         params=params,
@@ -409,7 +426,6 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
     """
     params = report.params
     tau = e_step(params, Y)
-    col_max = math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
     mu = params.means(Y)
     residuals = np.full(params.K, np.nan)
     scales = np.full(params.K, np.nan)
@@ -422,5 +438,5 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
         grad = beta_gradient(params, Y, k)
         residuals[k] = _stationarity_violation(-grad, params.betas[k], lam)
         resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))
-        scales[k] = col_max * resid_mass / float(params.variances[k]) + lam
+        scales[k] = Y.max_row_norm * resid_mass / float(params.variances[k]) + lam
     return residuals, scales

@@ -32,6 +32,8 @@ from sparsemix.model import (
 from sparsemix.simulate import ScenarioConfig
 from sparsemix.sparse_em import beta_gradient, e_step, run, stationarity_report
 
+pytestmark = pytest.mark.acceptance
+
 # Benchmark configuration for the quantitative criteria.  One restart
 # and a 60-cycle budget put both estimators in the single-initialization
 # regime the published tables describe; with a larger restart budget

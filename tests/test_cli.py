@@ -80,6 +80,17 @@ class TestFit:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.txt"), "-K", "2"]) == 2
 
+    @pytest.mark.parametrize("scale", [1e8, 1e12, 1e100])
+    @pytest.mark.parametrize("method", ["sparse", "baseline"])
+    def test_large_coordinate_scales(self, tmp_path, scale, method):
+        path = tmp_path / "far.txt"
+        rng = np.random.default_rng(92)
+        np.savetxt(path, scale * (1.0 + 0.1 * rng.normal(size=(10, 3))))
+        out = tmp_path / "far.json"
+        assert main(["fit", str(path), "-K", "3", "--method", method, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert np.all(np.isfinite(report["means"])) and np.all(np.isfinite(report["variances"]))
+
 
 class TestSimulate:
     def test_dump_files(self, tmp_path):

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from sparsemix.model import (
@@ -16,6 +19,8 @@ from sparsemix.model import (
     default_variance_floor,
     kullback_penalty,
     log_density_matrix,
+    log_joint,
+    logsumexp_rows,
     penalized_objective,
     q_function,
     self_regression_log_likelihood,
@@ -63,9 +68,26 @@ class TestSampleSet:
         Y = SampleSet.from_points(raw)
         assert np.max(np.abs(Y.data.mean(axis=0))) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e7, 1e8, 1e12, 1e100])
+    def test_centering_tolerance_follows_the_data_scale(self, scale):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            raw = scale * (1.0 + 0.1 * rng.normal(size=(10, 3)))
+            Y = SampleSet.from_points(raw)
+            npt.assert_allclose(Y.uncenter(Y.data), raw, rtol=1e-9)
+        # an offset of one part in 1e6 of the scale is not rounding
+        with pytest.raises(ValueError, match="not centered"):
+            SampleSet(data=Y.data + 1e-6 * scale, center_offset=Y.center_offset)
+
+    def test_max_row_norm(self):
+        Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
+        assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)
+
     def test_rejects_uncentered_and_nonfinite(self):
         with pytest.raises(ValueError):
             SampleSet(data=np.ones((3, 2)), center_offset=np.zeros(2))
+        with pytest.raises(ValueError):
+            SampleSet(data=1e8 * np.ones((3, 2)), center_offset=np.zeros(2))
         with pytest.raises(ValueError):
             SampleSet.from_points(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
@@ -195,6 +217,23 @@ class TestLogLikelihood:
         npt.assert_allclose(shifted, base + 2.5, rtol=1e-12)
         naive = np.log(np.sum(w * np.exp(logdens), axis=1))
         npt.assert_allclose(base, naive, rtol=1e-12)
+
+    @given(st.data())
+    def test_logsumexp_rows_is_scipy_bit_for_bit(self, data):
+        a = data.draw(hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ))
+        n, K = a.shape
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)), max_size=3)):
+            a[:, j] = a[:, i]  # exact ties at the row max
+        if data.draw(st.booleans()):
+            a[data.draw(st.integers(0, n - 1))] = -np.inf  # a point no component can explain
+        weights = np.asarray(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=K, max_size=K)))
+        logp, lse = log_joint(a, weights)  # zero weights give -inf columns
+        assert logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+        assert lse.tobytes() == logsumexp(logp, axis=1).tobytes()
 
     def test_basis_vector_betas_match_spherical_likelihood(self):
         from sparsemix.baseline import SphericalParams, spherical_log_likelihood
