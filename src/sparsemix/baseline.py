@@ -1,10 +1,10 @@
 """Standard maximum-likelihood EM for spherical Gaussian mixtures.
 
 The comparison method for the benchmark harness: covariances are
-sigma_k^2 * I and means are free vectors.  Initialization (means at K
-random data points), variance floor, restart policy and stopping rule
-all mirror the sparse driver so benchmark gaps isolate the estimator
-difference rather than harness differences.
+sigma_k^2 * I and means are free vectors.  The fit is the sparse
+driver's harness with a one-step cycle, the full M-step, so
+initialization, variance floor, re-seeding, restarts and stopping rule
+are the same code and benchmark gaps isolate the estimator difference.
 
 As in the sparse driver, one evaluation of the log-joint matrix per
 iteration gives both the log likelihood after the M-step and the
@@ -26,10 +26,11 @@ from .model import (
 )
 from .sparse_em import (
     EMPTY_FRACTION,
-    MAX_RESEEDS,
+    _reseed_weights,
+    best_restart,
     choose_init_indices,
     default_sigma2,
-    restart_seed_seq,
+    em_loop,
 )
 
 @dataclass(frozen=True)
@@ -103,85 +104,50 @@ def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> SphericalParams:
 
 
 def _reseed(params: SphericalParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> SphericalParams:
-    j = int(np.argmin(tau.max(axis=1)))
+    """Move component k onto the least committed data point."""
+    j, weights = _reseed_weights(params, tau, k)
     means = params.means.copy()
     means[k] = Y.data[j]
     variances = params.variances.copy()
     variances[k] = sigma2_default
-    weights = params.weights.copy()
-    weights[k] = max(weights[k], 1.0 / (2 * params.K))
-    weights /= weights.sum()
     return SphericalParams(weights=weights, means=means, variances=variances)
 
 
+def _step(params: SphericalParams, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> SphericalParams:
+    """The whole cycle of classic EM: one full M-step."""
+    return _m_step(tau, Y, hp.resolve_floor(Y))
+
+
 def _fit_once(Y: SampleSet, params: SphericalParams, hp: Hyperparams, restart_index: int) -> BaselineReport:
-    floor = hp.resolve_floor(Y)
-    sigma2_init = default_sigma2(Y, params.K, floor)
-    trace: list[float] = []
-    reseed_events: list = []
-    reseed_counts = np.zeros(params.K, dtype=int)
-    converged = False
-    diagnostic = None
-    iterations = 0
-    logp, lse = _evaluate(params, Y)
-
-    for it in range(hp.max_cycles):
-        tau = np.exp(logp - lse[:, None])
-        try:
-            params = _m_step(tau, Y, floor)
-        except EmptyClusterError as err:
-            k = err.component
-            reseed_counts[k] += 1
-            reseed_events.append((it, k))
-            if reseed_counts[k] > MAX_RESEEDS:
-                diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
-                trace.append(float(np.sum(lse)))
-                break
-            params = _reseed(params, tau, k, Y, sigma2_init)
-        logp, lse = _evaluate(params, Y)
-        trace.append(float(np.sum(lse)))
-        iterations = it + 1
-        if it >= 1 and abs(trace[-1] - trace[-2]) <= hp.tol * (1.0 + abs(trace[-1])):
-            converged = True
-            break
-
-    tau = np.exp(logp - lse[:, None])
+    params, trace, iterations, converged, tau, reseed_events, diagnostic = em_loop(
+        Y, params, hp, (None,), _step, _evaluate, _reseed
+    )
     return BaselineReport(
         params=params,
-        loglik_trace=np.asarray(trace),
+        loglik_trace=trace,
         iterations=iterations,
         converged=converged,
         assignments=np.argmax(tau, axis=1),
         restart_index=restart_index,
-        reseed_events=reseed_events,
+        reseed_events=[(it, k) for it, _, k in reseed_events],
         diagnostic=diagnostic,
     )
 
 
+def _mean_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator) -> SphericalParams:
+    """Means at the K data points that the sparse ``indicator_init`` indicates."""
+    return SphericalParams(
+        weights=np.full(K, 1.0 / K),
+        means=Y.data[choose_init_indices(rng, Y.n, K)],
+        variances=np.full(K, default_sigma2(Y, K, floor)),
+    )
+
+
 def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineReport:
-    """Classic EM with restarts; mirrors the sparse driver's harness.
+    """Classic EM with restarts, in the sparse driver's harness.
 
     Restart r initializes the means at the same K random data indices
     the sparse driver would pick for the same seed, so paired
     comparisons start from equivalent configurations.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if Y.n < K:
-        raise ValueError("need at least K data points")
-    if seed is None:
-        seed = hp.seed
-    floor = hp.resolve_floor(Y)
-    sigma2 = default_sigma2(Y, K, floor)
-    best = None
-    for r in range(hp.restarts):
-        idx = choose_init_indices(np.random.default_rng(restart_seed_seq(seed, r)), Y.n, K)
-        params0 = SphericalParams(
-            weights=np.full(K, 1.0 / K),
-            means=Y.data[idx],
-            variances=np.full(K, sigma2),
-        )
-        report = _fit_once(Y, params0, hp, restart_index=r)
-        if best is None or report.loglik_trace[-1] > best.loglik_trace[-1]:
-            best = report
-    return best
+    return best_restart(Y, K, hp, seed, _mean_init, _fit_once, "loglik_trace")

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .baseline import baseline_fit
@@ -61,6 +61,11 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.n_points < self.components:
+            raise ValueError("points must be >= components")
+        for dim in self.dims:
+            for dilation in self.dilations:
+                self.scenario(dim, dilation)
 
     def scenario(self, dim: int, dilation: float) -> ScenarioConfig:
         return ScenarioConfig(
@@ -104,48 +109,40 @@ def cmd_fit(args) -> int:
         print(f"error: {args.input}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    hp = hyperparams_from_args(args)
     try:
-        if args.method == "sparse":
-            rep = sparse_fit(Y, args.components, hp)
-            report = {
-                "method": "sparse",
-                "weights": rep.params.weights.tolist(),
-                "means": Y.uncenter(rep.params.means(Y)).tolist(),
-                "variances": rep.params.variances.tolist(),
-                "betas": rep.params.betas.tolist(),
-                "beta_kkt_residuals": rep.beta_kkt_residuals.tolist(),
-                "assignments": rep.assignments.tolist(),
-                "objective_trace": rep.objective_trace.tolist(),
-                "converged": rep.converged,
-                "cycles": rep.cycles_run,
-                "restart_index": rep.restart_index,
-                "reseed_events": [list(e) for e in rep.reseed_events],
-                "diagnostic": rep.diagnostic,
-            }
-            final = float(rep.objective_trace[-1])
-            converged = rep.converged
-        else:
-            rep = baseline_fit(Y, args.components, hp)
-            report = {
-                "method": "baseline",
-                "weights": rep.params.weights.tolist(),
-                "means": Y.uncenter(rep.params.means).tolist(),
-                "variances": rep.params.variances.tolist(),
-                "assignments": rep.assignments.tolist(),
-                "objective_trace": rep.loglik_trace.tolist(),
-                "converged": rep.converged,
-                "cycles": rep.iterations,
-                "restart_index": rep.restart_index,
-                "reseed_events": [list(e) for e in rep.reseed_events],
-                "diagnostic": rep.diagnostic,
-            }
-            final = float(rep.loglik_trace[-1])
-            converged = rep.converged
+        hp = hyperparams_from_args(args)
+        if not 1 <= args.components <= Y.n:
+            raise ValueError(f"--components must lie in [1, n={Y.n}], got {args.components}")
+        if hp.seed < 0:
+            raise ValueError("--seed must be >= 0")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+
+    sparse = args.method == "sparse"
+    try:
+        rep = (sparse_fit if sparse else baseline_fit)(Y, args.components, hp)
     except NumericalError as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    trace = rep.objective_trace if sparse else rep.loglik_trace
+    report = {
+        "method": args.method,
+        "weights": rep.params.weights.tolist(),
+        "means": Y.uncenter(rep.params.means(Y) if sparse else rep.params.means).tolist(),
+        "variances": rep.params.variances.tolist(),
+        "assignments": rep.assignments.tolist(),
+        "objective_trace": trace.tolist(),
+        "converged": rep.converged,
+        "cycles": rep.cycles_run if sparse else rep.iterations,
+        "restart_index": rep.restart_index,
+        "reseed_events": [list(e) for e in rep.reseed_events],
+        "diagnostic": rep.diagnostic,
+    }
+    if sparse:
+        report["betas"] = rep.params.betas.tolist()
+        report["beta_kkt_residuals"] = rep.beta_kkt_residuals.tolist()
     report.update(
         {
             "input": str(args.input),
@@ -163,7 +160,7 @@ def cmd_fit(args) -> int:
         fh.write("\n")
     print(
         f"fit method={args.method} K={args.components} n={Y.n} d={Y.d} "
-        f"converged={converged} cycles={report['cycles']} objective={final:.6f} report={out}"
+        f"converged={rep.converged} cycles={report['cycles']} objective={float(trace[-1]):.6f} report={out}"
     )
     return EXIT_OK
 
@@ -182,16 +179,20 @@ def default_report_path(input_path: str) -> str:
 
 def cmd_simulate(args) -> int:
     out_dir = resolve_out(args.out)
-    cfg = ScenarioConfig(
-        dim=args.dim,
-        dilation=args.dilation,
-        n_points=args.points,
-        K=args.components,
-        weights=tuple(args.weights),
-        variances=tuple(args.variances),
-        replicates=args.replicates,
-        seed=args.seed,
-    )
+    try:
+        cfg = ScenarioConfig(
+            dim=args.dim,
+            dilation=args.dilation,
+            n_points=args.points,
+            K=args.components,
+            weights=tuple(args.weights),
+            variances=tuple(args.variances),
+            replicates=args.replicates,
+            seed=args.seed,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(out_dir, exist_ok=True)
     for r in range(cfg.replicates):
         sample = gen_replicate(cfg, r)
@@ -212,7 +213,7 @@ def resolve_out(out_flag) -> str:
 def cmd_sweep(args) -> int:
     try:
         spec = build_sweep_spec(args)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -271,28 +272,10 @@ def build_sweep_spec(args) -> SweepSpec:
 
     # flags override file values
     for key in ("dims", "dilations", "methods", "replicates", "seed", "jobs", "out",
-                "points", "components"):
+                "points", "components", "weights", "variances"):
         flag = getattr(args, key, None)
         if flag is not None:
             settings["n_points" if key == "points" else key] = flag
-    if args.weights is not None:
-        settings["weights"] = args.weights
-    if args.variances is not None:
-        settings["variances"] = args.variances
-
-    hp_settings = dict(settings["hyperparams"])
-    for key, flag in (
-        ("lam", args.lam),
-        ("max_cycles", args.max_cycles),
-        ("tol", args.tol),
-        ("variance_floor", args.variance_floor),
-        ("restarts", args.restarts),
-        ("relax", args.relax),
-    ):
-        if flag is not None:
-            hp_settings[key] = flag
-    hp_settings["seed"] = settings["seed"]
-    hp = Hyperparams(**hp_settings)
 
     out = settings["out"] or os.environ.get(OUT_ENV_VAR) or "sweep_out"
     return SweepSpec(
@@ -307,7 +290,7 @@ def build_sweep_spec(args) -> SweepSpec:
         components=int(settings["components"]),
         weights=tuple(float(w) for w in settings["weights"]),
         variances=tuple(float(v) for v in settings["variances"]),
-        hyperparams=hp,
+        hyperparams=hyperparams_from_args(args, settings),
     )
 
 
@@ -409,19 +392,22 @@ def write_manifest(spec: SweepSpec, results, failures) -> None:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def hyperparams_from_args(args) -> Hyperparams:
-    kw = {}
-    for key, flag in (
-        ("lam", args.lam),
-        ("max_cycles", args.max_cycles),
-        ("tol", args.tol),
-        ("variance_floor", args.variance_floor),
-        ("restarts", args.restarts),
-        ("relax", args.relax),
-        ("seed", args.seed),
-    ):
-        if flag is not None:
-            kw[key] = flag
+def hyperparams_from_args(args, settings=None) -> Hyperparams:
+    """Hyperparams from the flags, over the sweep config's ``hyperparams`` block.
+
+    With sweep ``settings`` the sweep seed wins over a ``hyperparams.seed``
+    in the config; for ``fit`` the ``--seed`` flag sets it.
+    """
+    kw = dict(settings["hyperparams"]) if settings else {}
+    unknown = set(kw) - {f.name for f in fields(Hyperparams)}
+    if unknown:
+        raise ValueError(f"unknown hyperparams keys: {sorted(unknown)}")
+    for key in ("lam", "max_cycles", "tol", "variance_floor", "restarts", "relax"):
+        if getattr(args, key) is not None:
+            kw[key] = getattr(args, key)
+    seed = settings["seed"] if settings else args.seed
+    if seed is not None:
+        kw["seed"] = seed
     return Hyperparams(**kw)
 
 

@@ -20,10 +20,11 @@ The log-joint matrix ``logp[i, k] = log pi_k + log N(y_i; Y beta_k,
 sigma_k^2 I)`` and its row log-normalizers ``lse`` (:func:`log_joint`)
 carry everything a partial step needs: ``sum(lse)`` is the mixture log
 likelihood and ``exp(logp - lse[:, None])`` the responsibilities.  The
-fitting drivers evaluate this pair once per partial step and read both
-views from it.  Inside those loops parameters are rebuilt through
+EM loop that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
+evaluates this pair once per partial step and reads both views from it.
+Inside the sparse steps parameters are rebuilt through
 :meth:`MixtureParams._trusted`, unvalidated by construction; parameters
-built outside those loops (user input, initialization, re-seeding) are
+built outside them (user input, initialization, re-seeding) are
 validated.
 """
 
@@ -69,12 +70,14 @@ class SampleSet:
     max|center_offset|).  ``center_offset`` is the mean that was
     subtracted, so fitted quantities can be mapped back to the original
     coordinates via :meth:`uncenter`.  ``max_row_norm`` is the largest
-    Euclidean norm of an observation (a design column), computed once.
+    Euclidean norm of an observation (a design column); it and
+    :meth:`total_variance` are computed once.
     """
 
     data: np.ndarray
     center_offset: np.ndarray
     max_row_norm: float = field(init=False, repr=False, compare=False)
+    _total_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = _as_float_array(self.data, "data")
@@ -94,7 +97,9 @@ class SampleSet:
         offset.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "center_offset", offset)
-        object.__setattr__(self, "max_row_norm", math.sqrt(float(np.max(np.sum(data**2, axis=1)))))
+        sq_norms = np.sum(data**2, axis=1)
+        object.__setattr__(self, "max_row_norm", math.sqrt(float(np.max(sq_norms))))
+        object.__setattr__(self, "_total_variance", float(np.mean(sq_norms)))
 
     @classmethod
     def from_points(cls, points) -> "SampleSet":
@@ -131,7 +136,7 @@ class SampleSet:
 
     def total_variance(self) -> float:
         """Mean squared norm of the centered observations."""
-        return float(np.mean(np.sum(self.data**2, axis=1)))
+        return self._total_variance
 
 
 def default_variance_floor(Y: SampleSet) -> float:

@@ -10,7 +10,9 @@ step through the weighted lasso), so the penalized objective never
 decreases along the trace when the penalty weight is held fixed.
 Clusters that lose all responsibility mass are re-seeded at the least
 committed data point; a cluster that needs more than three re-seeds
-aborts the fit as non-converged.
+aborts the fit as non-converged.  This harness (:func:`em_loop`) and the
+choice among restarts (:func:`best_restart`) are shared with the
+classic-EM baseline, which runs it with a one-step cycle.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
@@ -23,7 +25,7 @@ validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def _evaluate(params: MixtureParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarr
 
 def _responsibilities(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
     tau = np.exp(logp - lse[:, None])
-    if not np.all(np.isfinite(tau)):
+    if not np.isfinite(tau).all():
         raise NumericalError("responsibilities contain non-finite entries")
     return tau
 
@@ -245,23 +247,130 @@ def indicator_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator)
 # Driver
 # ---------------------------------------------------------------------------
 
-def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> MixtureParams:
-    """Move component k onto the least committed data point.
+def _reseed_weights(params, tau: np.ndarray, k: int) -> tuple[int, np.ndarray]:
+    """The least committed data point, and the weights with component k bumped.
 
-    The weight also gets a bump: a component whose weight underflowed to
-    zero would otherwise stay invisible to the next E-step no matter
-    where its mean moved.
+    The bump matters: a component whose weight underflowed to zero would
+    otherwise stay invisible to the next E-step no matter where its mean
+    moved.
     """
-    j = int(np.argmin(tau.max(axis=1)))
+    weights = params.weights.copy()
+    weights[k] = max(weights[k], 1.0 / (2 * params.K))
+    weights /= weights.sum()
+    return int(np.argmin(tau.max(axis=1))), weights
+
+
+def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> MixtureParams:
+    """Move component k onto the least committed data point."""
+    j, weights = _reseed_weights(params, tau, k)
     betas = params.betas.copy()
     betas[k] = 0.0
     betas[k, j] = 1.0
     variances = params.variances.copy()
     variances[k] = sigma2_default
-    weights = params.weights.copy()
-    weights[k] = max(weights[k], 1.0 / (2 * params.K))
-    weights /= weights.sum()
     return MixtureParams(weights=weights, betas=betas, variances=variances)
+
+
+def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate, reseed, penalty=None):
+    """One restart of EM cycling through the partial steps in ``order``.
+
+    Classic EM is the one-step cycle ``(None,)``.  Each step reads its
+    responsibilities from the last ``evaluate(params, Y) -> (logp, lse)``
+    and returns ``step(params, tau, tag, Y, hp)``.  On EmptyClusterError
+    the component is re-seeded by ``reseed(params, tau, k, Y, sigma2)``,
+    or the restart aborts after ``MAX_RESEEDS`` re-seeds.  Each trace
+    entry is ``sum(lse)``, less ``penalty(params, tau, Y, hp)`` if given;
+    the fit converges when a cycle moves it by at most ``hp.tol``, relative.
+
+    Returns ``(params, trace, cycles_run, converged, tau, reseed_events,
+    diagnostic)``; events are ``(cycle, step index, component)``.
+    """
+    sigma2_init = default_sigma2(Y, params.K, hp.resolve_floor(Y))
+    trace: list[float] = []
+    reseed_events: list = []
+    reseed_counts = [0] * params.K
+    diagnostic = None
+    converged = False
+    cycles_run = 0
+    logp, lse = evaluate(params, Y)
+
+    for cycle in range(hp.max_cycles):
+        for step_idx, tag in enumerate(order):
+            tau = _responsibilities(logp, lse)
+            try:
+                params = step(params, tau, tag, Y, hp)
+            except EmptyClusterError as err:
+                k = err.component
+                reseed_counts[k] += 1
+                reseed_events.append((cycle, step_idx, k))
+                if reseed_counts[k] > MAX_RESEEDS:
+                    diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
+                else:
+                    params = reseed(params, tau, k, Y, sigma2_init)
+            logp, lse = evaluate(params, Y)
+            value = float(np.sum(lse))
+            if penalty is not None:
+                value -= float(penalty(params, tau, Y, hp))
+            trace.append(value)
+            if diagnostic is not None:
+                break
+        if diagnostic is not None:
+            break
+        cycles_run = cycle + 1
+        if cycle >= 1 and abs(trace[-1] - trace[-1 - len(order)]) <= hp.tol * (1.0 + abs(trace[-1])):
+            converged = True
+            break
+
+    return params, np.asarray(trace), cycles_run, converged, _responsibilities(logp, lse), reseed_events, diagnostic
+
+
+def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, start, fit, trace: str, *args):
+    """The best of ``hp.restarts`` fits by the last entry of their ``trace`` field.
+
+    Restart r starts from ``start(Y, K, floor, rng)``, with ``rng`` on
+    the child stream r of ``seed`` (``hp.seed`` when None), and runs
+    ``fit(Y, params, hp, *args, restart_index=r)``.  A later restart
+    replaces the best only when it is strictly better.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if Y.n < K:
+        raise ValueError("need at least K data points")
+    if seed is None:
+        seed = hp.seed
+    floor = hp.resolve_floor(Y)
+    best = None
+    for r in range(hp.restarts):
+        params = start(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
+        report = fit(Y, params, hp, *args, restart_index=r)
+        if best is None or getattr(report, trace)[-1] > getattr(best, trace)[-1]:
+            best = report
+    return best
+
+
+def _step(params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet, hp: Hyperparams) -> MixtureParams:
+    """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
+    kind, k = tag
+    if kind == "weights":
+        return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
+    if kind == "beta":
+        new = update_beta(k, params, tau, Y, hp)
+        if hp.relax < 1.0:
+            new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
+        betas = params.betas.copy()
+        betas[k] = new
+        return MixtureParams._trusted(params.weights, betas, params.variances)
+    new = update_sigma(k, params, tau, Y, hp)
+    if hp.relax < 1.0:
+        new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
+    variances = params.variances.copy()
+    variances[k] = new
+    return MixtureParams._trusted(params.weights, params.betas, variances)
+
+
+def _penalty(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
+    """The l1 term of :func:`penalized_value` under the lambdas in force at ``tau``."""
+    return effective_lams(params, tau, Y, hp) @ params.l1_norms()
 
 
 def _fit_once(
@@ -271,71 +380,16 @@ def _fit_once(
     schedule: CycleSchedule,
     restart_index: int,
 ) -> FitReport:
-    floor = hp.resolve_floor(Y)
-    sigma2_init = default_sigma2(Y, params.K, floor)
-    trace: list[float] = []
-    reseed_events: list = []
-    reseed_counts = np.zeros(params.K, dtype=int)
-    diagnostic = None
-    converged = False
-    cycles_run = 0
-    aborted = False
-    logp, lse = _evaluate(params, Y)
-
-    for cycle in range(hp.max_cycles):
-        for step_idx, (kind, k) in enumerate(schedule.order):
-            tau = _responsibilities(logp, lse)
-            try:
-                if kind == "weights":
-                    params = MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
-                elif kind == "beta":
-                    new = update_beta(k, params, tau, Y, hp)
-                    if hp.relax < 1.0:
-                        new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
-                    betas = params.betas.copy()
-                    betas[k] = new
-                    params = MixtureParams._trusted(params.weights, betas, params.variances)
-                else:
-                    new = update_sigma(k, params, tau, Y, hp)
-                    if hp.relax < 1.0:
-                        new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
-                    variances = params.variances.copy()
-                    variances[k] = new
-                    params = MixtureParams._trusted(params.weights, params.betas, variances)
-            except EmptyClusterError:
-                reseed_counts[k] += 1
-                reseed_events.append((cycle, step_idx, k))
-                if reseed_counts[k] > MAX_RESEEDS:
-                    diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
-                    aborted = True
-                else:
-                    params = _reseed(params, tau, k, Y, sigma2_init)
-            lams = effective_lams(params, tau, Y, hp)
-            logp, lse = _evaluate(params, Y)
-            # penalized_value(params, Y, lams), from the shared evaluation
-            trace.append(float(np.sum(lse)) - float(lams @ params.l1_norms()))
-            if aborted:
-                break
-        if aborted:
-            break
-        obj = trace[-1]
-        if cycle >= 1:
-            prev = trace[-1 - len(schedule.order)]
-            if abs(obj - prev) <= hp.tol * (1.0 + abs(obj)):
-                converged = True
-                cycles_run = cycle + 1
-                break
-        cycles_run = cycle + 1
-
-    tau = _responsibilities(logp, lse)
-    assignments = np.argmax(tau, axis=1)
+    params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
+        Y, params, hp, schedule.order, _step, _evaluate, _reseed, _penalty
+    )
     return FitReport(
         params=params,
-        objective_trace=np.asarray(trace),
+        objective_trace=trace,
         beta_kkt_residuals=_subproblem_residuals(params, tau, Y, hp),
         cycles_run=cycles_run,
-        converged=converged and not aborted,
-        assignments=assignments,
+        converged=converged,
+        assignments=np.argmax(tau, axis=1),
         restart_index=restart_index,
         reseed_events=reseed_events,
         diagnostic=diagnostic,
@@ -374,30 +428,16 @@ def run(
     initialization from an independent child stream, so fits are
     reproducible bit for bit.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if Y.n < K:
-        raise ValueError("need at least K data points")
     if schedule is None:
         schedule = CycleSchedule.default(K)
     if schedule.K != K:
         raise ValueError("schedule does not match K")
-
+    start = indicator_init
     if init is not None:
         if init.K != K or init.betas.shape[1] != Y.n:
             raise ValueError("init has inconsistent shape")
-        return _fit_once(Y, init, hp, schedule, restart_index=0)
-
-    if seed is None:
-        seed = hp.seed
-    floor = hp.resolve_floor(Y)
-    best = None
-    for r in range(hp.restarts):
-        params0 = indicator_init(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
-        report = _fit_once(Y, params0, hp, schedule, restart_index=r)
-        if best is None or report.objective_trace[-1] > best.objective_trace[-1]:
-            best = report
-    return best
+        hp, start = replace(hp, restarts=1), lambda *_: init
+    return best_restart(Y, K, hp, seed, start, _fit_once, "objective_trace", schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Spherical EM baseline: closed forms, monotone likelihood, harness parity."""
 
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from test_reference_loops import assert_reports_identical, reference_baseline_fit_once
 
+from sparsemix import baseline
 from sparsemix.baseline import (
     SphericalParams,
     _m_step,
@@ -12,6 +16,7 @@ from sparsemix.baseline import (
     spherical_log_likelihood,
 )
 from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet
+from sparsemix.sparse_em import MAX_RESEEDS
 from sparsemix.sparse_em import run as sparse_run
 
 
@@ -50,6 +55,24 @@ class TestMStep:
 
 
 class TestBaselineFit:
+    def test_abort_matches_reference_loop(self):
+        # no scenario draw empties a baseline component for good, so force
+        # it: every M-step finds component 0 empty
+        def always_empty(tau, Y, floor):
+            raise EmptyClusterError("forced", component=0)
+
+        Y = random_sample_set(np.random.default_rng(80), n=10, d=2)
+        hp = Hyperparams(restarts=2, max_cycles=60, tol=1e-7)
+        with mock.patch.object(baseline, "_m_step", always_empty):
+            rep = baseline_fit(Y, 3, hp)
+            with mock.patch.object(baseline, "_fit_once", reference_baseline_fit_once):
+                ref = baseline_fit(Y, 3, hp)
+        assert_reports_identical(rep, ref)
+        assert rep.diagnostic == f"component 0 stayed empty after {MAX_RESEEDS} re-seeds"
+        assert rep.reseed_events == [(it, 0) for it in range(MAX_RESEEDS + 1)]
+        assert not rep.converged and rep.iterations == MAX_RESEEDS
+        assert len(rep.loglik_trace) == MAX_RESEEDS + 1
+
     def test_single_component_in_one_step(self):
         rng = np.random.default_rng(73)
         Y = random_sample_set(rng, n=6, d=2)

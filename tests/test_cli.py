@@ -213,6 +213,29 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    """Invalid input exits 2 with an error line before any work starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "{sample}", "-K", "20", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "0", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--restarts", "0", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--tol", "0", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--seed", "-1", "--out", "{out}"],
+        ["sweep", "--config", "{config}", "--out", "{out}"],
+        ["sweep", "--components", "2", "--out", "{out}"],
+        ["sweep", "--points", "2", "--out", "{out}"],
+        ["simulate", "--dim", "0", "--dilation", "10", "--out", "{out}"],
+    ])
+    def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"hyperparams": {"foo": 1}}))
+        out = tmp_path / "out"
+        assert main([a.format(sample=two_cluster_file, config=config, out=out) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_version_flag(self):
         import subprocess

@@ -83,6 +83,20 @@ class TestSampleSet:
         Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
         assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)
 
+    def test_total_variance(self):
+        Y = random_sample_set(np.random.default_rng(6), n=7, d=3)
+        assert Y.total_variance() == float(np.mean(np.sum(Y.data**2, axis=1)))
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; importing it would also
+        # multiply the package's import time
+        import subprocess
+        import sys
+
+        code = "import sys, sparsemix; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_rejects_uncentered_and_nonfinite(self):
         with pytest.raises(ValueError):
             SampleSet(data=np.ones((3, 2)), center_offset=np.zeros(2))
