@@ -8,29 +8,37 @@ over beta in R^n, where D is the d x n design (the centered data as
 columns), m the responsibility-weighted cluster mean, s the total
 responsibility mass and sigma2 the component variance.  Coordinate
 updates are exact soft-threshold steps, so F never increases; the Gram
-matrix and column norms are precomputed once per subproblem.
+matrix and column norms are computed once per sample
+(:attr:`sparsemix.model.SampleSet.gram`) and shared by every subproblem
+on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EmptyClusterError, NumericalError
+from .model import EmptyClusterError, Gram, NumericalError
 
 _SCALE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class WeightedLassoProblem:
-    """One component's penalized least-squares subproblem."""
+    """One component's penalized least-squares subproblem.
+
+    ``gram`` carries the design's Gram constants; when absent they are
+    computed from ``design``.
+    """
 
     design: np.ndarray      # (d, n)
     target: np.ndarray      # (d,)
     total_weight: float     # s > 0
     sigma2: float           # > 0
     lam: float              # >= 0
+    gram: Gram | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         D = np.asarray(self.design, dtype=float)
@@ -39,16 +47,22 @@ class WeightedLassoProblem:
             raise ValueError("design must be a 2-d array (d, n)")
         if m.shape != (D.shape[0],):
             raise ValueError("target must have shape (d,)")
-        if not (np.all(np.isfinite(D)) and np.all(np.isfinite(m))):
+        if not (np.isfinite(D).all() and np.isfinite(m).all()):
             raise ValueError("design/target contain non-finite entries")
+        if not math.isfinite(self.total_weight):
+            raise ValueError("total_weight must be finite")
         if not (self.total_weight > 0):
             raise EmptyClusterError("total_weight must be positive")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError("sigma2 must be positive and finite")
         if not (self.lam >= 0):
             raise ValueError("lam must be >= 0")
+        gram = Gram.of(D) if self.gram is None else self.gram
+        if gram.matrix.shape != (D.shape[1], D.shape[1]):
+            raise ValueError("gram must have shape (n, n)")
         object.__setattr__(self, "design", D)
         object.__setattr__(self, "target", m)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def n(self) -> int:
@@ -86,7 +100,7 @@ def _stationarity_violation(grad: np.ndarray, beta: np.ndarray, lam: float) -> f
     """Max coordinate violation of 0 in grad + lam * subdiff(|.|)."""
     on = np.abs(grad + lam * np.sign(beta))
     off = np.maximum(np.abs(grad) - lam, 0.0)
-    return float(np.max(np.where(beta != 0, on, off)))
+    return float(np.where(beta != 0, on, off).max())
 
 
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
@@ -108,8 +122,7 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     size of the gradient at the origin, so behavior is uniform across
     data dilations.
     """
-    col_max = float(np.sqrt(np.max(np.sum(problem.design**2, axis=0), initial=0.0)))
-    scale = problem.smooth_scale * float(np.linalg.norm(problem.target)) * col_max
+    scale = problem.smooth_scale * float(np.linalg.norm(problem.target)) * problem.gram.col_max
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
@@ -142,11 +155,11 @@ def solve_weighted_lasso(
     if tol is None:
         tol = default_tolerance(problem)
 
-    gram = D.T @ D
+    g = problem.gram
+    gram = g.matrix
     q = D.T @ problem.target
-    col2 = np.diag(gram).copy()
-    dead = col2 <= 0.0
-    beta[dead] = 0.0
+    for j in g.dead:
+        beta[j] = 0.0
     gb = gram @ beta
 
     def value(b, gb_b):
@@ -164,7 +177,8 @@ def solve_weighted_lasso(
         # descent would have activated).  A candidate is accepted only
         # with a consistent sign pattern, a full KKT residual better
         # than the current iterate and no objective increase, which
-        # preserves the monotonicity contract.
+        # preserves the monotonicity contract.  The objective is
+        # evaluated only for a candidate that would become the best.
         support = np.flatnonzero(b)
         if support.size == 0 or 2 ** support.size > 512:
             return None
@@ -182,9 +196,8 @@ def solve_weighted_lasso(
             cand[sub_idx] = x
             gb_cand = gram @ cand
             resid = _stationarity_violation(c * (gb_cand - q), cand, lam)
-            val = value(cand, gb_cand)
-            if resid < current_residual and val <= base_value + 1e-12 * (1.0 + abs(base_value)):
-                if best is None or resid < best[2]:
+            if resid < current_residual and (best is None or resid < best[2]):
+                if value(cand, gb_cand) <= base_value + 1e-12 * (1.0 + abs(base_value)):
                     best = (cand, gb_cand, resid)
         return best
 
@@ -192,21 +205,40 @@ def solve_weighted_lasso(
     grad = c * (gb - q)
     residual = _stationarity_violation(grad, beta, lam)
     converged = residual <= tol
+    if converged or max_iters < 1:
+        return LassoSolution(beta=beta, kkt_residual=residual, iterations=sweeps, converged=converged)
+
+    # The sweeps run on Python floats: beta as a list, the soft-threshold
+    # step written out.  It reproduces sign(z) * max(|z| - lam, 0) bit
+    # for bit, signed zeros and NaN included; gb stays a numpy vector.
+    live, col2, columns = g.live, g.diag, g.columns
+    curvature = [c * x for x in col2]
+    if any(curvature[j] == 0.0 for j in live):
+        # c * ||D_j||^2 underflowed: the coordinate map divides by zero
+        raise NumericalError("coordinate descent produced non-finite values")
+    qs = q.tolist()
+    b = beta.tolist()
     prev_support = np.flatnonzero(beta)
     while not converged and sweeps < max_iters:
         changed = False
-        for j in range(n):
-            if dead[j]:
-                continue
-            z = c * (q[j] - gb[j] + col2[j] * beta[j])
-            new = soft_threshold(z, lam) / (c * col2[j])
-            if new != beta[j]:
-                gb += (new - beta[j]) * gram[:, j]
-                beta[j] = new
+        for j in live:
+            bj = b[j]
+            z = c * (qs[j] - gb.item(j) + col2[j] * bj)
+            shrunk = abs(z) - lam
+            if shrunk > 0.0:
+                new = (shrunk if z > 0.0 else -shrunk) / curvature[j]
+            elif shrunk <= 0.0:
+                new = (-0.0 if z < 0.0 else 0.0) / curvature[j]
+            else:
+                new = shrunk
+            if new != bj:
+                gb += (new - bj) * columns[j]
+                b[j] = new
                 changed = True
         sweeps += 1
+        beta = np.array(b)
         grad = c * (gb - q)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise NumericalError("coordinate descent produced non-finite values")
         residual = _stationarity_violation(grad, beta, lam)
         converged = residual <= tol
@@ -215,8 +247,10 @@ def solve_weighted_lasso(
             refined = refine(beta, gb, residual)
             if refined is not None:
                 beta, gb, residual = refined
+                b = beta.tolist()
                 converged = residual <= tol
-        prev_support = np.flatnonzero(beta)
+                support = np.flatnonzero(beta)
+        prev_support = support
         if not changed and not converged:
             # float-precision fixed point of the coordinate map; further
             # sweeps cannot move, so stop even when tol is unreachable

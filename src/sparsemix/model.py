@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class SampleSet:
     subtracted, so fitted quantities can be mapped back to the original
     coordinates via :meth:`uncenter`.  ``max_row_norm`` is the largest
     Euclidean norm of an observation (a design column); it and
-    :meth:`total_variance` are computed once.
+    :meth:`total_variance` are computed once, and :attr:`gram` on first
+    use.
     """
 
     data: np.ndarray
@@ -137,6 +139,46 @@ class SampleSet:
     def total_variance(self) -> float:
         """Mean squared norm of the centered observations."""
         return self._total_variance
+
+    @cached_property
+    def gram(self) -> "Gram":
+        """Inner products of the observations, ``data @ data.T``, built once."""
+        return Gram.of(self.design, col_max=self.max_row_norm)
+
+
+@dataclass(frozen=True)
+class Gram:
+    """The Gram matrix ``D^T D`` of a d x n design and what the lasso reads of it.
+
+    Every weighted lasso on one design shares these constants: the
+    read-only n x n ``matrix``; ``col_max``, the largest column norm;
+    the squared column norms ``diag`` as floats; the indices of the
+    nonzero (``live``) and zero (``dead``) columns; and the matrix
+    ``columns`` split out once.
+    """
+
+    matrix: np.ndarray
+    col_max: float
+    diag: tuple = field(init=False, repr=False, compare=False)
+    live: tuple = field(init=False, repr=False, compare=False)
+    dead: tuple = field(init=False, repr=False, compare=False)
+    columns: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+        diag = tuple(np.diag(self.matrix).tolist())
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "live", tuple(j for j, x in enumerate(diag) if not x <= 0.0))
+        object.__setattr__(self, "dead", tuple(j for j, x in enumerate(diag) if x <= 0.0))
+        object.__setattr__(self, "columns", tuple(self.matrix.T))
+
+    @classmethod
+    def of(cls, design: np.ndarray, col_max: float | None = None) -> "Gram":
+        """Build from the design; ``col_max`` is computed unless given."""
+        D = np.asarray(design, dtype=float)
+        if col_max is None:
+            col_max = float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0)))
+        return cls(D.T @ D, col_max)
 
 
 def default_variance_floor(Y: SampleSet) -> float:
@@ -213,7 +255,7 @@ class MixtureParams:
 
     def l1_norms(self) -> np.ndarray:
         """Per-component l1 norm of the coefficient rows."""
-        return np.sum(np.abs(self.betas), axis=1)
+        return np.abs(self.betas).sum(axis=1)
 
     def permuted(self, perm) -> "MixtureParams":
         """Relabel components by ``perm`` (new index -> old index)."""
@@ -329,15 +371,15 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     back to the direct formula.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=1, keepdims=True)
+        a_max = a.max(axis=1, keepdims=True)
         tie = a == a_max
-        m = np.sum(tie, axis=1, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(tie, -np.inf, a) - a_max), axis=1, keepdims=True)
+        m = tie.sum(axis=1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(tie, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=1)))
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
     return out
 
 

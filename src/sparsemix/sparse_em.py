@@ -128,9 +128,13 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     """
     if hp.lam is not None:
         return hp.lam
-    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
-    critical = (total_weight / sigma2) * float(np.max(np.abs(Y.data @ target), initial=0.0))
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
+    return _adaptive_weight(Y, 2.0 * math.log(Y.n), fraction, sigma2, total_weight, target)
+
+
+def _adaptive_weight(Y: SampleSet, two_log_n: float, fraction: float, sigma2: float, s: float, m: np.ndarray) -> float:
+    noise = math.sqrt(two_log_n * s) * Y.max_row_norm / math.sqrt(sigma2)
+    critical = (s / sigma2) * float(np.abs(Y.data @ m).max())
     return min(noise, fraction * critical)
 
 
@@ -138,14 +142,16 @@ def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyp
     """Per-component penalty weights at the current parameters."""
     if hp.lam is not None:
         return np.full(params.K, float(hp.lam))
+    two_log_n = 2.0 * math.log(Y.n)
+    fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
+    empty = EMPTY_FRACTION * Y.n
     out = np.empty(params.K)
-    for k in range(params.K):
+    for k, sigma2 in enumerate(params.variances.tolist()):
         s = float(tau[:, k].sum())
-        if s <= EMPTY_FRACTION * Y.n:
+        if s <= empty:
             out[k] = 0.0
             continue
-        m = (tau[:, k] @ Y.data) / s
-        out[k] = penalty_weight(hp, Y, float(params.variances[k]), s, m)
+        out[k] = _adaptive_weight(Y, two_log_n, fraction, sigma2, s, (tau[:, k] @ Y.data) / s)
     return out
 
 
@@ -188,7 +194,7 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
     m = (tau[:, k] @ Y.data) / s
     lam = penalty_weight(hp, Y, float(params.variances[k]), s, m)
     problem = WeightedLassoProblem(
-        design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam
+        design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam, gram=Y.gram
     )
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
@@ -202,7 +208,7 @@ def update_sigma(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, h
     if s <= EMPTY_FRACTION * Y.n:
         raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
     resid = Y.data - params.means(Y)[k][None, :]
-    sq = float(tau[:, k] @ np.sum(resid**2, axis=1))
+    sq = float(tau[:, k] @ (resid**2).sum(axis=1))
     return max(hp.resolve_floor(Y), sq / (Y.d * s))
 
 
@@ -308,7 +314,7 @@ def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate,
                 else:
                     params = reseed(params, tau, k, Y, sigma2_init)
             logp, lse = evaluate(params, Y)
-            value = float(np.sum(lse))
+            value = float(lse.sum())
             if penalty is not None:
                 value -= float(penalty(params, tau, Y, hp))
             trace.append(value)
@@ -406,7 +412,7 @@ def _subproblem_residuals(params: MixtureParams, tau: np.ndarray, Y: SampleSet, 
         m = (tau[:, k] @ Y.data) / s
         lam = penalty_weight(hp, Y, float(params.variances[k]), s, m)
         problem = WeightedLassoProblem(
-            design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam
+            design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam, gram=Y.gram
         )
         out[k] = kkt_residual(problem, params.betas[k])
     return out

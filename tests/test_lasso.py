@@ -14,7 +14,7 @@ from sparsemix.lasso import (
     soft_threshold,
     solve_weighted_lasso,
 )
-from sparsemix.model import EmptyClusterError
+from sparsemix.model import EmptyClusterError, Gram, SampleSet
 
 
 def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=None):
@@ -171,6 +171,50 @@ class TestSolveWeightedLasso:
                 total_weight=0.0,
                 sigma2=1.0,
                 lam=0.1,
+            )
+
+    @pytest.mark.parametrize("total_weight", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_total_weight_is_a_value_error(self, total_weight):
+        # not an EmptyClusterError: that one names a component to re-seed
+        rng = np.random.default_rng(38)
+        with pytest.raises(ValueError, match="total_weight must be finite"):
+            WeightedLassoProblem(
+                design=rng.normal(size=(2, 3)),
+                target=rng.normal(size=2),
+                total_weight=total_weight,
+                sigma2=1.0,
+                lam=0.1,
+            )
+
+    def test_negative_total_weight_is_empty(self):
+        rng = np.random.default_rng(38)
+        with pytest.raises(EmptyClusterError):
+            WeightedLassoProblem(
+                design=rng.normal(size=(2, 3)), target=rng.normal(size=2), total_weight=-1.0, sigma2=1.0, lam=0.1
+            )
+
+    def test_precomputed_gram_gives_identical_solution(self):
+        rng = np.random.default_rng(44)
+        for d in (1, 2, 5, 50):
+            Y = SampleSet.from_points(rng.normal(size=(10, d)) * 30.0)
+            m = Y.design @ rng.random(10) / 3.0
+            for lam in (0.0, 0.05, 5.0):
+                args = dict(design=Y.design, target=m, total_weight=3.0, sigma2=40.0, lam=lam)
+                shared = WeightedLassoProblem(**args, gram=Y.gram)
+                own = WeightedLassoProblem(**args)
+                assert shared.gram is Y.gram and own.gram is not Y.gram
+                beta0 = rng.normal(size=10)
+                a = solve_weighted_lasso(shared, beta0)
+                b = solve_weighted_lasso(own, beta0)
+                assert a.beta.tobytes() == b.beta.tobytes()
+                assert (a.kkt_residual, a.iterations, a.converged) == (b.kkt_residual, b.iterations, b.converged)
+
+    def test_rejects_gram_of_another_size(self):
+        rng = np.random.default_rng(45)
+        with pytest.raises(ValueError, match="gram"):
+            WeightedLassoProblem(
+                design=rng.normal(size=(3, 4)), target=rng.normal(size=3), total_weight=1.0, sigma2=1.0,
+                lam=0.1, gram=Gram.of(rng.normal(size=(3, 5))),
             )
 
     def test_rejects_nonfinite_inputs(self):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from sparsemix.model import (
+    Gram,
     Hyperparams,
     MixtureParams,
     SampleSet,
@@ -25,6 +26,7 @@ from sparsemix.model import (
     q_function,
     self_regression_log_likelihood,
 )
+from sparsemix.simulate import ScenarioConfig, gen_replicate
 from sparsemix.sparse_em import e_step
 
 
@@ -82,6 +84,36 @@ class TestSampleSet:
     def test_max_row_norm(self):
         Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
         assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 5, 50]),
+        dilation=st.sampled_from([10.0, 60.0, 100.0]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram(self, dim, dilation, data_seed):
+        config = ScenarioConfig(dim=dim, dilation=dilation, seed=data_seed)
+        Y = SampleSet.from_points(gen_replicate(config, 0).points)
+        gram = Y.gram
+        assert gram is Y.gram
+        assert not gram.matrix.flags.writeable
+        D = Y.design
+        assert gram.matrix.tobytes() == (D.T @ D).tobytes()
+        assert gram.matrix.tobytes() == Gram.of(D).matrix.tobytes()
+        # the lasso tolerance's column max, which the sample's row norm replaces
+        assert Y.max_row_norm == float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0)))
+        assert gram.col_max == Y.max_row_norm == Gram.of(D).col_max
+        assert gram.diag == tuple(np.diag(gram.matrix).tolist())
+        assert gram.live == tuple(range(Y.n)) and gram.dead == ()
+        for j, column in enumerate(gram.columns):
+            assert column.tobytes() == gram.matrix[:, j].tobytes()
+
+    def test_gram_dead_columns(self):
+        D = np.array([[1.0, 0.0, -2.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
+        gram = Gram.of(D)
+        assert gram.live == (0, 2) and gram.dead == (1, 3)
+        assert gram.col_max == math.sqrt(10.0)
+        assert Gram.of(np.zeros((2, 3))).col_max == 0.0
 
     def test_total_variance(self):
         Y = random_sample_set(np.random.default_rng(6), n=7, d=3)
