@@ -5,12 +5,12 @@ all relabelings: the count of indices where some permutation of the
 fitted labels agrees with the truth.  The Monte Carlo driver runs one
 (dimension, dilation, method) cell, records every replicate and reports
 the mean matched count (ANCRCI, average number of correctly recovered
-class indices).
+class indices).  The best relabeling is found as a maximum-weight
+assignment on the confusion matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ from .model import Hyperparams, SampleSet
 from .simulate import ScenarioConfig, data_hash, fit_seed_seq, gen_replicate
 from .sparse_em import run as sparse_fit
 
-MAX_PERMUTATION_K = 5
 METHODS = ("sparse", "baseline")
 
 
@@ -51,24 +50,63 @@ class McResult:
 def best_permutation_correct(assignments, truth, K: int) -> int:
     """Max agreement count over all K! relabelings of ``assignments``.
 
-    Exhaustive enumeration, deliberately capped at K <= 5.
+    A maximum-weight assignment on the K x K confusion matrix, solved
+    exactly in O(K^3) by :func:`_max_weight_assignment`.
     """
-    if K > MAX_PERMUTATION_K:
-        raise ValueError(f"K > {MAX_PERMUTATION_K} is unsupported (exhaustive matching only)")
     a = np.asarray(assignments, dtype=int)
     t = np.asarray(truth, dtype=int)
     if a.shape != t.shape or a.ndim != 1:
         raise ValueError("assignments and truth must be equal-length vectors")
     if np.any(a < 0) or np.any(a >= K) or np.any(t < 0) or np.any(t >= K):
         raise ValueError("labels out of range [0, K)")
-    confusion = np.zeros((K, K), dtype=int)
-    np.add.at(confusion, (a, t), 1)
-    best = 0
-    for perm in itertools.permutations(range(K)):
-        matched = int(confusion[np.arange(K), perm].sum())
-        if matched > best:
-            best = matched
-    return best
+    confusion = np.bincount(a * K + t, minlength=K * K).reshape(K, K)
+    return _max_weight_assignment(confusion.tolist())
+
+
+def _max_weight_assignment(weight: list) -> int:
+    """Largest ``sum_i weight[i][p(i)]`` over permutations p of a square matrix.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path
+    form: rows join one at a time, each along a cheapest path in the
+    reduced costs ``-weight[i][j] - u[i] - v[j] >= 0``, and the duals u,
+    v keep that invariant.  Integer weights stay integers throughout, so
+    the result is exact.  Index 0 of the arrays is a virtual column.
+    """
+    K = len(weight)
+    inf = float("inf")
+    u = [0] * (K + 1)
+    v = [0] * (K + 1)
+    row_of = [0] * (K + 1)   # row_of[j]: the row (1-based) assigned to column j, 0 if none
+    for i in range(1, K + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [inf] * (K + 1)
+        back = [0] * (K + 1)
+        used = [False] * (K + 1)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            costs = weight[i0 - 1]
+            delta, j1 = inf, 0
+            for j in range(1, K + 1):
+                if not used[j]:
+                    cur = -costs[j - 1] - u[i0] - v[j]
+                    if cur < slack[j]:
+                        slack[j], back[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(K + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = back[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return sum(weight[row_of[j] - 1][j - 1] for j in range(1, K + 1))
 
 
 def fit_replicate(scenario: ScenarioConfig, method: str, hp: Hyperparams, replicate: int) -> ReplicateRecord:

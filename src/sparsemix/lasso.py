@@ -23,6 +23,7 @@ import numpy as np
 from .model import EmptyClusterError, Gram, NumericalError
 
 _SCALE_EPS = 1e-12
+_SCALAR_N = 40      # Python-float path of _stationarity_violation up to here; numpy is faster from about 50
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,26 @@ class WeightedLassoProblem:
         object.__setattr__(self, "target", m)
         object.__setattr__(self, "gram", gram)
 
+    @classmethod
+    def _trusted(cls, design: np.ndarray, target: np.ndarray, total_weight: float, sigma2: float, lam: float,
+                 gram: Gram) -> "WeightedLassoProblem":
+        """Build without the array checks, for a subproblem of a fit.
+
+        The EM checks what ``__post_init__`` would: the design and its
+        Gram belong to a validated sample, the target is a weighted mean
+        of it under finite responsibilities, the weight exceeds the
+        empty-cluster threshold and the penalty weight is >= 0.  Only the
+        variance, which can overflow at extreme coordinate scales, is
+        still checked here.
+        """
+        if not (math.isfinite(sigma2) and sigma2 > 0):
+            raise ValueError("sigma2 must be positive and finite")
+        self = object.__new__(cls)
+        for name, value in (("design", design), ("target", target), ("total_weight", total_weight),
+                            ("sigma2", sigma2), ("lam", lam), ("gram", gram)):
+            object.__setattr__(self, name, value)
+        return self
+
     @property
     def n(self) -> int:
         return self.design.shape[1]
@@ -97,7 +118,24 @@ def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
 
 
 def _stationarity_violation(grad: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """Max coordinate violation of 0 in grad + lam * subdiff(|.|)."""
+    """Max coordinate violation of 0 in grad + lam * subdiff(|.|).
+
+    Up to ``_SCALAR_N`` coordinates the same IEEE operations run on
+    Python floats, which is cheaper than the five array passes; a NaN
+    coordinate makes the result NaN either way.
+    """
+    if 0 < beta.size <= _SCALAR_N:
+        worst = 0.0
+        for g, b in zip(grad.tolist(), beta.tolist()):
+            if b != 0:  # NaN included, whose sign is NaN
+                v = abs(g + lam * (1.0 if b > 0 else -1.0 if b < 0 else b))
+            else:
+                v = abs(g) - lam
+            if v > worst:
+                worst = v
+            elif v != v:
+                return v
+        return worst
     on = np.abs(grad + lam * np.sign(beta))
     off = np.maximum(np.abs(grad) - lam, 0.0)
     return float(np.where(beta != 0, on, off).max())

@@ -22,6 +22,11 @@ carry everything a partial step needs: ``sum(lse)`` is the mixture log
 likelihood and ``exp(logp - lse[:, None])`` the responsibilities.  The
 EM loop that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
 evaluates this pair once per partial step and reads both views from it.
+The log densities are composed of blocks (:func:`squared_distances`,
+:func:`log_normalizers`, :func:`log_densities`, and :func:`log_weights`
+for the joint) that depend on one parameter array each, so the sparse
+EM loop carries them across its partial steps and recomputes only the
+blocks a step changed.
 Inside the sparse steps parameters are rebuilt through
 :meth:`MixtureParams._trusted`, unvalidated by construction; parameters
 built outside them (user input, initialization, re-seeding) are
@@ -338,17 +343,32 @@ def component_log_density(y, beta, sigma2: float, Y: SampleSet) -> float:
     return float(-0.5 * Y.d * (LOG_2PI + math.log(sigma2)) - resid @ resid / (2.0 * sigma2))
 
 
+def squared_distances(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(n, K) matrix of squared distances from each row of ``X`` to each mean."""
+    diff = X[:, None, :] - means[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def log_normalizers(d: int, variances: np.ndarray) -> np.ndarray:
+    """Per-component term ``d * (log 2 pi + log sigma_k^2)`` of the log density."""
+    return d * (LOG_2PI + np.log(variances))
+
+
+def log_densities(norms: np.ndarray, sq: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Log densities from :func:`log_normalizers` and :func:`squared_distances`."""
+    return -0.5 * (norms[None, :] + sq / variances[None, :])
+
+
 def spherical_log_density_matrix(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Per-point, per-component spherical Gaussian log densities.
 
     ``X`` is (n, d), ``means`` is (K, d), ``variances`` is (K,).  Returns
     an (n, K) matrix.  Shared by the self-regression model (means
     realized from betas) and the baseline estimator (explicit means).
+    It is the composition of the three blocks above, which the sparse
+    EM loop carries across partial steps and refreshes one by one.
     """
-    d = X.shape[1]
-    diff = X[:, None, :] - means[None, :, :]
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
-    return -0.5 * (d * (LOG_2PI + np.log(variances))[None, :] + sq / variances[None, :])
+    return log_densities(log_normalizers(X.shape[1], variances), squared_distances(X, means), variances)
 
 
 def log_density_matrix(params: MixtureParams, Y: SampleSet) -> np.ndarray:
@@ -356,7 +376,8 @@ def log_density_matrix(params: MixtureParams, Y: SampleSet) -> np.ndarray:
     return spherical_log_density_matrix(Y.data, params.means(Y), params.variances)
 
 
-def _log_weights(weights: np.ndarray) -> np.ndarray:
+def log_weights(weights: np.ndarray) -> np.ndarray:
+    """``log(weights)``, with log 0 = -inf and no warning."""
     with np.errstate(divide="ignore"):
         return np.log(weights)
 
@@ -368,11 +389,15 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     axis=1)`` on real input, so results agree bit for bit: the terms tied
     at the row max are counted instead of exponentiated, and rows whose
     shifted result is not finite (all -inf, or an inf/nan entry) fall
-    back to the direct formula.
+    back to the direct formula.  When every row max is finite and
+    attained once, the tie count is 1, so dividing by it and adding its
+    log (0) change nothing and are skipped, and no operation can warn.
     """
+    a_max = a.max(axis=1, keepdims=True)
+    tie = a == a_max
+    if np.isfinite(a_max).all() and np.count_nonzero(tie) == a.shape[0]:
+        return np.log1p(np.exp(np.where(tie, -np.inf, a - a_max)).sum(axis=1)) + a_max[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        tie = a == a_max
         m = tie.sum(axis=1, keepdims=True, dtype=a.dtype)
         s = np.exp(np.where(tie, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
         s = np.where(s == 0, s, s / m)
@@ -389,7 +414,7 @@ def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     ``sum(lse)`` is the mixture log likelihood and ``exp(logp - lse[:,
     None])`` the responsibilities, so one evaluation serves both.
     """
-    logp = log_dens + _log_weights(weights)[None, :]
+    logp = log_dens + log_weights(weights)[None, :]
     return logp, logsumexp_rows(logp)
 
 
@@ -429,7 +454,7 @@ def q_function(params: MixtureParams, tau: np.ndarray, Y: SampleSet) -> float:
     tau_ik > 0 the function returns -inf (a sentinel, not an exception).
     """
     t = np.asarray(tau, dtype=float)
-    logp = log_density_matrix(params, Y) + _log_weights(params.weights)[None, :]
+    logp = log_density_matrix(params, Y) + log_weights(params.weights)[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         complete = np.where(t > 0, t * logp, 0.0)
         entropy = np.where(t > 0, t * np.log(t), 0.0)

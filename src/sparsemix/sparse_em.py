@@ -16,10 +16,16 @@ classic-EM baseline, which runs it with a one-step cycle.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
-matrix (see :func:`sparsemix.model.log_joint`).  Parameters inside the
-loop are built by :meth:`MixtureParams._trusted` and so are unvalidated
-by construction; the initial parameters and re-seeded ones are
-validated.
+matrix (see :func:`sparsemix.model.log_joint`).  Each restart carries
+the blocks of that matrix across its steps (:class:`_Blocks`) and
+recomputes only those the step changed: a beta step the means, squared
+distances and l1 norms, a sigma step the log normalizers, either of
+them the log densities, and the weights step only the log weights.  The
+column statistics of each responsibility matrix (:class:`ColumnStats`)
+are computed once and shared by the step and the trace's penalty.
+Parameters inside the loop are built by :meth:`MixtureParams._trusted`
+and so are unvalidated by construction; the initial parameters and
+re-seeded ones are validated, and every block is recomputed from them.
 """
 
 from __future__ import annotations
@@ -42,9 +48,14 @@ from .model import (
     MixtureParams,
     NumericalError,
     SampleSet,
+    log_densities,
     log_density_matrix,
     log_joint,
+    log_normalizers,
+    log_weights,
+    logsumexp_rows,
     self_regression_log_likelihood,
+    squared_distances,
 )
 
 EMPTY_FRACTION = 1e-8   # s_k below this times n counts as an empty cluster
@@ -128,30 +139,76 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     """
     if hp.lam is not None:
         return hp.lam
+    return _adaptive_weight(Y, sigma2, total_weight, _max_abs_inner(Y, target))
+
+
+def _max_abs_inner(Y: SampleSet, m: np.ndarray) -> float:
+    """``max_j |D_j^t m|``, the l-inf norm of the design's inner products with ``m``."""
+    return float(np.abs(Y.data @ m).max())
+
+
+def _adaptive_weight(Y: SampleSet, sigma2: float, s: float, max_inner: float) -> float:
+    """:func:`penalty_weight`'s default from the mass ``s`` and ``_max_abs_inner`` of the mean."""
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
-    return _adaptive_weight(Y, 2.0 * math.log(Y.n), fraction, sigma2, total_weight, target)
-
-
-def _adaptive_weight(Y: SampleSet, two_log_n: float, fraction: float, sigma2: float, s: float, m: np.ndarray) -> float:
-    noise = math.sqrt(two_log_n * s) * Y.max_row_norm / math.sqrt(sigma2)
-    critical = (s / sigma2) * float(np.abs(Y.data @ m).max())
+    noise = math.sqrt(2.0 * math.log(Y.n) * s) * Y.max_row_norm / math.sqrt(sigma2)
+    critical = (s / sigma2) * max_inner
     return min(noise, fraction * critical)
 
 
-def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
-    """Per-component penalty weights at the current parameters."""
+class ColumnStats:
+    """What the partial steps read of one responsibility matrix, computed once.
+
+    For the (n, K) matrix ``tau``: ``s[k]``, the mass of column k;
+    :meth:`mean`, the responsibility-weighted mean m_k = (tau[:, k] @
+    Y.data) / s_k; :meth:`max_inner`, max_j |D_j^t m_k|; and
+    :meth:`lam`, the penalty weight they give.  The means and inner
+    products are built per column on first use (a batched product would
+    change their last bits).  :func:`update_beta`,
+    :func:`update_sigma` and :func:`effective_lams` share one instance
+    when they read the same ``tau``.
+    """
+
+    __slots__ = ("tau", "Y", "s", "_means", "_max_inner")
+
+    def __init__(self, tau: np.ndarray, Y: SampleSet):
+        self.tau = tau
+        self.Y = Y
+        # summing contiguous rows of tau.T matches tau[:, k].sum() bit for bit
+        self.s = np.ascontiguousarray(tau.T).sum(axis=1).tolist()
+        self._means = [None] * len(self.s)
+        self._max_inner = [None] * len(self.s)
+
+    def mean(self, k: int) -> np.ndarray:
+        m = self._means[k]
+        if m is None:
+            m = self._means[k] = (self.tau[:, k] @ self.Y.data) / self.s[k]
+        return m
+
+    def max_inner(self, k: int) -> float:
+        x = self._max_inner[k]
+        if x is None:
+            x = self._max_inner[k] = _max_abs_inner(self.Y, self.mean(k))
+        return x
+
+    def lam(self, k: int, sigma2: float, hp: Hyperparams) -> float:
+        """:func:`penalty_weight` of component k at variance ``sigma2``."""
+        return hp.lam if hp.lam is not None else _adaptive_weight(self.Y, sigma2, self.s[k], self.max_inner(k))
+
+
+def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
+                   stats: ColumnStats | None = None) -> np.ndarray:
+    """Per-component penalty weights at the current parameters.
+
+    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``.
+    """
     if hp.lam is not None:
         return np.full(params.K, float(hp.lam))
-    two_log_n = 2.0 * math.log(Y.n)
-    fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
+    if stats is None:
+        stats = ColumnStats(tau, Y)
     empty = EMPTY_FRACTION * Y.n
     out = np.empty(params.K)
-    for k, sigma2 in enumerate(params.variances.tolist()):
-        s = float(tau[:, k].sum())
-        if s <= empty:
-            out[k] = 0.0
-            continue
-        out[k] = _adaptive_weight(Y, two_log_n, fraction, sigma2, s, (tau[:, k] @ Y.data) / s)
+    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
+        out[k] = 0.0 if s <= empty else stats.lam(k, sigma2, hp)
     return out
 
 
@@ -186,28 +243,42 @@ def update_weights(tau: np.ndarray) -> np.ndarray:
     return tau.sum(axis=0) / tau.shape[0]
 
 
-def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
-    """Weighted-lasso update of one coefficient block, warm-started."""
-    s = float(tau[:, k].sum())
+def _mass(k: int, stats: ColumnStats, Y: SampleSet) -> float:
+    """Column k's responsibility mass; raises when the cluster is empty."""
+    s = stats.s[k]
     if s <= EMPTY_FRACTION * Y.n:
         raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
-    m = (tau[:, k] @ Y.data) / s
-    lam = penalty_weight(hp, Y, float(params.variances[k]), s, m)
-    problem = WeightedLassoProblem(
-        design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam, gram=Y.gram
-    )
+    return s
+
+
+def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
+                stats: ColumnStats | None = None) -> np.ndarray:
+    """Weighted-lasso update of one coefficient block, warm-started.
+
+    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``.
+    """
+    if stats is None:
+        stats = ColumnStats(tau, Y)
+    s = _mass(k, stats, Y)
+    sigma2 = float(params.variances[k])
+    problem = WeightedLassoProblem._trusted(Y.design, stats.mean(k), s, sigma2, stats.lam(k, sigma2, hp), Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
     tol = default_tolerance(problem) * min(1.0, hp.tol / 1e-8)
     return solve_weighted_lasso(problem, beta_init=params.betas[k], tol=tol).beta
 
 
-def update_sigma(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
-    """Floored responsibility-weighted mean squared deviation per coordinate."""
-    s = float(tau[:, k].sum())
-    if s <= EMPTY_FRACTION * Y.n:
-        raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
-    resid = Y.data - params.means(Y)[k][None, :]
+def update_sigma(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
+                 stats: ColumnStats | None = None, means: np.ndarray | None = None) -> float:
+    """Floored responsibility-weighted mean squared deviation per coordinate.
+
+    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``, and
+    ``means``, if given, ``params.means(Y)``.
+    """
+    s = _mass(k, ColumnStats(tau, Y) if stats is None else stats, Y)
+    if means is None:
+        means = params.means(Y)
+    resid = Y.data - means[k][None, :]
     sq = float(tau[:, k] @ (resid**2).sum(axis=1))
     return max(hp.resolve_floor(Y), sq / (Y.d * s))
 
@@ -354,29 +425,88 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, start, fit, trace:
     return best
 
 
-def _step(params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet, hp: Hyperparams) -> MixtureParams:
-    """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
-    kind, k = tag
-    if kind == "weights":
-        return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
-    if kind == "beta":
-        new = update_beta(k, params, tau, Y, hp)
+class _Blocks:
+    """The model blocks of one restart, carried across its partial steps.
+
+    A partial step replaces one parameter array and shares the other two
+    with its input (:meth:`MixtureParams._trusted` stores them as they
+    are, read-only), so each block below is recomputed only when the
+    array it derives from is a different object:
+
+    - ``betas``: the means ``betas @ Y.data``, the squared distances
+      ``sq`` and the l1 norms;
+    - ``variances``: the terms ``d * (log 2 pi + log sigma_k^2)``;
+    - ``betas`` or ``variances``: the log-density matrix;
+    - ``weights``: the log weights.
+
+    Parameters this object did not produce (the initial ones, a
+    re-seed) hold fresh arrays, so every block is recomputed from them.
+    The :class:`ColumnStats` of the latest responsibilities are kept the
+    same way, keyed by the identity of ``tau``.  One instance serves one
+    restart and is dropped with it.
+    """
+
+    def __init__(self, Y: SampleSet):
+        self.Y = Y
+        self.betas = self.variances = self.weights = self.tau = None
+
+    def sync(self, params: MixtureParams) -> None:
+        """Recompute the blocks whose source array ``params`` replaced."""
+        Y = self.Y
+        fresh = False
+        if params.betas is not self.betas:
+            self.betas = params.betas
+            self.means = params.means(Y)
+            self.sq = squared_distances(Y.data, self.means)
+            self.l1 = params.l1_norms()
+            fresh = True
+        if params.variances is not self.variances:
+            self.variances = params.variances
+            self.norms = log_normalizers(Y.d, params.variances)
+            fresh = True
+        if fresh:
+            self.log_dens = log_densities(self.norms, self.sq, self.variances)
+        if params.weights is not self.weights:
+            self.weights = params.weights
+            self.log_w = log_weights(params.weights)
+
+    def evaluate(self, params: MixtureParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+        """What :func:`_evaluate` returns, from the carried blocks."""
+        self.sync(params)
+        logp = self.log_dens + self.log_w[None, :]
+        return logp, logsumexp_rows(logp)
+
+    def stats(self, tau: np.ndarray) -> ColumnStats:
+        if tau is not self.tau:
+            self.tau = tau
+            self.column_stats = ColumnStats(tau, self.Y)
+        return self.column_stats
+
+    def step(self, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
+             hp: Hyperparams) -> MixtureParams:
+        """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
+        kind, k = tag
+        if kind == "weights":
+            return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
+        if kind == "beta":
+            new = update_beta(k, params, tau, Y, hp, stats=self.stats(tau))
+            if hp.relax < 1.0:
+                new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
+            betas = params.betas.copy()
+            betas[k] = new
+            return MixtureParams._trusted(params.weights, betas, params.variances)
+        self.sync(params)  # a no-op in em_loop, which evaluated params last
+        new = update_sigma(k, params, tau, Y, hp, stats=self.stats(tau), means=self.means)
         if hp.relax < 1.0:
-            new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
-        betas = params.betas.copy()
-        betas[k] = new
-        return MixtureParams._trusted(params.weights, betas, params.variances)
-    new = update_sigma(k, params, tau, Y, hp)
-    if hp.relax < 1.0:
-        new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
-    variances = params.variances.copy()
-    variances[k] = new
-    return MixtureParams._trusted(params.weights, params.betas, variances)
+            new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
+        variances = params.variances.copy()
+        variances[k] = new
+        return MixtureParams._trusted(params.weights, params.betas, variances)
 
-
-def _penalty(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
-    """The l1 term of :func:`penalized_value` under the lambdas in force at ``tau``."""
-    return effective_lams(params, tau, Y, hp) @ params.l1_norms()
+    def penalty(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
+        """The l1 term of :func:`penalized_value` under the lambdas in force at ``tau``."""
+        self.sync(params)
+        return effective_lams(params, tau, Y, hp, stats=self.stats(tau)) @ self.l1
 
 
 def _fit_once(
@@ -386,8 +516,9 @@ def _fit_once(
     schedule: CycleSchedule,
     restart_index: int,
 ) -> FitReport:
+    blocks = _Blocks(Y)
     params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, schedule.order, _step, _evaluate, _reseed, _penalty
+        Y, params, hp, schedule.order, blocks.step, blocks.evaluate, _reseed, blocks.penalty
     )
     return FitReport(
         params=params,
@@ -404,15 +535,14 @@ def _fit_once(
 
 def _subproblem_residuals(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
     """Lasso stationarity residual of each beta block at the final tau."""
+    stats = ColumnStats(tau, Y)
     out = np.full(params.K, np.nan)
-    for k in range(params.K):
-        s = float(tau[:, k].sum())
+    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
         if s <= EMPTY_FRACTION * Y.n:
             continue
-        m = (tau[:, k] @ Y.data) / s
-        lam = penalty_weight(hp, Y, float(params.variances[k]), s, m)
         problem = WeightedLassoProblem(
-            design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam, gram=Y.gram
+            design=Y.design, target=stats.mean(k), total_weight=s, sigma2=sigma2, lam=stats.lam(k, sigma2, hp),
+            gram=Y.gram,
         )
         out[k] = kkt_residual(problem, params.betas[k])
     return out

@@ -194,6 +194,19 @@ class TestSweep:
         assert manifest["seed"] == 9       # file value kept
         assert manifest["methods"] == ["baseline"]
 
+    def test_more_than_five_components(self, tmp_path):
+        # scoring is an assignment on the confusion matrix, not a K! loop
+        out = tmp_path / "k6"
+        flags = [
+            "sweep", "--components", "6", "--weights", ".1", ".2", ".1", ".2", ".2", ".2",
+            "--variances", "1", "2", "3", "4", "5", "6", "--points", "12", "--dims", "2",
+            "--dilations", "30", "--replicates", "2", "--seed", "1", "--restarts", "1",
+            "--max-cycles", "10", "--out", str(out),
+        ]
+        assert main(flags) == 0
+        rows = (out / "replicates.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(0 <= int(row.split(",")[4]) <= 12 for row in rows)
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dialations": [10]}))

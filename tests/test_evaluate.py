@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemix.evaluate import McResult, best_permutation_correct, fit_replicate, run_mc_cell
 from sparsemix.model import Hyperparams
@@ -68,9 +70,16 @@ class TestBestPermutationCorrect:
         ]
         assert np.mean(scores) > 10 / 3
 
-    def test_large_k_unsupported(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            best_permutation_correct(np.zeros(4, dtype=int), np.zeros(4, dtype=int), 6)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), K=st.integers(1, 7))
+    def test_assignment_matches_brute_force_up_to_k7(self, data, K):
+        labels = st.lists(st.integers(0, K - 1), min_size=0, max_size=25)
+        a = np.array(data.draw(labels), dtype=int)
+        t = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=a.size, max_size=a.size)), dtype=int)
+        confusion = np.zeros((K, K), dtype=int)
+        np.add.at(confusion, (a, t), 1)
+        brute = max(int(confusion[np.arange(K), perm].sum()) for perm in itertools.permutations(range(K)))
+        assert best_permutation_correct(a, t, K) == brute
 
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,19 @@
 
 import itertools
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sparsemix import lasso
 from sparsemix.lasso import (
     LassoSolution,
     WeightedLassoProblem,
+    _stationarity_violation,
     kkt_residual,
     objective,
     soft_threshold,
@@ -226,6 +232,50 @@ class TestSolveWeightedLasso:
         problem = make_problem(rng, n=3, d=2)
         with pytest.raises(ValueError):
             solve_weighted_lasso(problem, np.array([np.inf, 0.0, 0.0]))
+
+
+    def test_trusted_problem_matches_validated(self):
+        rng = np.random.default_rng(46)
+        Y = SampleSet.from_points(rng.normal(size=(10, 2)) * 30.0)
+        D = Y.design
+        m = D @ rng.random(10) / 3.0
+        checked = WeightedLassoProblem(design=D, target=m, total_weight=3.0, sigma2=40.0, lam=0.5, gram=Y.gram)
+        trusted = WeightedLassoProblem._trusted(D, m, 3.0, 40.0, 0.5, Y.gram)
+        assert vars(trusted).keys() == vars(checked).keys()
+        for name, value in vars(checked).items():
+            got = getattr(trusted, name)
+            assert got is value if isinstance(value, (np.ndarray, Gram)) else got == value, name
+        beta0 = rng.normal(size=10)
+        a, b = solve_weighted_lasso(trusted, beta0), solve_weighted_lasso(checked, beta0)
+        assert a.beta.tobytes() == b.beta.tobytes() and a.kkt_residual == b.kkt_residual
+        for sigma2 in (math.inf, 0.0, math.nan):
+            with pytest.raises(ValueError, match="sigma2"):
+                WeightedLassoProblem._trusted(D, m, 3.0, sigma2, 0.5, Y.gram)
+
+
+def numpy_stationarity_violation(grad, beta, lam):
+    on = np.abs(grad + lam * np.sign(beta))
+    off = np.maximum(np.abs(grad) - lam, 0.0)
+    return float(np.where(beta != 0, on, off).max())
+
+
+coordinates = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300])
+)
+
+
+class TestStationarityViolation:
+    @given(pairs=st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=60),
+           lam=st.sampled_from([0.0, -0.0, 0.5, 3, 1e300]))
+    def test_scalar_path_matches_numpy(self, pairs, lam):
+        grad = np.array([g for g, _ in pairs])
+        beta = np.array([b for _, b in pairs])
+        with np.errstate(all="ignore"):
+            expected = numpy_stationarity_violation(grad, beta, lam)
+            got = _stationarity_violation(grad, beta, lam)
+        assert type(got) is float
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+        assert grad.size > lasso._SCALAR_N or math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 class TestKktResidual:

@@ -281,6 +281,36 @@ class TestLogLikelihood:
         assert logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
         assert lse.tobytes() == logsumexp(logp, axis=1).tobytes()
 
+    # One row per path: the first takes the fast path (finite max attained
+    # once; a -inf entry from a zero weight does not leave it), the rest
+    # each fall back to the tie-counting or the direct formula.
+    PINNED_ROWS = {
+        "unique max": [0.5, -1.0, 2.0],
+        "unique max, zero weight": [-np.inf, 0.3, -2.0],
+        "two-way tie": [1.0, 1.0, -3.0],
+        "three-way tie": [2.0, 2.0, 2.0],
+        "all -inf": [-np.inf, -np.inf, -np.inf],
+        "+inf": [np.inf, 1.0, 0.0],
+        "nan": [np.nan, 1.0, 0.0],
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_ROWS))
+    def test_logsumexp_rows_pinned_rows(self, name):
+        row = np.array([self.PINNED_ROWS[name]])
+        with np.errstate(all="ignore"):
+            expected = logsumexp(row, axis=1)
+        with np.errstate(all="raise"):  # no path warns
+            got = logsumexp_rows(row)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_logsumexp_rows_pinned_rows_together(self):
+        a = np.array(list(self.PINNED_ROWS.values()))
+        with np.errstate(all="ignore"):
+            expected = logsumexp(a, axis=1)
+        assert logsumexp_rows(a).tobytes() == expected.tobytes()
+        fast = a[:2]
+        assert logsumexp_rows(fast).tobytes() == logsumexp(fast, axis=1).tobytes()
+
     def test_basis_vector_betas_match_spherical_likelihood(self):
         from sparsemix.baseline import SphericalParams, spherical_log_likelihood
 
