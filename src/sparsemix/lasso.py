@@ -23,7 +23,6 @@ import numpy as np
 from .model import EmptyClusterError, Gram, NumericalError
 
 _SCALE_EPS = 1e-12
-_SCALAR_N = 40      # Python-float path of _stationarity_violation up to here; numpy is faster from about 50
 
 
 @dataclass(frozen=True)
@@ -120,25 +119,21 @@ def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
 def _stationarity_violation(grad: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """Max coordinate violation of 0 in grad + lam * subdiff(|.|).
 
-    Up to ``_SCALAR_N`` coordinates the same IEEE operations run on
-    Python floats, which is cheaper than the five array passes; a NaN
-    coordinate makes the result NaN either way.
+    The coordinate terms of :func:`kkt_residual`, evaluated on Python
+    floats like the coordinate sweep; a NaN coordinate makes the result
+    NaN, as numpy's ``max`` would.
     """
-    if 0 < beta.size <= _SCALAR_N:
-        worst = 0.0
-        for g, b in zip(grad.tolist(), beta.tolist()):
-            if b != 0:  # NaN included, whose sign is NaN
-                v = abs(g + lam * (1.0 if b > 0 else -1.0 if b < 0 else b))
-            else:
-                v = abs(g) - lam
-            if v > worst:
-                worst = v
-            elif v != v:
-                return v
-        return worst
-    on = np.abs(grad + lam * np.sign(beta))
-    off = np.maximum(np.abs(grad) - lam, 0.0)
-    return float(np.where(beta != 0, on, off).max())
+    worst = 0.0
+    for g, b in zip(grad.tolist(), beta.tolist()):
+        if b != 0:  # NaN included, whose sign is NaN
+            v = abs(g + lam * (1.0 if b > 0 else -1.0 if b < 0 else b))
+        else:
+            v = abs(g) - lam
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+    return worst
 
 
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:

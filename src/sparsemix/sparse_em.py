@@ -139,36 +139,24 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     """
     if hp.lam is not None:
         return hp.lam
-    return _adaptive_weight(Y, sigma2, total_weight, _max_abs_inner(Y, target))
-
-
-def _max_abs_inner(Y: SampleSet, m: np.ndarray) -> float:
-    """``max_j |D_j^t m|``, the l-inf norm of the design's inner products with ``m``."""
-    return float(np.abs(Y.data @ m).max())
-
-
-def _adaptive_weight(Y: SampleSet, sigma2: float, s: float, max_inner: float) -> float:
-    """:func:`penalty_weight`'s default from the mass ``s`` and ``_max_abs_inner`` of the mean."""
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
-    noise = math.sqrt(2.0 * math.log(Y.n) * s) * Y.max_row_norm / math.sqrt(sigma2)
-    critical = (s / sigma2) * max_inner
+    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
+    critical = (total_weight / sigma2) * float(np.abs(Y.data @ target).max())
     return min(noise, fraction * critical)
 
 
 class ColumnStats:
     """What the partial steps read of one responsibility matrix, computed once.
 
-    For the (n, K) matrix ``tau``: ``s[k]``, the mass of column k;
+    For the (n, K) matrix ``tau``: ``s[k]``, the mass of column k, and
     :meth:`mean`, the responsibility-weighted mean m_k = (tau[:, k] @
-    Y.data) / s_k; :meth:`max_inner`, max_j |D_j^t m_k|; and
-    :meth:`lam`, the penalty weight they give.  The means and inner
-    products are built per column on first use (a batched product would
-    change their last bits).  :func:`update_beta`,
+    Y.data) / s_k, built per column on first use (a batched product
+    would change its last bits).  :func:`update_beta`,
     :func:`update_sigma` and :func:`effective_lams` share one instance
     when they read the same ``tau``.
     """
 
-    __slots__ = ("tau", "Y", "s", "_means", "_max_inner")
+    __slots__ = ("tau", "Y", "s", "_means")
 
     def __init__(self, tau: np.ndarray, Y: SampleSet):
         self.tau = tau
@@ -176,7 +164,6 @@ class ColumnStats:
         # summing contiguous rows of tau.T matches tau[:, k].sum() bit for bit
         self.s = np.ascontiguousarray(tau.T).sum(axis=1).tolist()
         self._means = [None] * len(self.s)
-        self._max_inner = [None] * len(self.s)
 
     def mean(self, k: int) -> np.ndarray:
         m = self._means[k]
@@ -184,15 +171,9 @@ class ColumnStats:
             m = self._means[k] = (self.tau[:, k] @ self.Y.data) / self.s[k]
         return m
 
-    def max_inner(self, k: int) -> float:
-        x = self._max_inner[k]
-        if x is None:
-            x = self._max_inner[k] = _max_abs_inner(self.Y, self.mean(k))
-        return x
-
     def lam(self, k: int, sigma2: float, hp: Hyperparams) -> float:
         """:func:`penalty_weight` of component k at variance ``sigma2``."""
-        return hp.lam if hp.lam is not None else _adaptive_weight(self.Y, sigma2, self.s[k], self.max_inner(k))
+        return penalty_weight(hp, self.Y, sigma2, self.s[k], self.mean(k))
 
 
 def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
@@ -602,17 +583,16 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
     """
     params = report.params
     tau = e_step(params, Y)
+    stats = ColumnStats(tau, Y)
     mu = params.means(Y)
     residuals = np.full(params.K, np.nan)
     scales = np.full(params.K, np.nan)
-    for k in range(params.K):
+    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
         if params.weights[k] < DEGENERATE_WEIGHT:
             continue
-        s = float(tau[:, k].sum())
-        m = (tau[:, k] @ Y.data) / s if s > 0 else np.zeros(Y.d)
-        lam = penalty_weight(hp, Y, float(params.variances[k]), s, m)
+        lam = stats.lam(k, sigma2, hp) if s > 0 else penalty_weight(hp, Y, sigma2, s, np.zeros(Y.d))
         grad = beta_gradient(params, Y, k)
         residuals[k] = _stationarity_violation(-grad, params.betas[k], lam)
         resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))
-        scales[k] = Y.max_row_norm * resid_mass / float(params.variances[k]) + lam
+        scales[k] = Y.max_row_norm * resid_mass / sigma2 + lam
     return residuals, scales
