@@ -31,7 +31,6 @@ from .model import (
 )
 from .simulate import LabeledSample, ScenarioConfig, gen_centers, gen_sample, read_sample, write_sample
 from .sparse_em import (
-    CycleSchedule,
     FitReport,
     e_step,
     run,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineReport",
-    "CycleSchedule",
     "EmptyClusterError",
     "FitReport",
     "Hyperparams",

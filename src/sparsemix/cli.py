@@ -47,10 +47,10 @@ class SweepSpec:
     seed: int
     out: str
     jobs: int = 1
-    n_points: int = 10
-    components: int = 3
-    weights: tuple = (0.3, 0.2, 0.5)
-    variances: tuple = (5.0, 7.0, 10.0)
+    n_points: int = ScenarioConfig.n_points
+    components: int = ScenarioConfig.K
+    weights: tuple = ScenarioConfig.weights
+    variances: tuple = ScenarioConfig.variances
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
@@ -58,6 +58,8 @@ class SweepSpec:
             raise ValueError("dims, dilations and methods must be non-empty")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -254,12 +256,12 @@ def build_sweep_spec(args) -> SweepSpec:
         "methods": list(METHODS),
         "replicates": 100,
         "seed": 0,
-        "jobs": 1,
+        "jobs": SweepSpec.jobs,
         "out": None,
-        "n_points": 10,
-        "components": 3,
-        "weights": [0.3, 0.2, 0.5],
-        "variances": [5.0, 7.0, 10.0],
+        "n_points": SweepSpec.n_points,
+        "components": SweepSpec.components,
+        "weights": SweepSpec.weights,
+        "variances": SweepSpec.variances,
         "hyperparams": {},
     }
     if args.config:
@@ -402,7 +404,7 @@ def hyperparams_from_args(args, settings=None) -> Hyperparams:
     unknown = set(kw) - {f.name for f in fields(Hyperparams)}
     if unknown:
         raise ValueError(f"unknown hyperparams keys: {sorted(unknown)}")
-    for key in ("lam", "max_cycles", "tol", "variance_floor", "restarts", "relax"):
+    for key in ("lam", "max_cycles", "tol", "variance_floor", "restarts"):
         if getattr(args, key) is not None:
             kw[key] = getattr(args, key)
     seed = settings["seed"] if settings else args.seed
@@ -418,7 +420,6 @@ def add_hyperparam_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None, help="relative objective convergence tolerance")
     parser.add_argument("--variance-floor", type=float, default=None, help="minimal component variance")
     parser.add_argument("--restarts", type=int, default=None, help="random restarts per fit")
-    parser.add_argument("--relax", type=float, default=None, help="averaging factor in (0,1] for new iterates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="dump scenario replicates as flat sample files")
     p_sim.add_argument("--dim", type=int, required=True)
     p_sim.add_argument("--dilation", type=float, required=True)
-    p_sim.add_argument("--points", type=int, default=10)
-    p_sim.add_argument("--components", "-K", type=int, default=3)
-    p_sim.add_argument("--weights", type=float, nargs="+", default=[0.3, 0.2, 0.5])
-    p_sim.add_argument("--variances", type=float, nargs="+", default=[5.0, 7.0, 10.0])
+    p_sim.add_argument("--points", type=int, default=ScenarioConfig.n_points)
+    p_sim.add_argument("--components", "-K", type=int, default=ScenarioConfig.K)
+    p_sim.add_argument("--weights", type=float, nargs="+", default=ScenarioConfig.weights)
+    p_sim.add_argument("--variances", type=float, nargs="+", default=ScenarioConfig.variances)
     p_sim.add_argument("--replicates", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=None)

@@ -139,14 +139,18 @@ def _worker(args) -> ReplicateRecord:
 def run_mc_cell(scenario: ScenarioConfig, method: str, hp: Hyperparams, jobs: int = 1) -> McResult:
     """All replicates of one (dim, dilation, method) cell.
 
-    Replicates run independently (optionally in a process pool); results
-    are ordered by replicate index, so the output does not depend on
-    scheduling.  Non-converged fits are recorded with their final
-    assignments scored like any other, never dropped.
+    Replicates run independently, in a pool of at most ``jobs`` worker
+    processes (never more than there are replicates) when ``jobs`` > 1;
+    results are ordered by replicate index, so the output does not
+    depend on scheduling.  Non-converged fits are recorded with their
+    final assignments scored like any other, never dropped.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(scenario, method, hp, r) for r in range(scenario.replicates)]
-    if jobs > 1 and scenario.replicates > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, scenario.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_worker, tasks, chunksize=8))
     else:
         records = [fit_replicate(*t) for t in tasks]

@@ -278,10 +278,11 @@ class Hyperparams:
 
     ``lam`` is the l1 penalty weight; ``None`` selects the per-cluster
     default heuristic (see :func:`sparsemix.sparse_em.penalty_weight`).
+    A restart stops after ``max_cycles`` cycles, or earlier once one
+    cycle moves its objective by at most ``tol``, relative.
     ``variance_floor=None`` derives the floor from the data via
-    :func:`default_variance_floor`.  ``relax`` in (0, 1] averages each
-    new beta/variance block with the previous iterate (1 = no
-    averaging).
+    :func:`default_variance_floor`.  The best of ``restarts`` random
+    starts is kept; ``seed`` seeds their streams.
     """
 
     lam: float | None = None
@@ -290,7 +291,6 @@ class Hyperparams:
     variance_floor: float | None = None
     restarts: int = 5
     seed: int = 0
-    relax: float = 1.0
 
     def __post_init__(self):
         if self.lam is not None and not (self.lam >= 0):
@@ -303,8 +303,6 @@ class Hyperparams:
             raise ValueError("variance_floor must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not (0.0 < self.relax <= 1.0):
-            raise ValueError("relax must lie in (0, 1]")
 
     def resolve_floor(self, Y: SampleSet) -> float:
         return self.variance_floor if self.variance_floor is not None else default_variance_floor(Y)

@@ -62,42 +62,10 @@ EMPTY_FRACTION = 1e-8   # s_k below this times n counts as an empty cluster
 MAX_RESEEDS = 3
 DEGENERATE_WEIGHT = 1e-12
 MAX_PENALTY_FRACTION = 0.5      # ratchet guard, see penalty_weight
-LINE_PENALTY_FRACTION = 0.2     # tighter guard for 1-d data, see penalty_weight
-
-
-@dataclass(frozen=True)
-class CycleSchedule:
-    """Order of partial steps within one cycle.
-
-    Entries are ("weights", -1), ("beta", k) or ("sigma", k); a valid
-    cycle holds the weights step once and each beta/sigma block exactly
-    once, 1 + 2K steps in total.
-    """
-
-    order: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        kinds = {}
-        for tag in self.order:
-            if not (isinstance(tag, tuple) and len(tag) == 2):
-                raise ValueError(f"malformed schedule entry {tag!r}")
-            kinds.setdefault(tag[0], []).append(tag[1])
-        if kinds.get("weights") != [-1]:
-            raise ValueError("schedule must contain the weights step exactly once")
-        ks = sorted(kinds.get("beta", []))
-        if ks != sorted(kinds.get("sigma", [])) or ks != list(range(len(ks))) or not ks:
-            raise ValueError("schedule must contain beta(k) and sigma(k) once per component")
-
-    @property
-    def K(self) -> int:
-        return (len(self.order) - 1) // 2
-
-    @classmethod
-    def default(cls, K: int) -> "CycleSchedule":
-        order = [("weights", -1)]
-        order += [("beta", k) for k in range(K)]
-        order += [("sigma", k) for k in range(K)]
-        return cls(order=tuple(order))
+# Tighter guard for 1-d data, see penalty_weight.  Pinned by
+# tests/test_sparse_em.py::TestRun::test_recovers_well_separated_clusters:
+# at 0.5 that fit puts all six points of its two groups in one cluster.
+LINE_PENALTY_FRACTION = 0.2
 
 
 @dataclass
@@ -470,18 +438,12 @@ class _Blocks:
         if kind == "weights":
             return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
         if kind == "beta":
-            new = update_beta(k, params, tau, Y, hp, stats=self.stats(tau))
-            if hp.relax < 1.0:
-                new = hp.relax * new + (1.0 - hp.relax) * params.betas[k]
             betas = params.betas.copy()
-            betas[k] = new
+            betas[k] = update_beta(k, params, tau, Y, hp, stats=self.stats(tau))
             return MixtureParams._trusted(params.weights, betas, params.variances)
         self.sync(params)  # a no-op in em_loop, which evaluated params last
-        new = update_sigma(k, params, tau, Y, hp, stats=self.stats(tau), means=self.means)
-        if hp.relax < 1.0:
-            new = hp.relax * new + (1.0 - hp.relax) * float(params.variances[k])
         variances = params.variances.copy()
-        variances[k] = new
+        variances[k] = update_sigma(k, params, tau, Y, hp, stats=self.stats(tau), means=self.means)
         return MixtureParams._trusted(params.weights, params.betas, variances)
 
     def penalty(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
@@ -494,12 +456,17 @@ def _fit_once(
     Y: SampleSet,
     params: MixtureParams,
     hp: Hyperparams,
-    schedule: CycleSchedule,
+    order: tuple,
     restart_index: int,
 ) -> FitReport:
+    """One restart from ``params``, cycling through the partial steps in ``order``.
+
+    :func:`run` passes the fixed order ``("weights", -1)``, ``("beta", k)``
+    for each k, then ``("sigma", k)`` for each k.
+    """
     blocks = _Blocks(Y)
     params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, schedule.order, blocks.step, blocks.evaluate, _reseed, blocks.penalty
+        Y, params, hp, order, blocks.step, blocks.evaluate, _reseed, blocks.penalty
     )
     return FitReport(
         params=params,
@@ -535,7 +502,6 @@ def run(
     hp: Hyperparams,
     init: MixtureParams | None = None,
     seed=None,
-    schedule: CycleSchedule | None = None,
 ) -> FitReport:
     """Fit a K-component model; returns the best restart by final objective.
 
@@ -545,16 +511,13 @@ def run(
     initialization from an independent child stream, so fits are
     reproducible bit for bit.
     """
-    if schedule is None:
-        schedule = CycleSchedule.default(K)
-    if schedule.K != K:
-        raise ValueError("schedule does not match K")
+    order = (("weights", -1),) + tuple(("beta", k) for k in range(K)) + tuple(("sigma", k) for k in range(K))
     start = indicator_init
     if init is not None:
         if init.K != K or init.betas.shape[1] != Y.n:
             raise ValueError("init has inconsistent shape")
         hp, start = replace(hp, restarts=1), lambda *_: init
-    return best_restart(Y, K, hp, seed, start, _fit_once, "objective_trace", schedule)
+    return best_restart(Y, K, hp, seed, start, _fit_once, "objective_trace", order)
 
 
 # ---------------------------------------------------------------------------

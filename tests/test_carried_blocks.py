@@ -83,7 +83,6 @@ class TestCarriedBlocks:
     @given(case=cases)
     @example(case=RESEED)
     @example(case=ABORT)
-    @example(case={**RESEED, "relax": 0.7})
     @example(case={**RESEED, "lam": 0.5})
     def test_loop_evaluations_match_fresh(self, case):
         Y, hp, seed = fit_inputs(case)

@@ -239,6 +239,7 @@ class TestUsageErrors:
         ["sweep", "--components", "2", "--out", "{out}"],
         ["sweep", "--points", "2", "--out", "{out}"],
         ["simulate", "--dim", "0", "--dilation", "10", "--out", "{out}"],
+        ["sweep", "--jobs", "0", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,12 +1,15 @@
 """Permutation-matched scoring and the Monte Carlo cell driver."""
 
 import itertools
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsemix import evaluate
 from sparsemix.evaluate import McResult, best_permutation_correct, fit_replicate, run_mc_cell
 from sparsemix.model import Hyperparams
 from sparsemix.simulate import ScenarioConfig
@@ -103,6 +106,39 @@ class TestRunMcCell:
         pooled = run_mc_cell(self.CFG, "sparse", self.HP, jobs=2)
         assert [r.correct for r in serial.records] == [r.correct for r in pooled.records]
         assert [r.data_hash for r in serial.records] == [r.data_hash for r in pooled.records]
+
+    def test_pool_never_outnumbers_the_replicates(self):
+        started = []
+
+        class SerialPool:
+            """Records the pool size it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        cfg = replace(self.CFG, replicates=3)
+        with mock.patch.object(evaluate, "ProcessPoolExecutor", SerialPool):
+            pooled = run_mc_cell(cfg, "baseline", self.HP, jobs=64)
+            run_mc_cell(replace(cfg, replicates=1), "baseline", self.HP, jobs=64)
+        assert started == [3]
+        serial = run_mc_cell(cfg, "baseline", self.HP)
+        assert [(r.correct, r.data_hash) for r in pooled.records] == [
+            (r.correct, r.data_hash) for r in serial.records
+        ]
+
+    def test_rejects_fewer_than_one_job(self):
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="jobs"):
+                run_mc_cell(self.CFG, "baseline", self.HP, jobs=jobs)
 
     def test_methods_run_on_identical_datasets(self):
         sparse = run_mc_cell(self.CFG, "sparse", self.HP)

@@ -180,8 +180,6 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(tol=0.0)
         with pytest.raises(ValueError):
-            Hyperparams(relax=0.0)
-        with pytest.raises(ValueError):
             Hyperparams(restarts=0)
 
     def test_floor_resolution(self):

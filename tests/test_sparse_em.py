@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sparsemix import sparse_em
 from sparsemix.evaluate import best_permutation_correct
 from sparsemix.model import (
     EmptyClusterError,
@@ -17,7 +18,6 @@ from sparsemix.model import (
     self_regression_log_likelihood,
 )
 from sparsemix.sparse_em import (
-    CycleSchedule,
     beta_gradient,
     e_step,
     indicator_init,
@@ -60,22 +60,6 @@ def two_blob_plane(gap=16.0, seed=0, n_per=4):
     b = np.array([gap, 0.6 * gap]) + rng.normal(size=(n_per, 2)) * 0.4
     pts = np.vstack([a, b])
     return SampleSet.from_points(pts), np.array([0] * n_per + [1] * n_per)
-
-
-class TestCycleSchedule:
-    def test_default_layout(self):
-        sched = CycleSchedule.default(3)
-        assert sched.order[0] == ("weights", -1)
-        assert len(sched.order) == 1 + 2 * 3
-        assert sched.K == 3
-
-    def test_rejects_incomplete_cycles(self):
-        with pytest.raises(ValueError):
-            CycleSchedule(order=(("weights", -1), ("beta", 0)))
-        with pytest.raises(ValueError):
-            CycleSchedule(order=(("beta", 0), ("sigma", 0)))
-        with pytest.raises(ValueError):
-            CycleSchedule(order=(("weights", -1), ("beta", 0), ("beta", 0), ("sigma", 0), ("sigma", 1)))
 
 
 class TestEStep:
@@ -258,21 +242,21 @@ class TestRun:
         assert a.restart_index == b.restart_index
 
     def test_label_permutation_equivariance(self):
-        # permuting the initialization's labels (and the block schedule
-        # with them) permutes the output identically
+        # permuting the initialization's labels (and the order of the
+        # partial steps with them) permutes the output identically
         rng = np.random.default_rng(61)
         Y = random_sample_set(rng, n=10, d=2)
         hp = Hyperparams(lam=0.8, max_cycles=30)
         init = indicator_init(Y, 3, hp.resolve_floor(Y), rng)
         perm = np.array([2, 0, 1])
         inv = np.argsort(perm)
-        sched = CycleSchedule(
-            order=(("weights", -1),)
+        order = (
+            (("weights", -1),)
             + tuple(("beta", int(inv[c])) for c in range(3))
             + tuple(("sigma", int(inv[c])) for c in range(3))
         )
         rep1 = run(Y, 3, hp, init=init)
-        rep2 = run(Y, 3, hp, init=init.permuted(perm), schedule=sched)
+        rep2 = sparse_em._fit_once(Y, init.permuted(perm), hp, order, restart_index=0)
         npt.assert_array_equal(rep2.assignments, inv[rep1.assignments])
         npt.assert_allclose(rep2.params.weights, rep1.params.weights[perm], rtol=1e-8)
         npt.assert_allclose(rep2.params.betas, rep1.params.betas[perm], atol=1e-8)
@@ -285,18 +269,6 @@ class TestRun:
             run(Y, 0, Hyperparams())
         with pytest.raises(ValueError):
             run(Y, 5, Hyperparams())
-
-    def test_relaxed_updates_stay_monotone_and_converge(self):
-        # averaging the new beta/variance blocks with the previous
-        # iterate keeps the surrogate argument valid (convex combination
-        # on the beta block, movement toward the variance maximizer)
-        Y, truth = two_cluster_line(gap=20.0)
-        hp = Hyperparams(lam=0.5, relax=0.5, restarts=2, seed=1, max_cycles=300)
-        rep = run(Y, 2, hp)
-        trace = rep.objective_trace
-        slack = 1e-7 * (1.0 + np.abs(trace[1:]))
-        assert np.all(np.diff(trace) >= -slack)
-        assert best_permutation_correct(rep.assignments, truth, 2) == Y.n
 
     def test_reseeds_recover_underflowed_component(self):
         rng = np.random.default_rng(63)

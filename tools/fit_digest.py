@@ -3,8 +3,8 @@
 Two commits whose fits are bit-identical print the same digests.  The
 set crosses d in {1, 2, 5, 50}, four dilations and three replicates
 with four hyperparameter sets: the acceptance configuration (restarts
-1, max_cycles 60, tol 1e-7, adaptive lambda), two restarts, relax 0.7,
-and a fixed lambda.  Each report is hashed field by field (arrays by
+1, max_cycles 60, tol 1e-7, adaptive lambda), two restarts, and the
+fixed lambdas 0 and 0.5.  Each report is hashed field by field (arrays by
 dtype, shape and bytes, so signed zeros count); a fit that raises is
 hashed by its exception type and message.
 
@@ -28,10 +28,10 @@ DIMS = (1, 2, 5, 50)
 DILATIONS = (10.0, 30.0, 60.0, 100.0)
 REPLICATES = 3
 HP_SETS = (
-    {"restarts": 1, "relax": 1.0, "lam": None},
-    {"restarts": 2, "relax": 1.0, "lam": None},
-    {"restarts": 1, "relax": 0.7, "lam": None},
-    {"restarts": 1, "relax": 1.0, "lam": 0.5},
+    {"restarts": 1, "lam": None},
+    {"restarts": 2, "lam": None},
+    {"restarts": 1, "lam": 0.0},
+    {"restarts": 1, "lam": 0.5},
 )
 
 
