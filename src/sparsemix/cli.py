@@ -145,6 +145,7 @@ def cmd_fit(args) -> int:
     if sparse:
         report["betas"] = rep.params.betas.tolist()
         report["beta_kkt_residuals"] = rep.beta_kkt_residuals.tolist()
+        report["lams"] = rep.lams.tolist()
     report.update(
         {
             "input": str(args.input),

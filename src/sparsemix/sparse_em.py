@@ -6,8 +6,11 @@ and updates exactly one parameter block per step, in the order
     weights, beta_1 .. beta_K, sigma_1 .. sigma_K.
 
 Each partial step maximizes the EM surrogate over its block (the beta
-step through the weighted lasso), so the penalized objective never
-decreases along the trace when the penalty weight is held fixed.
+step through the weighted lasso).  The K penalty weights are fixed at
+the start of each cycle and held for its steps, so each cycle ascends
+one penalized objective: short of a re-seed, the trace never decreases
+within a cycle, the default adaptive weights included, and the stopping
+rule compares two values of that one objective.
 Clusters that lose all responsibility mass are re-seeded at the least
 committed data point; a cluster that needs more than three re-seeds
 aborts the fit as non-converged.  This harness (:func:`em_loop`) and the
@@ -22,7 +25,8 @@ recomputes only those the step changed: a beta step the means, squared
 distances and l1 norms, a sigma step the log normalizers, either of
 them the log densities, and the weights step only the log weights.  The
 column statistics of each responsibility matrix (:class:`ColumnStats`)
-are computed once and shared by the step and the trace's penalty.
+are computed once and shared by the step and, at the start of a cycle,
+the penalty weights.
 Parameters inside the loop are built by :meth:`MixtureParams._trusted`
 and so are unvalidated by construction; the initial parameters and
 re-seeded ones are validated, and every block is recomputed from them.
@@ -80,6 +84,7 @@ class FitReport:
     assignments: np.ndarray
     restart_index: int
     reseed_events: list
+    lams: np.ndarray    # the l1 weights of the last cycle, behind objective_trace[-1]
     diagnostic: str | None = None
 
 
@@ -201,16 +206,21 @@ def _mass(k: int, stats: ColumnStats, Y: SampleSet) -> float:
 
 
 def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                stats: ColumnStats | None = None) -> np.ndarray:
+                stats: ColumnStats | None = None, lam: float | None = None) -> np.ndarray:
     """Weighted-lasso update of one coefficient block, warm-started.
 
+    ``lam`` is the block's l1 weight; the sparse loop passes the one it
+    fixed for the cycle.  Without it the weight is
+    :func:`penalty_weight` at ``tau`` and the current variance.
     ``stats``, if given, holds the :class:`ColumnStats` of ``tau``.
     """
     if stats is None:
         stats = ColumnStats(tau, Y)
     s = _mass(k, stats, Y)
     sigma2 = float(params.variances[k])
-    problem = WeightedLassoProblem._trusted(Y.design, stats.mean(k), s, sigma2, stats.lam(k, sigma2, hp), Y.gram)
+    if lam is None:
+        lam = stats.lam(k, sigma2, hp)
+    problem = WeightedLassoProblem._trusted(Y.design, stats.mean(k), s, sigma2, lam, Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
     tol = default_tolerance(problem) * min(1.0, hp.tol / 1e-8)
@@ -297,16 +307,25 @@ def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2
     return MixtureParams(weights=weights, betas=betas, variances=variances)
 
 
-def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate, reseed, penalty=None):
+def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate, reseed,
+            weigh=None, penalty=None):
     """One restart of EM cycling through the partial steps in ``order``.
 
     Classic EM is the one-step cycle ``(None,)``.  Each step reads its
     responsibilities from the last ``evaluate(params, Y) -> (logp, lse)``
     and returns ``step(params, tau, tag, Y, hp)``.  On EmptyClusterError
     the component is re-seeded by ``reseed(params, tau, k, Y, sigma2)``,
-    or the restart aborts after ``MAX_RESEEDS`` re-seeds.  Each trace
-    entry is ``sum(lse)``, less ``penalty(params, tau, Y, hp)`` if given;
-    the fit converges when a cycle moves it by at most ``hp.tol``, relative.
+    or the restart aborts after ``MAX_RESEEDS`` re-seeds.
+
+    A penalized fit passes both ``weigh`` and ``penalty``: each cycle
+    opens with ``weigh(params, tau, Y, hp)``, which fixes the penalty
+    weights of the cycle from its starting ``tau``, and
+    ``penalty(params)`` is the penalty under those weights.  Each trace
+    entry is ``sum(lse)``, less the penalty if any.  Cycle 1 onward
+    converges when its last entry lies within ``hp.tol``, relative, of
+    its start value: ``sum(lse)`` less the penalty, both at the start of
+    the cycle.  Without a penalty that is the previous cycle's last
+    entry, and so it is, bit for bit, under weights that do not move.
 
     Returns ``(params, trace, cycles_run, converged, tau, reseed_events,
     diagnostic)``; events are ``(cycle, step index, component)``.
@@ -321,8 +340,12 @@ def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate,
     logp, lse = evaluate(params, Y)
 
     for cycle in range(hp.max_cycles):
+        start = trace[-1] if trace else None
         for step_idx, tag in enumerate(order):
             tau = _responsibilities(logp, lse)
+            if step_idx == 0 and weigh is not None:
+                weigh(params, tau, Y, hp)
+                start = float(lse.sum()) - float(penalty(params))
             try:
                 params = step(params, tau, tag, Y, hp)
             except EmptyClusterError as err:
@@ -336,14 +359,14 @@ def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate,
             logp, lse = evaluate(params, Y)
             value = float(lse.sum())
             if penalty is not None:
-                value -= float(penalty(params, tau, Y, hp))
+                value -= float(penalty(params))
             trace.append(value)
             if diagnostic is not None:
                 break
         if diagnostic is not None:
             break
         cycles_run = cycle + 1
-        if cycle >= 1 and abs(trace[-1] - trace[-1 - len(order)]) <= hp.tol * (1.0 + abs(trace[-1])):
+        if cycle >= 1 and abs(trace[-1] - start) <= hp.tol * (1.0 + abs(trace[-1])):
             converged = True
             break
 
@@ -391,13 +414,14 @@ class _Blocks:
     Parameters this object did not produce (the initial ones, a
     re-seed) hold fresh arrays, so every block is recomputed from them.
     The :class:`ColumnStats` of the latest responsibilities are kept the
-    same way, keyed by the identity of ``tau``.  One instance serves one
-    restart and is dropped with it.
+    same way, keyed by the identity of ``tau``.  ``lams`` holds the
+    penalty weights of the current cycle (:meth:`weigh`).  One instance
+    serves one restart and is dropped with it.
     """
 
     def __init__(self, Y: SampleSet):
         self.Y = Y
-        self.betas = self.variances = self.weights = self.tau = None
+        self.betas = self.variances = self.weights = self.tau = self.lams = None
 
     def sync(self, params: MixtureParams) -> None:
         """Recompute the blocks whose source array ``params`` replaced."""
@@ -439,17 +463,21 @@ class _Blocks:
             return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
         if kind == "beta":
             betas = params.betas.copy()
-            betas[k] = update_beta(k, params, tau, Y, hp, stats=self.stats(tau))
+            betas[k] = update_beta(k, params, tau, Y, hp, stats=self.stats(tau), lam=float(self.lams[k]))
             return MixtureParams._trusted(params.weights, betas, params.variances)
         self.sync(params)  # a no-op in em_loop, which evaluated params last
         variances = params.variances.copy()
         variances[k] = update_sigma(k, params, tau, Y, hp, stats=self.stats(tau), means=self.means)
         return MixtureParams._trusted(params.weights, params.betas, variances)
 
-    def penalty(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> float:
-        """The l1 term of :func:`penalized_value` under the lambdas in force at ``tau``."""
+    def weigh(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> None:
+        """Fix the cycle's penalty weights at its starting ``tau``."""
+        self.lams = effective_lams(params, tau, Y, hp, stats=self.stats(tau))
+
+    def penalty(self, params: MixtureParams) -> float:
+        """The l1 term of :func:`penalized_value` under the cycle's weights."""
         self.sync(params)
-        return effective_lams(params, tau, Y, hp, stats=self.stats(tau)) @ self.l1
+        return self.lams @ self.l1
 
 
 def _fit_once(
@@ -466,7 +494,7 @@ def _fit_once(
     """
     blocks = _Blocks(Y)
     params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, order, blocks.step, blocks.evaluate, _reseed, blocks.penalty
+        Y, params, hp, order, blocks.step, blocks.evaluate, _reseed, blocks.weigh, blocks.penalty
     )
     return FitReport(
         params=params,
@@ -477,6 +505,7 @@ def _fit_once(
         assignments=np.argmax(tau, axis=1),
         restart_index=restart_index,
         reseed_events=reseed_events,
+        lams=blocks.lams,
         diagnostic=diagnostic,
     )
 

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from sparsemix.cli import main
+from sparsemix.cli import main, read_sample
+from sparsemix.model import MixtureParams, SampleSet
 from sparsemix.simulate import LabeledSample, write_sample
+from sparsemix.sparse_em import penalized_value
 
 
 @pytest.fixture
@@ -56,7 +58,24 @@ class TestFit:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["method"] == "baseline"
-        assert "betas" not in report
+        assert "betas" not in report and "lams" not in report
+
+    @pytest.mark.parametrize("lam_flags", [[], ["--lambda", "0.3"]])
+    def test_lams_are_the_weights_behind_the_last_trace_entry(self, two_cluster_file, tmp_path, lam_flags):
+        out = tmp_path / "report.json"
+        assert main(["fit", str(two_cluster_file), "-K", "2", "--out", str(out)] + lam_flags) == 0
+        report = json.loads(out.read_text())
+        lams = np.array(report["lams"])
+        assert lams.shape == (2,) and np.all(lams >= 0)
+        if lam_flags:
+            assert lams.tolist() == [0.3, 0.3]
+        points, _ = read_sample(two_cluster_file)
+        params = MixtureParams(
+            weights=np.array(report["weights"]), betas=np.array(report["betas"]),
+            variances=np.array(report["variances"]),
+        )
+        value = penalized_value(params, SampleSet.from_points(points), lams)
+        assert value == pytest.approx(report["objective_trace"][-1], rel=1e-12)
 
     def test_headerless_input(self, tmp_path):
         path = tmp_path / "plain.txt"

@@ -2,10 +2,14 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_reference_loops import fit_inputs
 
 from sparsemix import sparse_em
 from sparsemix.evaluate import best_permutation_correct
@@ -228,6 +232,44 @@ class TestRun:
             slack = 1e-7 * (1.0 + np.abs(trace[1:]))
             assert np.all(np.diff(trace) >= -slack)
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.fixed_dictionaries({
+        "dim": st.sampled_from([1, 2, 5, 50]),
+        "dilation": st.sampled_from([10.0, 30.0, 60.0, 100.0]),
+        "data_seed": st.integers(0, 2**32 - 1),
+        "replicate": st.integers(0, 999),
+        "restarts": st.just(1),
+        "lam": st.none(),
+    }))
+    def test_each_cycle_ascends_its_own_objective(self, case):
+        # under the default adaptive weights: one set of weights per
+        # cycle, the last of them reported, and the trace of a cycle
+        # without a re-seed starts at or above the cycle's start value
+        # and never decreases
+        Y, hp, seed = fit_inputs(case)
+        starts, weights = [], []
+        effective_lams = sparse_em.effective_lams
+
+        def recording(params, tau, Y, hp, stats=None):
+            lams = effective_lams(params, tau, Y, hp, stats=stats)
+            starts.append(sparse_em.penalized_value(params, Y, lams))
+            weights.append(lams)
+            return lams
+
+        with mock.patch.object(sparse_em, "effective_lams", recording):
+            rep = run(Y, 3, hp, seed=seed)
+        steps = 2 * 3 + 1
+        trace = rep.objective_trace
+        assert len(starts) == math.ceil(trace.size / steps)
+        assert rep.lams.tobytes() == weights[-1].tobytes()
+        reseeded = {cycle for cycle, _, _ in rep.reseed_events}
+        for cycle, start in enumerate(starts):
+            if cycle in reseeded:
+                continue
+            values = np.concatenate([[start], trace[cycle * steps:(cycle + 1) * steps]])
+            slack = 1e-7 * (1.0 + np.abs(values[1:]))
+            assert np.all(np.diff(values) >= -slack), f"cycle {cycle} dipped"
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(60)
         Y = random_sample_set(rng, n=9, d=3)
@@ -360,6 +402,7 @@ class TestStationarity:
             assignments=np.zeros(6, dtype=int),
             restart_index=0,
             reseed_events=[],
+            lams=np.full(2, 0.1),
         )
         residuals, scales = stationarity_report(rep, Y, Hyperparams(lam=0.1))
         assert np.isnan(residuals[1]) and np.isnan(scales[1])

@@ -1,12 +1,17 @@
-"""Print one sha256 per method over a fixed set of fits.
+"""Print one sha256 per method and hyperparameter set over a fixed set of fits.
 
-Two commits whose fits are bit-identical print the same digests.  The
-set crosses d in {1, 2, 5, 50}, four dilations and three replicates
-with four hyperparameter sets: the acceptance configuration (restarts
-1, max_cycles 60, tol 1e-7, adaptive lambda), two restarts, and the
-fixed lambdas 0 and 0.5.  Each report is hashed field by field (arrays by
-dtype, shape and bytes, so signed zeros count); a fit that raises is
-hashed by its exception type and message.
+Two commits whose fits are bit-identical print the same digests, and a
+change that moves some fits shows which (method, set) pairs moved.  The
+fits cross d in {1, 2, 5, 50}, four dilations and three replicates with
+four hyperparameter sets: the acceptance configuration (restarts 1,
+max_cycles 60, tol 1e-7, adaptive lambda), two restarts, the fixed
+lambda 0 with tol 1e-5 and the fixed lambda 0.5 with max_cycles 30.
+The baseline ignores lambda, so each set changes something it reads.
+Each report is hashed field by field (arrays by dtype, shape and bytes,
+so signed zeros count); a fit that raises is hashed by its exception
+type and message.  The sparse report's ``lams`` is left out, so that
+commits whose reports lack it compare too; it enters the last trace
+entry, which is hashed.
 
 Usage, from the root of a checkout:
 
@@ -30,9 +35,10 @@ REPLICATES = 3
 HP_SETS = (
     {"restarts": 1, "lam": None},
     {"restarts": 2, "lam": None},
-    {"restarts": 1, "lam": 0.0},
-    {"restarts": 1, "lam": 0.5},
+    {"restarts": 1, "lam": 0.0, "tol": 1e-5},
+    {"restarts": 1, "lam": 0.5, "max_cycles": 30},
 )
+UNHASHED_FIELDS = {"lams"}
 
 
 def _feed(h, value) -> None:
@@ -42,7 +48,7 @@ def _feed(h, value) -> None:
         h.update(f"{value.dtype.str}{value.shape}".encode())
         h.update(value.tobytes())
     elif hasattr(value, "__dataclass_fields__"):
-        for name in sorted(vars(value)):
+        for name in sorted(vars(value).keys() - UNHASHED_FIELDS):
             h.update(name.encode())
             _feed(h, getattr(value, name))
     else:
@@ -63,7 +69,8 @@ def main(argv=None) -> int:
     from sparsemix.sparse_em import run
 
     print(f"sparsemix from {Path(sparsemix.__file__).parent}")
-    digests = {"sparse": hashlib.sha256(), "baseline": hashlib.sha256()}
+    methods = (("sparse", run), ("baseline", baseline_fit))
+    digests = {(method, i): hashlib.sha256() for method, _ in methods for i in range(len(HP_SETS))}
     fits = 0
     for dim in DIMS:
         for dilation in DILATIONS:
@@ -71,21 +78,22 @@ def main(argv=None) -> int:
             for replicate in range(REPLICATES):
                 Y = SampleSet.from_points(gen_replicate(config, replicate).points)
                 seed = fit_seed_seq(config, replicate)
-                for hp_set in HP_SETS:
-                    hp = Hyperparams(max_cycles=60, tol=1e-7, **hp_set)
-                    case = repr((dim, dilation, replicate, sorted(hp_set.items())))
-                    for method, fit in (("sparse", run), ("baseline", baseline_fit)):
-                        h = digests[method]
-                        h.update(case.encode())
+                case = repr((dim, dilation, replicate)).encode()
+                for i, hp_set in enumerate(HP_SETS):
+                    hp = Hyperparams(**{"max_cycles": 60, "tol": 1e-7, **hp_set})
+                    for method, fit in methods:
+                        h = digests[method, i]
+                        h.update(case)
                         try:
                             report = fit(Y, config.K, hp, seed=seed)
                         except Exception as err:  # a failing fit is part of the digest
                             h.update(f"{type(err).__name__}: {err}".encode())
                         else:
                             _feed(h, report)
-                    fits += 1
-    for method, h in digests.items():
-        print(f"{method:8s} {h.hexdigest()}  ({fits} fits)")
+                fits += 1
+    for (method, i), h in digests.items():
+        label = " ".join(f"{key}={value}" for key, value in sorted(HP_SETS[i].items()))
+        print(f"{method:8s} {label:32s} {h.hexdigest()}  ({fits} fits)")
     return 0
 
 
