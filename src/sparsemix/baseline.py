@@ -23,6 +23,7 @@ from .model import (
     SampleSet,
     log_joint,
     spherical_log_density_matrix,
+    squared_distances,
 )
 from .sparse_em import (
     EMPTY_FRACTION,
@@ -97,8 +98,7 @@ def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> SphericalParams:
         k = int(np.argmin(s))
         raise EmptyClusterError(f"component {k} has responsibility mass {s[k]:.3e}", component=k)
     means = (tau.T @ Y.data) / s[:, None]
-    diff = Y.data[:, None, :] - means[None, :, :]
-    sq = np.einsum("nkd,nkd->nk", diff, diff)
+    sq = squared_distances(Y.data, means)
     variances = np.maximum(floor, (tau * sq).sum(axis=0) / (d * s))
     return SphericalParams(weights=s / n, means=means, variances=variances)
 

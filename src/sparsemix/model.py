@@ -43,7 +43,6 @@ import numpy as np
 
 CENTERING_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
-ROW_SUM_TOL = 1e-10
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -306,20 +305,6 @@ class Hyperparams:
 
     def resolve_floor(self, Y: SampleSet) -> float:
         return self.variance_floor if self.variance_floor is not None else default_variance_floor(Y)
-
-
-def check_responsibilities(tau: np.ndarray) -> np.ndarray:
-    """Validate an (n, K) responsibility matrix and return it as float."""
-    t = np.asarray(tau, dtype=float)
-    if t.ndim != 2:
-        raise ValueError("responsibilities must be a 2-d array (n, K)")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("responsibilities contain non-finite entries")
-    if np.any(t < 0) or np.any(t > 1):
-        raise ValueError("responsibilities must lie in [0, 1]")
-    if np.max(np.abs(t.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-        raise ValueError("responsibility rows must sum to 1 within 1e-10")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,7 @@ matrix (see :func:`sparsemix.model.log_joint`).  Each restart carries
 the blocks of that matrix across its steps (:class:`_Blocks`) and
 recomputes only those the step changed: a beta step the means, squared
 distances and l1 norms, a sigma step the log normalizers, either of
-them the log densities, and the weights step only the log weights.  The
-column statistics of each responsibility matrix (:class:`ColumnStats`)
-are computed once and shared by the step and, at the start of a cycle,
-the penalty weights.
+them the log densities, and the weights step only the log weights.
 Parameters inside the loop are built by :meth:`MixtureParams._trusted`
 and so are unvalidated by construction; the initial parameters and
 re-seeded ones are validated, and every block is recomputed from them.
@@ -64,7 +61,6 @@ from .model import (
 
 EMPTY_FRACTION = 1e-8   # s_k below this times n counts as an empty cluster
 MAX_RESEEDS = 3
-DEGENERATE_WEIGHT = 1e-12
 MAX_PENALTY_FRACTION = 0.5      # ratchet guard, see penalty_weight
 # Tighter guard for 1-d data, see penalty_weight.  Pinned by
 # tests/test_sparse_em.py::TestRun::test_recovers_well_separated_clusters:
@@ -78,6 +74,9 @@ class FitReport:
 
     params: MixtureParams
     objective_trace: np.ndarray
+    # each block's lasso KKT residual at the final tau, under penalty_weight
+    # at that tau (under adaptive lambda that may differ from lams); NaN
+    # for an empty cluster
     beta_kkt_residuals: np.ndarray
     cycles_run: int
     converged: bool
@@ -118,51 +117,15 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     return min(noise, fraction * critical)
 
 
-class ColumnStats:
-    """What the partial steps read of one responsibility matrix, computed once.
-
-    For the (n, K) matrix ``tau``: ``s[k]``, the mass of column k, and
-    :meth:`mean`, the responsibility-weighted mean m_k = (tau[:, k] @
-    Y.data) / s_k, built per column on first use (a batched product
-    would change its last bits).  :func:`update_beta`,
-    :func:`update_sigma` and :func:`effective_lams` share one instance
-    when they read the same ``tau``.
-    """
-
-    __slots__ = ("tau", "Y", "s", "_means")
-
-    def __init__(self, tau: np.ndarray, Y: SampleSet):
-        self.tau = tau
-        self.Y = Y
-        # summing contiguous rows of tau.T matches tau[:, k].sum() bit for bit
-        self.s = np.ascontiguousarray(tau.T).sum(axis=1).tolist()
-        self._means = [None] * len(self.s)
-
-    def mean(self, k: int) -> np.ndarray:
-        m = self._means[k]
-        if m is None:
-            m = self._means[k] = (self.tau[:, k] @ self.Y.data) / self.s[k]
-        return m
-
-    def lam(self, k: int, sigma2: float, hp: Hyperparams) -> float:
-        """:func:`penalty_weight` of component k at variance ``sigma2``."""
-        return penalty_weight(hp, self.Y, sigma2, self.s[k], self.mean(k))
-
-
-def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                   stats: ColumnStats | None = None) -> np.ndarray:
-    """Per-component penalty weights at the current parameters.
-
-    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``.
-    """
+def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
+    """Per-component penalty weights at the current parameters; 0 for an empty cluster."""
     if hp.lam is not None:
         return np.full(params.K, float(hp.lam))
-    if stats is None:
-        stats = ColumnStats(tau, Y)
-    empty = EMPTY_FRACTION * Y.n
-    out = np.empty(params.K)
-    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
-        out[k] = 0.0 if s <= empty else stats.lam(k, sigma2, hp)
+    out = np.zeros(params.K)
+    for k, sigma2 in enumerate(params.variances.tolist()):
+        s = float(tau[:, k].sum())
+        if s > EMPTY_FRACTION * Y.n:
+            out[k] = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
     return out
 
 
@@ -197,30 +160,28 @@ def update_weights(tau: np.ndarray) -> np.ndarray:
     return tau.sum(axis=0) / tau.shape[0]
 
 
-def _mass(k: int, stats: ColumnStats, Y: SampleSet) -> float:
+def _mass(k: int, tau: np.ndarray, Y: SampleSet) -> float:
     """Column k's responsibility mass; raises when the cluster is empty."""
-    s = stats.s[k]
+    s = float(tau[:, k].sum())
     if s <= EMPTY_FRACTION * Y.n:
         raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
     return s
 
 
 def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                stats: ColumnStats | None = None, lam: float | None = None) -> np.ndarray:
+                lam: float | None = None) -> np.ndarray:
     """Weighted-lasso update of one coefficient block, warm-started.
 
     ``lam`` is the block's l1 weight; the sparse loop passes the one it
     fixed for the cycle.  Without it the weight is
     :func:`penalty_weight` at ``tau`` and the current variance.
-    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``.
     """
-    if stats is None:
-        stats = ColumnStats(tau, Y)
-    s = _mass(k, stats, Y)
+    s = _mass(k, tau, Y)
+    mean = (tau[:, k] @ Y.data) / s
     sigma2 = float(params.variances[k])
     if lam is None:
-        lam = stats.lam(k, sigma2, hp)
-    problem = WeightedLassoProblem._trusted(Y.design, stats.mean(k), s, sigma2, lam, Y.gram)
+        lam = penalty_weight(hp, Y, sigma2, s, mean)
+    problem = WeightedLassoProblem._trusted(Y.design, mean, s, sigma2, lam, Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
     tol = default_tolerance(problem) * min(1.0, hp.tol / 1e-8)
@@ -228,13 +189,12 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
 
 
 def update_sigma(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                 stats: ColumnStats | None = None, means: np.ndarray | None = None) -> float:
+                 means: np.ndarray | None = None) -> float:
     """Floored responsibility-weighted mean squared deviation per coordinate.
 
-    ``stats``, if given, holds the :class:`ColumnStats` of ``tau``, and
-    ``means``, if given, ``params.means(Y)``.
+    ``means``, if given, is ``params.means(Y)``.
     """
-    s = _mass(k, ColumnStats(tau, Y) if stats is None else stats, Y)
+    s = _mass(k, tau, Y)
     if means is None:
         means = params.means(Y)
     resid = Y.data - means[k][None, :]
@@ -413,15 +373,14 @@ class _Blocks:
 
     Parameters this object did not produce (the initial ones, a
     re-seed) hold fresh arrays, so every block is recomputed from them.
-    The :class:`ColumnStats` of the latest responsibilities are kept the
-    same way, keyed by the identity of ``tau``.  ``lams`` holds the
-    penalty weights of the current cycle (:meth:`weigh`).  One instance
-    serves one restart and is dropped with it.
+    ``lams`` holds the penalty weights of the current cycle
+    (:meth:`weigh`).  One instance serves one restart and is dropped
+    with it.
     """
 
     def __init__(self, Y: SampleSet):
         self.Y = Y
-        self.betas = self.variances = self.weights = self.tau = self.lams = None
+        self.betas = self.variances = self.weights = self.lams = None
 
     def sync(self, params: MixtureParams) -> None:
         """Recompute the blocks whose source array ``params`` replaced."""
@@ -449,12 +408,6 @@ class _Blocks:
         logp = self.log_dens + self.log_w[None, :]
         return logp, logsumexp_rows(logp)
 
-    def stats(self, tau: np.ndarray) -> ColumnStats:
-        if tau is not self.tau:
-            self.tau = tau
-            self.column_stats = ColumnStats(tau, self.Y)
-        return self.column_stats
-
     def step(self, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
              hp: Hyperparams) -> MixtureParams:
         """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
@@ -463,16 +416,16 @@ class _Blocks:
             return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
         if kind == "beta":
             betas = params.betas.copy()
-            betas[k] = update_beta(k, params, tau, Y, hp, stats=self.stats(tau), lam=float(self.lams[k]))
+            betas[k] = update_beta(k, params, tau, Y, hp, lam=float(self.lams[k]))
             return MixtureParams._trusted(params.weights, betas, params.variances)
         self.sync(params)  # a no-op in em_loop, which evaluated params last
         variances = params.variances.copy()
-        variances[k] = update_sigma(k, params, tau, Y, hp, stats=self.stats(tau), means=self.means)
+        variances[k] = update_sigma(k, params, tau, Y, hp, means=self.means)
         return MixtureParams._trusted(params.weights, params.betas, variances)
 
     def weigh(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> None:
         """Fix the cycle's penalty weights at its starting ``tau``."""
-        self.lams = effective_lams(params, tau, Y, hp, stats=self.stats(tau))
+        self.lams = effective_lams(params, tau, Y, hp)
 
     def penalty(self, params: MixtureParams) -> float:
         """The l1 term of :func:`penalized_value` under the cycle's weights."""
@@ -511,15 +464,16 @@ def _fit_once(
 
 
 def _subproblem_residuals(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
-    """Lasso stationarity residual of each beta block at the final tau."""
-    stats = ColumnStats(tau, Y)
+    """Lasso stationarity residual of each beta block at the final tau; NaN for an empty cluster."""
     out = np.full(params.K, np.nan)
-    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
+    for k, sigma2 in enumerate(params.variances.tolist()):
+        s = float(tau[:, k].sum())
         if s <= EMPTY_FRACTION * Y.n:
             continue
+        mean = (tau[:, k] @ Y.data) / s
         problem = WeightedLassoProblem(
-            design=Y.design, target=stats.mean(k), total_weight=s, sigma2=sigma2, lam=stats.lam(k, sigma2, hp),
-            gram=Y.gram,
+            design=Y.design, target=mean, total_weight=s, sigma2=sigma2,
+            lam=penalty_weight(hp, Y, sigma2, s, mean), gram=Y.gram,
         )
         out[k] = kkt_residual(problem, params.betas[k])
     return out
@@ -569,20 +523,23 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
     the distance from 0 to the beta_k gradient of the penalized log
     likelihood (subdifferential of the l1 term included); scales[k] is a
     crude upper bound on the gradient magnitude, suitable for relative
-    comparisons.  Blocks whose fitted weight is numerically zero sit at
-    an active boundary constraint where this certificate does not apply;
-    they are skipped and reported as NaN.
+    comparisons.  The penalty weight is :func:`penalty_weight` at the
+    final responsibilities.  Blocks whose responsibility mass there is at
+    most ``EMPTY_FRACTION * n``, the driver's own test for an empty
+    cluster, sit at an active boundary constraint where this certificate
+    does not apply; they are skipped and reported as NaN, as in
+    ``FitReport.beta_kkt_residuals``.
     """
     params = report.params
     tau = e_step(params, Y)
-    stats = ColumnStats(tau, Y)
     mu = params.means(Y)
     residuals = np.full(params.K, np.nan)
     scales = np.full(params.K, np.nan)
-    for k, (sigma2, s) in enumerate(zip(params.variances.tolist(), stats.s)):
-        if params.weights[k] < DEGENERATE_WEIGHT:
+    for k, sigma2 in enumerate(params.variances.tolist()):
+        s = float(tau[:, k].sum())
+        if s <= EMPTY_FRACTION * Y.n:
             continue
-        lam = stats.lam(k, sigma2, hp) if s > 0 else penalty_weight(hp, Y, sigma2, s, np.zeros(Y.d))
+        lam = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
         grad = beta_gradient(params, Y, k)
         residuals[k] = _stationarity_violation(-grad, params.betas[k], lam)
         resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_reference_loops import fit_inputs
 
@@ -250,8 +250,8 @@ class TestRun:
         starts, weights = [], []
         effective_lams = sparse_em.effective_lams
 
-        def recording(params, tau, Y, hp, stats=None):
-            lams = effective_lams(params, tau, Y, hp, stats=stats)
+        def recording(params, tau, Y, hp):
+            lams = effective_lams(params, tau, Y, hp)
             starts.append(sparse_em.penalized_value(params, Y, lams))
             weights.append(lams)
             return lams
@@ -407,6 +407,34 @@ class TestStationarity:
         residuals, scales = stationarity_report(rep, Y, Hyperparams(lam=0.1))
         assert np.isnan(residuals[1]) and np.isnan(scales[1])
         assert np.isfinite(residuals[0])
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.fixed_dictionaries({
+        "dim": st.sampled_from([1, 2, 5, 50]),
+        "dilation": st.sampled_from([10.0, 30.0, 60.0, 100.0]),
+        "data_seed": st.integers(0, 2**32 - 1),
+        "replicate": st.integers(0, 999),
+        "restarts": st.just(1),
+        "max_cycles": st.just(60),
+        "tol": st.just(1e-7),
+        "lam": st.sampled_from([None, 0.0, 0.5]),
+    }))
+    # component 1 ends with weight 3.2e-8, well clear of 0, but with a
+    # responsibility mass of 9.4e-8, which the driver counts as empty
+    @example(case={"dim": 2, "dilation": 60.0, "data_seed": 3, "replicate": 0, "restarts": 1,
+                   "max_cycles": 200, "tol": 1e-9, "lam": None})
+    def test_agrees_with_the_fit_kkt_residuals(self, case):
+        Y, hp, seed = fit_inputs(case)
+        hp = replace(hp, max_cycles=case["max_cycles"], tol=case["tol"])
+        rep = run(Y, 3, hp, seed=seed)
+        residuals, scales = stationarity_report(rep, Y, hp)
+        kkt = rep.beta_kkt_residuals
+        assert np.isnan(residuals).tolist() == np.isnan(kkt).tolist()
+        assert np.isnan(scales).tolist() == np.isnan(kkt).tolist()
+        ok = ~np.isnan(kkt)
+        if ok.any():
+            bound = 1e-9 * (1.0 + scales[ok].max())
+            assert np.all(np.abs(residuals[ok] - kkt[ok]) <= bound)
 
 
 class TestPenaltyWeight:
