@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
 from .baseline import baseline_fit
@@ -38,14 +38,23 @@ OUT_ENV_VAR = "SPARSEMIX_OUT"
 
 @dataclass
 class SweepSpec:
-    """Resolved configuration of one sweep invocation."""
+    """One sweep's settings: the single definition of each name, default and type.
 
-    dims: list
-    dilations: list
-    methods: list
-    replicates: int
-    seed: int
-    out: str
+    The field names are the keys of a ``--config`` JSON file, the
+    destinations of the sweep flags and the keys of ``manifest.json``;
+    ``--points`` sets ``n_points`` and ``--components`` sets
+    ``components``.  ``hyperparams`` holds the fit settings (a config
+    file gives them as a dict keyed by ``Hyperparams`` field names); its
+    seed is always the sweep ``seed``.  Values are cast to the field
+    types here, so a config file may give ``10`` for a dilation.
+    """
+
+    dims: tuple = (2,)
+    dilations: tuple = (10.0, 30.0, 50.0, 70.0, 100.0)
+    methods: tuple = METHODS
+    replicates: int = 100
+    seed: int = 0
+    out: str = "sweep_out"
     jobs: int = 1
     n_points: int = ScenarioConfig.n_points
     components: int = ScenarioConfig.K
@@ -54,6 +63,15 @@ class SweepSpec:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
+        self.dims = tuple(int(d) for d in self.dims)
+        self.dilations = tuple(float(x) for x in self.dilations)
+        self.methods = tuple(self.methods)
+        self.weights = tuple(float(w) for w in self.weights)
+        self.variances = tuple(float(v) for v in self.variances)
+        self.replicates, self.seed, self.jobs = int(self.replicates), int(self.seed), int(self.jobs)
+        self.n_points, self.components = int(self.n_points), int(self.components)
+        self.out = str(self.out)
+        self.hyperparams = replace(self.hyperparams, seed=self.seed)
         if not self.dims or not self.dilations or not self.methods:
             raise ValueError("dims, dilations and methods must be non-empty")
         if self.replicates < 1:
@@ -183,16 +201,7 @@ def default_report_path(input_path: str) -> str:
 def cmd_simulate(args) -> int:
     out_dir = resolve_out(args.out)
     try:
-        cfg = ScenarioConfig(
-            dim=args.dim,
-            dilation=args.dilation,
-            n_points=args.points,
-            K=args.components,
-            weights=tuple(args.weights),
-            variances=tuple(args.variances),
-            replicates=args.replicates,
-            seed=args.seed,
-        )
+        cfg = ScenarioConfig(**{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)})
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -251,50 +260,21 @@ def cmd_sweep(args) -> int:
 
 
 def build_sweep_spec(args) -> SweepSpec:
-    settings = {
-        "dims": [2],
-        "dilations": [10.0, 30.0, 50.0, 70.0, 100.0],
-        "methods": list(METHODS),
-        "replicates": 100,
-        "seed": 0,
-        "jobs": SweepSpec.jobs,
-        "out": None,
-        "n_points": SweepSpec.n_points,
-        "components": SweepSpec.components,
-        "weights": SweepSpec.weights,
-        "variances": SweepSpec.variances,
-        "hyperparams": {},
-    }
+    """The sweep's settings: flags over the config file over the ``SweepSpec`` defaults."""
+    settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(settings)
+            settings = json.load(fh)
+        unknown = set(settings) - {f.name for f in fields(SweepSpec)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings.update(loaded)
-
-    # flags override file values
-    for key in ("dims", "dilations", "methods", "replicates", "seed", "jobs", "out",
-                "points", "components", "weights", "variances"):
-        flag = getattr(args, key, None)
+    for f in fields(SweepSpec):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            settings["n_points" if key == "points" else key] = flag
-
-    out = settings["out"] or os.environ.get(OUT_ENV_VAR) or "sweep_out"
-    return SweepSpec(
-        dims=[int(d) for d in settings["dims"]],
-        dilations=[float(x) for x in settings["dilations"]],
-        methods=list(settings["methods"]),
-        replicates=int(settings["replicates"]),
-        seed=int(settings["seed"]),
-        out=str(out),
-        jobs=int(settings["jobs"]),
-        n_points=int(settings["n_points"]),
-        components=int(settings["components"]),
-        weights=tuple(float(w) for w in settings["weights"]),
-        variances=tuple(float(v) for v in settings["variances"]),
-        hyperparams=hyperparams_from_args(args, settings),
-    )
+            settings[f.name] = flag
+    settings["out"] = settings.get("out") or os.environ.get(OUT_ENV_VAR) or SweepSpec.out
+    settings["hyperparams"] = hyperparams_from_args(args, settings)
+    return SweepSpec(**settings)
 
 
 def write_ancrci_tables(spec: SweepSpec, results) -> None:
@@ -330,7 +310,7 @@ def write_replicate_csv(spec: SweepSpec, results) -> None:
 
 
 def write_plot_files(spec: SweepSpec, results) -> None:
-    for (dim, dil, method), res in sorted(results.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
+    for (dim, dil, method), res in sorted(results.items()):
         name = f"plot_{method}_dim{dim}_dilation{fmt_num(dil)}.csv"
         with open(os.path.join(spec.out, name), "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
@@ -342,7 +322,7 @@ def write_plot_files(spec: SweepSpec, results) -> None:
 def write_timings(spec: SweepSpec, results) -> None:
     path = os.path.join(spec.out, "timings.txt")
     with open(path, "w", encoding="ascii") as fh:
-        for (dim, dil, method), res in sorted(results.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
+        for (dim, dil, method), res in sorted(results.items()):
             for rec in res.records:
                 fh.write(
                     json.dumps(
@@ -369,23 +349,9 @@ def write_manifest(spec: SweepSpec, results, failures) -> None:
             "non_converged": sum(1 for r in res.records if not r.converged),
             "total_seconds": sum(r.seconds for r in res.records),
         }
-    hp = asdict(spec.hyperparams)
-    manifest = {
-        "version": __version__,
-        "dims": spec.dims,
-        "dilations": spec.dilations,
-        "methods": spec.methods,
-        "replicates": spec.replicates,
-        "seed": spec.seed,
-        "jobs": spec.jobs,
-        "n_points": spec.n_points,
-        "components": spec.components,
-        "weights": list(spec.weights),
-        "variances": list(spec.variances),
-        "hyperparams": hp,
-        "cells": cells,
-        "failures": failures,
-    }
+    manifest = asdict(spec)
+    del manifest["out"]
+    manifest.update(version=__version__, cells=cells, failures=failures)
     with open(os.path.join(spec.out, "manifest.json"), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -398,19 +364,18 @@ def write_manifest(spec: SweepSpec, results, failures) -> None:
 def hyperparams_from_args(args, settings=None) -> Hyperparams:
     """Hyperparams from the flags, over the sweep config's ``hyperparams`` block.
 
-    With sweep ``settings`` the sweep seed wins over a ``hyperparams.seed``
-    in the config; for ``fit`` the ``--seed`` flag sets it.
+    For a sweep, ``settings`` is its (possibly empty) config overlaid
+    with its flags, and ``SweepSpec`` then sets the seed to the sweep
+    seed; for ``fit`` the ``--seed`` flag sets it.
     """
-    kw = dict(settings["hyperparams"]) if settings else {}
-    unknown = set(kw) - {f.name for f in fields(Hyperparams)}
+    names = [f.name for f in fields(Hyperparams)]
+    kw = dict(settings.get("hyperparams", {})) if settings is not None else {}
+    unknown = set(kw) - set(names)
     if unknown:
         raise ValueError(f"unknown hyperparams keys: {sorted(unknown)}")
-    for key in ("lam", "max_cycles", "tol", "variance_floor", "restarts"):
+    for key in names:
         if getattr(args, key) is not None:
             kw[key] = getattr(args, key)
-    seed = settings["seed"] if settings else args.seed
-    if seed is not None:
-        kw["seed"] = seed
     return Hyperparams(**kw)
 
 
@@ -443,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="dump scenario replicates as flat sample files")
     p_sim.add_argument("--dim", type=int, required=True)
     p_sim.add_argument("--dilation", type=float, required=True)
-    p_sim.add_argument("--points", type=int, default=ScenarioConfig.n_points)
-    p_sim.add_argument("--components", "-K", type=int, default=ScenarioConfig.K)
+    p_sim.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=ScenarioConfig.n_points)
+    p_sim.add_argument("--components", "-K", dest="K", metavar="COMPONENTS", type=int, default=ScenarioConfig.K)
     p_sim.add_argument("--weights", type=float, nargs="+", default=ScenarioConfig.weights)
     p_sim.add_argument("--variances", type=float, nargs="+", default=ScenarioConfig.variances)
     p_sim.add_argument("--replicates", type=int, default=1)
@@ -458,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dilations", type=float, nargs="+", default=None)
     p_sweep.add_argument("--methods", nargs="+", choices=list(METHODS), default=None)
     p_sweep.add_argument("--replicates", type=int, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
+    p_sweep.add_argument("--points", dest="n_points", metavar="POINTS", type=int, default=None)
     p_sweep.add_argument("--components", "-K", type=int, default=None)
     p_sweep.add_argument("--weights", type=float, nargs="+", default=None)
     p_sweep.add_argument("--variances", type=float, nargs="+", default=None)

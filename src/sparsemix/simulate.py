@@ -32,8 +32,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.dim < 1 or self.n_points < 1 or self.K < 1 or self.replicates < 1:
             raise ValueError("dim, n_points, K and replicates must be >= 1")
-        if not (self.dilation > 0):
-            raise ValueError("dilation must be positive")
+        if not 0 < self.dilation < float("inf"):
+            raise ValueError(f"dilation must be finite and positive, got {self.dilation!r}")
         w = np.asarray(self.weights, dtype=float)
         v = np.asarray(self.variances, dtype=float)
         if w.shape != (self.K,) or v.shape != (self.K,):

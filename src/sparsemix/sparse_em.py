@@ -509,10 +509,13 @@ def run(
 
 def beta_gradient(params: MixtureParams, Y: SampleSet, k: int) -> np.ndarray:
     """Gradient of the unpenalized log likelihood in the beta_k block."""
-    tau = e_step(params, Y)
+    return _beta_gradient(k, params, e_step(params, Y), params.means(Y), Y)
+
+
+def _beta_gradient(k: int, params: MixtureParams, tau: np.ndarray, mu: np.ndarray, Y: SampleSet) -> np.ndarray:
+    """:func:`beta_gradient` from the responsibilities ``tau`` and means ``mu`` at ``params``."""
     s = float(tau[:, k].sum())
-    mu_k = params.means(Y)[k]
-    weighted_resid = Y.data.T @ tau[:, k] - s * mu_k
+    weighted_resid = Y.data.T @ tau[:, k] - s * mu[k]
     return (Y.data @ weighted_resid) / float(params.variances[k])
 
 
@@ -540,7 +543,7 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
         if s <= EMPTY_FRACTION * Y.n:
             continue
         lam = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
-        grad = beta_gradient(params, Y, k)
+        grad = _beta_gradient(k, params, tau, mu, Y)
         residuals[k] = _stationarity_violation(-grad, params.betas[k], lam)
         resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))
         scales[k] = Y.max_row_norm * resid_mass / sigma2 + lam

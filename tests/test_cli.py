@@ -2,11 +2,12 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sparsemix.cli import main, read_sample
+from sparsemix.cli import SweepSpec, main, read_sample
 from sparsemix.model import MixtureParams, SampleSet
 from sparsemix.simulate import LabeledSample, write_sample
 from sparsemix.sparse_em import penalized_value
@@ -213,6 +214,38 @@ class TestSweep:
         assert manifest["seed"] == 9       # file value kept
         assert manifest["methods"] == ["baseline"]
 
+    def test_manifest_reports_every_config_setting(self, tmp_path):
+        cfg = {
+            "dims": [3],
+            "dilations": [20.0, 40.0],
+            "methods": ["baseline"],
+            "replicates": 2,
+            "seed": 4,
+            "jobs": 2,
+            "n_points": 8,
+            "components": 2,
+            "weights": [0.4, 0.6],
+            "variances": [2.0, 3.0],
+            "hyperparams": {"lam": 0.2, "max_cycles": 20, "tol": 1e-6, "variance_floor": 0.01,
+                            "restarts": 1, "seed": 99},
+        }
+        defaults = json.loads(json.dumps(asdict(SweepSpec())))
+        assert set(cfg) == set(defaults) - {"out"}
+        assert all(defaults[key] != value for key, value in cfg.items())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "all_keys"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for key, value in cfg.items():
+            if key != "hyperparams":
+                assert manifest[key] == value, key
+        assert manifest["hyperparams"] == {**cfg["hyperparams"], "seed": 4}  # the sweep seed wins
+        assert sorted(manifest["cells"]) == [
+            "dim=3;dilation=20;cube=[-10..10];method=baseline",
+            "dim=3;dilation=40;cube=[-20..20];method=baseline",
+        ]
+
     def test_more_than_five_components(self, tmp_path):
         # scoring is an assignment on the confusion matrix, not a K! loop
         out = tmp_path / "k6"
@@ -259,12 +292,26 @@ class TestUsageErrors:
         ["sweep", "--points", "2", "--out", "{out}"],
         ["simulate", "--dim", "0", "--dilation", "10", "--out", "{out}"],
         ["sweep", "--jobs", "0", "--out", "{out}"],
+        ["sweep", "--dims", "2", "--dilations", "inf", "--replicates", "1", "--restarts", "1", "--out", "{out}"],
+        ["simulate", "--dim", "2", "--dilation", "inf", "--out", "{out}"],
+        ["sweep", "--config", "{dims_config}", "--out", "{out}"],
+        ["sweep", "--config", "{replicates_config}", "--out", "{out}"],
+        ["sweep", "--config", "{hyperparams_config}", "--out", "{out}"],
+        ["sweep", "--config", "{weights_config}", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"hyperparams": {"foo": 1}}))
+        configs = {
+            "config": {"hyperparams": {"foo": 1}},
+            "dims_config": {"dims": 5},
+            "replicates_config": {"replicates": "many"},
+            "hyperparams_config": {"hyperparams": 5},
+            "weights_config": {"weights": [0.5, "x", 0.5]},
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in configs}
+        for name, cfg in configs.items():
+            paths[name].write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert main([a.format(sample=two_cluster_file, config=config, out=out) for a in argv]) == 2
+        assert main([a.format(sample=two_cluster_file, out=out, **paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 

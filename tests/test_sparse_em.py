@@ -383,6 +383,16 @@ class TestStationarity:
         r_stop, _ = stationarity_report(stopped, Y, loose)
         assert np.nanmax(r_stop) > np.nanmax(r_conv)
 
+    def test_one_e_step_per_report(self):
+        rng = np.random.default_rng(67)
+        Y = SampleSet.from_points(np.vstack([c + rng.normal(size=(4, 2)) for c in ([0, 0], [20, 0], [0, 20])]))
+        hp = Hyperparams(restarts=1, max_cycles=30)
+        rep = run(Y, 3, hp)
+        with mock.patch.object(sparse_em, "e_step", wraps=sparse_em.e_step) as spy:
+            residuals, _ = stationarity_report(rep, Y, hp)
+        assert np.isfinite(residuals).all()
+        assert spy.call_count == 1
+
     def test_degenerate_blocks_marked_nan(self):
         rng = np.random.default_rng(66)
         Y = random_sample_set(rng, n=6, d=2)
