@@ -25,7 +25,7 @@ from .model import (
     component_log_density,
     default_variance_floor,
     kullback_penalty,
-    penalized_objective,
+    penalized_value,
     q_function,
     self_regression_log_likelihood,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "gen_sample",
     "kkt_residual",
     "kullback_penalty",
-    "penalized_objective",
+    "penalized_value",
     "q_function",
     "read_sample",
     "run",

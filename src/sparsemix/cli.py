@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import __version__
 from .baseline import baseline_fit
 from .evaluate import METHODS, run_mc_cell
-from .model import Hyperparams, NumericalError, SampleSet
+from .model import Hyperparams, NumericalError, SampleSet, as_int
 from .simulate import ScenarioConfig, gen_replicate, read_sample, write_sample
 from .sparse_em import run as sparse_fit
 
@@ -46,7 +46,8 @@ class SweepSpec:
     ``components``.  ``hyperparams`` holds the fit settings (a config
     file gives them as a dict keyed by ``Hyperparams`` field names); its
     seed is always the sweep ``seed``.  Values are cast to the field
-    types here, so a config file may give ``10`` for a dilation.
+    types here, so a config file may give ``10`` for a dilation, but not
+    ``2.5`` for an integer setting.
     """
 
     dims: tuple = (2,)
@@ -63,13 +64,13 @@ class SweepSpec:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(as_int("dims", d) for d in self.dims)
         self.dilations = tuple(float(x) for x in self.dilations)
         self.methods = tuple(self.methods)
         self.weights = tuple(float(w) for w in self.weights)
         self.variances = tuple(float(v) for v in self.variances)
-        self.replicates, self.seed, self.jobs = int(self.replicates), int(self.seed), int(self.jobs)
-        self.n_points, self.components = int(self.n_points), int(self.components)
+        for name in ("replicates", "seed", "jobs", "n_points", "components"):
+            setattr(self, name, as_int(name, getattr(self, name)))
         self.out = str(self.out)
         self.hyperparams = replace(self.hyperparams, seed=self.seed)
         if not self.dims or not self.dilations or not self.methods:

@@ -36,6 +36,7 @@ validated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -271,6 +272,14 @@ class MixtureParams:
         )
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int when it is one (numpy integers included); ValueError otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Fitting configuration shared by the sparse and baseline drivers.
@@ -292,6 +301,8 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_cycles", "restarts", "seed"):
+            as_int(name, getattr(self, name))
         if self.lam is not None and not (self.lam >= 0):
             raise ValueError("lam must be >= 0")
         if self.max_cycles < 1:
@@ -412,11 +423,14 @@ def self_regression_log_likelihood(params: MixtureParams, Y: SampleSet) -> float
     return float(np.sum(log_joint(log_density_matrix(params, Y), params.weights)[1]))
 
 
-def penalized_objective(params: MixtureParams, Y: SampleSet, lam: float) -> float:
-    """Log likelihood minus ``lam`` times the summed l1 norms of the betas."""
-    if not (lam >= 0):
-        raise ValueError("lam must be >= 0")
-    return self_regression_log_likelihood(params, Y) - lam * float(params.l1_norms().sum())
+def penalized_value(params: MixtureParams, Y: SampleSet, lams) -> float:
+    """Log likelihood minus ``sum_k lams[k] * ||beta_k||_1``, one l1 weight per component."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.shape != (params.K,):
+        raise ValueError(f"lams must have shape ({params.K},), got {lams.shape}")
+    if not np.all(lams >= 0):
+        raise ValueError("lams must be >= 0")
+    return self_regression_log_likelihood(params, Y) - float(lams @ params.l1_norms())
 
 
 def q_function(params: MixtureParams, tau: np.ndarray, Y: SampleSet) -> float:

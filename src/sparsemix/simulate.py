@@ -141,50 +141,38 @@ def read_sample(path) -> tuple[np.ndarray, np.ndarray | None]:
     the offending 1-based line number.
     """
     with open(path, "r", encoding="ascii") as fh:
-        raw = [line.strip() for line in fh]
-    lines = [(i + 1, line) for i, line in enumerate(raw) if line]
+        lines = [(lineno, line.split()) for lineno, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: line 1: file contains no data")
 
-    first_fields = lines[0][1].split()
-    headered = len(first_fields) == 3 and all(_is_int(f) for f in first_fields)
-    if headered:
-        d, n, K = (int(f) for f in first_fields)
+    first_lineno, first = lines[0]
+    K = None
+    if len(first) == 3 and all(_is_int(f) for f in first):
+        d, n, K = (int(f) for f in first)
         if d < 1 or n < 1 or K < 1:
-            raise ValueError(f"{path}: line {lines[0][0]}: header values must be positive")
-        body = lines[1:]
-        if len(body) != n:
-            raise ValueError(f"{path}: expected {n} data lines, found {len(body)}")
-        points = np.empty((n, d))
-        labels = np.empty(n, dtype=int)
-        for row, (lineno, line) in enumerate(body):
-            fields = line.split()
-            if len(fields) != d + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {d + 1} fields, found {len(fields)}")
-            try:
-                points[row] = [float(f) for f in fields[:d]]
-                labels[row] = int(fields[d])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: unparseable value") from None
-            if not (0 <= labels[row] < K):
-                raise ValueError(f"{path}: line {lineno}: label out of range [0, {K})")
-        if not np.all(np.isfinite(points)):
-            raise ValueError(f"{path}: non-finite coordinate values")
-        return points, labels
-
-    width = len(first_fields)
-    points = np.empty((len(lines), width))
-    for row, (lineno, line) in enumerate(lines):
-        fields = line.split()
+            raise ValueError(f"{path}: line {first_lineno}: header values must be positive")
+        lines = lines[1:]
+        if len(lines) != n:
+            raise ValueError(f"{path}: expected {n} data lines, found {len(lines)}")
+    else:
+        d = len(first)
+    width = d if K is None else d + 1
+    points = np.empty((len(lines), d))
+    labels = np.empty(len(lines), dtype=int)
+    for row, (lineno, fields) in enumerate(lines):
         if len(fields) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} fields, found {len(fields)}")
         try:
-            points[row] = [float(f) for f in fields]
+            points[row] = [float(f) for f in fields[:d]]
+            if K is not None:
+                labels[row] = int(fields[d])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: unparseable value") from None
+        if K is not None and not (0 <= labels[row] < K):
+            raise ValueError(f"{path}: line {lineno}: label out of range [0, {K})")
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{path}: non-finite coordinate values")
-    return points, None
+    return points, (None if K is None else labels)
 
 
 def _is_int(s: str) -> bool:

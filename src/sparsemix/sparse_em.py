@@ -36,13 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lasso import (
-    WeightedLassoProblem,
-    _stationarity_violation,
-    default_tolerance,
-    kkt_residual,
-    solve_weighted_lasso,
-)
+from .lasso import WeightedLassoProblem, default_tolerance, kkt_residual, solve_weighted_lasso
 from .model import (
     EmptyClusterError,
     Hyperparams,
@@ -55,7 +49,7 @@ from .model import (
     log_normalizers,
     log_weights,
     logsumexp_rows,
-    self_regression_log_likelihood,
+    penalized_value,
     squared_distances,
 )
 
@@ -74,9 +68,8 @@ class FitReport:
 
     params: MixtureParams
     objective_trace: np.ndarray
-    # each block's lasso KKT residual at the final tau, under penalty_weight
-    # at that tau (under adaptive lambda that may differ from lams); NaN
-    # for an empty cluster
+    # each block's lasso KKT residual at the final tau under lams, as
+    # stationarity_report returns it; NaN for an empty cluster
     beta_kkt_residuals: np.ndarray
     cycles_run: int
     converged: bool
@@ -127,11 +120,6 @@ def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyp
         if s > EMPTY_FRACTION * Y.n:
             out[k] = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
     return out
-
-
-def penalized_value(params: MixtureParams, Y: SampleSet, lams: np.ndarray) -> float:
-    """Log likelihood minus the per-component weighted l1 penalties."""
-    return self_regression_log_likelihood(params, Y) - float(lams @ params.l1_norms())
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +440,7 @@ def _fit_once(
     return FitReport(
         params=params,
         objective_trace=trace,
-        beta_kkt_residuals=_subproblem_residuals(params, tau, Y, hp),
+        beta_kkt_residuals=_kkt_certificate(params, tau, blocks.lams, Y)[0],
         cycles_run=cycles_run,
         converged=converged,
         assignments=np.argmax(tau, axis=1),
@@ -461,22 +449,6 @@ def _fit_once(
         lams=blocks.lams,
         diagnostic=diagnostic,
     )
-
-
-def _subproblem_residuals(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
-    """Lasso stationarity residual of each beta block at the final tau; NaN for an empty cluster."""
-    out = np.full(params.K, np.nan)
-    for k, sigma2 in enumerate(params.variances.tolist()):
-        s = float(tau[:, k].sum())
-        if s <= EMPTY_FRACTION * Y.n:
-            continue
-        mean = (tau[:, k] @ Y.data) / s
-        problem = WeightedLassoProblem(
-            design=Y.design, target=mean, total_weight=s, sigma2=sigma2,
-            lam=penalty_weight(hp, Y, sigma2, s, mean), gram=Y.gram,
-        )
-        out[k] = kkt_residual(problem, params.betas[k])
-    return out
 
 
 def run(
@@ -509,32 +481,18 @@ def run(
 
 def beta_gradient(params: MixtureParams, Y: SampleSet, k: int) -> np.ndarray:
     """Gradient of the unpenalized log likelihood in the beta_k block."""
-    return _beta_gradient(k, params, e_step(params, Y), params.means(Y), Y)
-
-
-def _beta_gradient(k: int, params: MixtureParams, tau: np.ndarray, mu: np.ndarray, Y: SampleSet) -> np.ndarray:
-    """:func:`beta_gradient` from the responsibilities ``tau`` and means ``mu`` at ``params``."""
-    s = float(tau[:, k].sum())
-    weighted_resid = Y.data.T @ tau[:, k] - s * mu[k]
+    tau = e_step(params, Y)
+    weighted_resid = Y.data.T @ tau[:, k] - float(tau[:, k].sum()) * params.means(Y)[k]
     return (Y.data @ weighted_resid) / float(params.variances[k])
 
 
-def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
-    """First-order certificate for each beta block of a finished fit.
+def _kkt_certificate(params: MixtureParams, tau: np.ndarray, lams: np.ndarray,
+                     Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """``(residuals, scales)`` of each beta block's lasso subproblem at ``tau`` under ``lams``.
 
-    Returns ``(residuals, scales)``, both shape (K,).  residuals[k] is
-    the distance from 0 to the beta_k gradient of the penalized log
-    likelihood (subdifferential of the l1 term included); scales[k] is a
-    crude upper bound on the gradient magnitude, suitable for relative
-    comparisons.  The penalty weight is :func:`penalty_weight` at the
-    final responsibilities.  Blocks whose responsibility mass there is at
-    most ``EMPTY_FRACTION * n``, the driver's own test for an empty
-    cluster, sit at an active boundary constraint where this certificate
-    does not apply; they are skipped and reported as NaN, as in
-    ``FitReport.beta_kkt_residuals``.
+    See :func:`stationarity_report`; blocks with responsibility mass at
+    most ``EMPTY_FRACTION * n`` read NaN in both.
     """
-    params = report.params
-    tau = e_step(params, Y)
     mu = params.means(Y)
     residuals = np.full(params.K, np.nan)
     scales = np.full(params.K, np.nan)
@@ -542,9 +500,34 @@ def stationarity_report(report: FitReport, Y: SampleSet, hp: Hyperparams):
         s = float(tau[:, k].sum())
         if s <= EMPTY_FRACTION * Y.n:
             continue
-        lam = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
-        grad = _beta_gradient(k, params, tau, mu, Y)
-        residuals[k] = _stationarity_violation(-grad, params.betas[k], lam)
+        lam = float(lams[k])
+        problem = WeightedLassoProblem(
+            design=Y.design, target=(tau[:, k] @ Y.data) / s, total_weight=s, sigma2=sigma2,
+            lam=lam, gram=Y.gram,
+        )
+        residuals[k] = kkt_residual(problem, params.betas[k])
         resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))
         scales[k] = Y.max_row_norm * resid_mass / sigma2 + lam
     return residuals, scales
+
+
+def stationarity_report(report: FitReport, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """First-order certificate for each beta block of a finished fit.
+
+    Returns ``(residuals, scales)``, both shape (K,).  residuals[k] is
+    the lasso KKT residual (:func:`sparsemix.lasso.kkt_residual`) of the
+    beta_k subproblem at the responsibilities of the final parameters,
+    under ``report.lams``, the weights the last cycle held.  At those
+    responsibilities the gradient of the subproblem's smooth part is
+    minus the log-likelihood gradient in beta_k (:func:`beta_gradient`),
+    so the residual is the distance from 0 to the beta_k subdifferential
+    of the penalized objective :func:`sparsemix.model.penalized_value`
+    under ``report.lams``.  scales[k] is a crude upper bound on the
+    gradient magnitude, suitable for relative comparisons.  Blocks whose
+    responsibility mass is at most ``EMPTY_FRACTION * n``, the driver's
+    own test for an empty cluster, sit at an active boundary constraint
+    where this certificate does not apply; they read NaN.  For a report
+    of :func:`run`, ``residuals`` is bit for bit
+    ``report.beta_kkt_residuals``.
+    """
+    return _kkt_certificate(report.params, e_step(report.params, Y), report.lams, Y)

@@ -261,7 +261,7 @@ class TestStationarityCertificate:
             if not rep.converged:
                 continue
             certified += 1
-            residuals, scales = stationarity_report(rep, Y, hp)
+            residuals, scales = stationarity_report(rep, Y)
             ok = ~np.isnan(residuals)
             assert ok.any()
             worst_ratio = max(worst_ratio, float(np.max(residuals[ok] / scales[ok])))

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from sparsemix.cli import SweepSpec, main, read_sample
-from sparsemix.model import MixtureParams, SampleSet
+from sparsemix.model import MixtureParams, SampleSet, penalized_value
 from sparsemix.simulate import LabeledSample, write_sample
-from sparsemix.sparse_em import penalized_value
 
 
 @pytest.fixture
@@ -298,6 +297,8 @@ class TestUsageErrors:
         ["sweep", "--config", "{replicates_config}", "--out", "{out}"],
         ["sweep", "--config", "{hyperparams_config}", "--out", "{out}"],
         ["sweep", "--config", "{weights_config}", "--out", "{out}"],
+        ["sweep", "--config", "{max_cycles_config}", "--out", "{out}"],
+        ["sweep", "--config", "{fractional_replicates_config}", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         configs = {
@@ -306,6 +307,8 @@ class TestUsageErrors:
             "replicates_config": {"replicates": "many"},
             "hyperparams_config": {"hyperparams": 5},
             "weights_config": {"weights": [0.5, "x", 0.5]},
+            "max_cycles_config": {"hyperparams": {"max_cycles": 2.5}},
+            "fractional_replicates_config": {"replicates": 2.5},
         }
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, cfg in configs.items():

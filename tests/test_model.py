@@ -21,7 +21,7 @@ from sparsemix.model import (
     log_density_matrix,
     log_joint,
     logsumexp_rows,
-    penalized_objective,
+    penalized_value,
     q_function,
     self_regression_log_likelihood,
 )
@@ -330,7 +330,7 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(15)
         Y = random_sample_set(rng)
         params = random_params(rng, K=2, n=Y.n)
-        assert penalized_objective(params, Y, 0.0) == self_regression_log_likelihood(params, Y)
+        assert penalized_value(params, Y, [0.0, 0.0]) == self_regression_log_likelihood(params, Y)
 
     def test_zero_betas_ignore_penalty(self):
         rng = np.random.default_rng(16)
@@ -338,7 +338,7 @@ class TestPenalizedObjective:
         params = MixtureParams(
             weights=np.array([0.5, 0.5]), betas=np.zeros((2, Y.n)), variances=np.array([1.0, 2.0])
         )
-        assert penalized_objective(params, Y, 7.0) == self_regression_log_likelihood(params, Y)
+        assert penalized_value(params, Y, [7.0, 7.0]) == self_regression_log_likelihood(params, Y)
 
     def test_direct_arithmetic(self):
         rng = np.random.default_rng(17)
@@ -346,23 +346,35 @@ class TestPenalizedObjective:
         betas = np.array([[1.0, -0.5, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])  # l1 sums 1.5 + 2.0
         params = MixtureParams(weights=np.array([0.3, 0.7]), betas=betas, variances=np.array([1.0, 1.0]))
         ll = self_regression_log_likelihood(params, Y)
-        assert penalized_objective(params, Y, 1.0) == pytest.approx(ll - 3.5, rel=1e-12)
+        assert penalized_value(params, Y, [1.0, 1.0]) == pytest.approx(ll - 3.5, rel=1e-12)
+        assert penalized_value(params, Y, [1.0, 2.0]) == pytest.approx(ll - 5.5, rel=1e-12)
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(18)
         Y = random_sample_set(rng, n=5)
         params = random_params(rng, K=3, n=5)
         shuffled = params.permuted([2, 0, 1])
-        assert penalized_objective(params, Y, 0.8) == pytest.approx(
-            penalized_objective(shuffled, Y, 0.8), rel=1e-12
+        lams = np.array([0.8, 0.3, 1.5])
+        assert penalized_value(params, Y, lams) == pytest.approx(
+            penalized_value(shuffled, Y, lams[[2, 0, 1]]), rel=1e-12
         )
 
     def test_rejects_negative_lambda(self):
         rng = np.random.default_rng(19)
         Y = random_sample_set(rng)
         params = random_params(rng, K=2, n=Y.n)
-        with pytest.raises(ValueError):
-            penalized_objective(params, Y, -0.1)
+        with pytest.raises(ValueError, match="lams must be >= 0"):
+            penalized_value(params, Y, [0.5, -0.1])
+        with pytest.raises(ValueError, match="lams must be >= 0"):
+            penalized_value(params, Y, [0.5, np.nan])
+
+    @pytest.mark.parametrize("lams", [0.5, [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+    def test_rejects_one_weight_per_component_mismatch(self, lams):
+        rng = np.random.default_rng(19)
+        Y = random_sample_set(rng)
+        params = random_params(rng, K=2, n=Y.n)
+        with pytest.raises(ValueError, match=r"lams must have shape \(2,\)"):
+            penalized_value(params, Y, lams)
 
 
 class TestQFunction:

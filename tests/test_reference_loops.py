@@ -80,7 +80,7 @@ def reference_fit_once(Y, params, hp, order, restart_index):
     return sparse_em.FitReport(
         params=params,
         objective_trace=np.asarray(trace),
-        beta_kkt_residuals=sparse_em._subproblem_residuals(params, tau, Y, hp),
+        beta_kkt_residuals=sparse_em._kkt_certificate(params, tau, lams, Y)[0],
         cycles_run=cycles_run,
         converged=converged and not aborted,
         assignments=np.argmax(tau, axis=1),

@@ -168,3 +168,43 @@ class TestSampleFiles:
         path.write_text("1 1 2\n0.0 5\n")
         with pytest.raises(ValueError, match="label out of range"):
             read_sample(path)
+
+    @pytest.mark.parametrize("text, message", [
+        # headered: "d n K", then n lines of d coordinates and a label
+        ("", "line 1: file contains no data"),
+        ("\n  \n", "line 1: file contains no data"),
+        ("2 2 3\n1.0 2.0 0\n1.0 2.0\n", "line 3: expected 3 fields, found 2"),
+        ("2 2 3\n1.0 inf 0\n1.0 2.0 1\n", "non-finite coordinate values"),
+        ("2 2 3\n1.0 inf 0\n1.0 x 1\n", "line 3: unparseable value"),
+        ("0 2 3\n1.0 0\n1.0 1\n", "line 1: header values must be positive"),
+        ("\n\n2 -1 3\n", "line 3: header values must be positive"),
+        ("1 2 2\n0.0 1.5\n1.0 1\n", "line 2: unparseable value"),
+        ("1 2 2\n0.0 2\n1.0 x\n", "line 2: label out of range [0, 2)"),
+        ("2 2 3\n1.0 x 0\n", "expected 2 data lines, found 1"),
+        ("2 2 3\n\n1.0 2.0 0\n\n\n1.0 x 1\n", "line 6: unparseable value"),
+        ("\n2 2 3\n1.0 2.0 0\n\n1.0 2.0 0 4\n", "line 5: expected 3 fields, found 4"),
+        # headerless: rows of as many floats as the first row
+        ("1.0 2.0\n3.0\n", "line 2: expected 2 fields, found 1"),
+        ("1.0 2.0\n3.0 nan\n", "non-finite coordinate values"),
+        ("1.0 2.0\n3.0 x\n", "line 2: unparseable value"),
+        ("\n1.0 2.0\n\n\n3.0 4.0 5.0\n", "line 5: expected 2 fields, found 3"),
+        ("\n\n1.0 2.0\n\n3.0 x\n", "line 5: unparseable value"),
+        ("1 2 x\n", "line 1: unparseable value"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_sample(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_blank_lines_are_skipped_in_both_layouts(self, tmp_path):
+        path = tmp_path / "sample.txt"
+        path.write_text("\n2 2 3\n\n1.0 2.0 0\n\n-1.5 0.25 2\n\n")
+        points, labels = read_sample(path)
+        npt.assert_array_equal(points, [[1.0, 2.0], [-1.5, 0.25]])
+        npt.assert_array_equal(labels, [0, 2])
+        path.write_text("\n1.0 2.0\n\n-1.5 0.25\n\n")
+        points, labels = read_sample(path)
+        assert labels is None
+        npt.assert_array_equal(points, [[1.0, 2.0], [-1.5, 0.25]])
