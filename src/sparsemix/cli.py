@@ -134,8 +134,6 @@ def cmd_fit(args) -> int:
         hp = hyperparams_from_args(args)
         if not 1 <= args.components <= Y.n:
             raise ValueError(f"--components must lie in [1, n={Y.n}], got {args.components}")
-        if hp.seed < 0:
-            raise ValueError("--seed must be >= 0")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

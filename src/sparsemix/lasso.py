@@ -15,6 +15,7 @@ on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -159,6 +160,22 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
+@functools.cache
+def _subsets(size: int) -> tuple:
+    """The non-empty subsets of range(size), in bitmask order 1 .. 2^size - 1.
+
+    Each entry is (index array, its ``np.ix_`` pair, index list): the
+    positions of the set bits of the mask, ready to gather a sub-vector,
+    a sub-Gram and the matching Python-float signs.
+    """
+    out = []
+    for mask in range(1, 2 ** size):
+        picked = [i for i in range(size) if mask >> i & 1]
+        idx = np.array(picked)
+        out.append((idx, np.ix_(idx, idx), picked))
+    return tuple(out)
+
+
 def solve_weighted_lasso(
     problem: WeightedLassoProblem,
     beta_init: np.ndarray,
@@ -203,30 +220,37 @@ def solve_weighted_lasso(
         # Near-duplicate design columns make plain coordinate descent
         # shuttle mass between them at a slow, sometimes non-geometric
         # rate, while the true solution keeps at most one column per
-        # near-duplicate direction active.  When the support has
-        # stalled, solve the stationarity system exactly on sub-supports
-        # of the stalled support (which contains the optimal one: a
+        # near-duplicate direction active.  When the support S has
+        # stalled, solve the stationarity system exactly on each of its
+        # 2^|S| - 1 non-empty sub-supports (S contains the optimal one: a
         # needed outside column would be a KKT violation coordinate
-        # descent would have activated).  A candidate is accepted only
-        # with a consistent sign pattern, a full KKT residual better
-        # than the current iterate and no objective increase, which
-        # preserves the monotonicity contract.  The objective is
-        # evaluated only for a candidate that would become the best.
+        # descent would have activated), one lstsq each, for |S| <= 9.
+        # sign(b_S), the right-hand side q_S - (lam/c) sign(b_S) and
+        # G[S, S] are gathered once per call, and each candidate takes
+        # its entries from them; every step that decides the result
+        # (lstsq, the full gram @ cand, the KKT residual, the objective
+        # test and the strict first-best rule) runs as in the plain
+        # solver, whose output tests/test_lasso_reference.py pins bit for
+        # bit.  A candidate is accepted only with a consistent sign
+        # pattern, a full KKT residual better than the current iterate
+        # and no objective increase, which preserves the monotonicity
+        # contract.  The objective is evaluated only for a candidate that
+        # would become the best.
         support = np.flatnonzero(b)
         if support.size == 0 or 2 ** support.size > 512:
             return None
         base_value = value(b, gb_b)
+        signs = np.sign(b[support])
+        sign_list = signs.tolist()
+        rhs_all = q[support] - (lam / c) * signs
+        sub_all = gram[np.ix_(support, support)]
         best = None
-        for mask in range(1, 2 ** support.size):
-            sub_idx = support[[i for i in range(support.size) if mask >> i & 1]]
-            signs = np.sign(b[sub_idx])
-            sub = gram[np.ix_(sub_idx, sub_idx)]
-            rhs = q[sub_idx] - (lam / c) * signs
-            x, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if not np.all(np.isfinite(x)) or np.any(np.sign(x) * signs < 0):
+        for idx, ix, picked in _subsets(support.size):
+            x, *_ = np.linalg.lstsq(sub_all[ix], rhs_all[idx], rcond=None)
+            if not all(math.isfinite(v) and not v * sign_list[i] < 0 for v, i in zip(x.tolist(), picked)):
                 continue
             cand = np.zeros_like(b)
-            cand[sub_idx] = x
+            cand[support[idx]] = x
             gb_cand = gram @ cand
             resid = _stationarity_violation(c * (gb_cand - q), cand, lam)
             if resid < current_residual and (best is None or resid < best[2]):

@@ -290,7 +290,7 @@ class Hyperparams:
     cycle moves its objective by at most ``tol``, relative.
     ``variance_floor=None`` derives the floor from the data via
     :func:`default_variance_floor`.  The best of ``restarts`` random
-    starts is kept; ``seed`` seeds their streams.
+    starts is kept; ``seed`` (>= 0) seeds their streams.
     """
 
     lam: float | None = None
@@ -313,6 +313,8 @@ class Hyperparams:
             raise ValueError("variance_floor must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_floor(self, Y: SampleSet) -> float:
         return self.variance_floor if self.variance_floor is not None else default_variance_floor(Y)

@@ -137,8 +137,13 @@ def read_sample(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read points (n, d) and labels from the flat format.
 
     Also accepts a headerless numeric table (rows of d floats) and then
-    returns labels as None.  Malformed content raises ValueError with
-    the offending 1-based line number.
+    returns labels as None.  A first line of three integers "d n K" is
+    the header only when a second line follows with d + 1 fields, or
+    when one of the three is below 1 (then it is a bad header).  One
+    ambiguity remains: a headerless table of three integer columns whose
+    first value is 2 reads as headered, since its second line has the
+    d + 1 = 3 fields of a header with d = 2.  Malformed content raises
+    ValueError with the offending 1-based line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [(lineno, line.split()) for lineno, line in enumerate(fh, 1) if line.strip()]
@@ -146,16 +151,16 @@ def read_sample(path) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError(f"{path}: line 1: file contains no data")
 
     first_lineno, first = lines[0]
-    K = None
+    d, K = len(first), None
     if len(first) == 3 and all(_is_int(f) for f in first):
-        d, n, K = (int(f) for f in first)
-        if d < 1 or n < 1 or K < 1:
+        header_d, n, header_K = (int(f) for f in first)
+        if header_d < 1 or n < 1 or header_K < 1:
             raise ValueError(f"{path}: line {first_lineno}: header values must be positive")
-        lines = lines[1:]
-        if len(lines) != n:
-            raise ValueError(f"{path}: expected {n} data lines, found {len(lines)}")
-    else:
-        d = len(first)
+        if len(lines) > 1 and len(lines[1][1]) == header_d + 1:
+            d, K = header_d, header_K
+            lines = lines[1:]
+            if len(lines) != n:
+                raise ValueError(f"{path}: expected {n} data lines, found {len(lines)}")
     width = d if K is None else d + 1
     points = np.empty((len(lines), d))
     labels = np.empty(len(lines), dtype=int)

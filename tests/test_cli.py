@@ -291,6 +291,7 @@ class TestUsageErrors:
         ["sweep", "--points", "2", "--out", "{out}"],
         ["simulate", "--dim", "0", "--dilation", "10", "--out", "{out}"],
         ["sweep", "--jobs", "0", "--out", "{out}"],
+        ["sweep", "--seed", "-1", "--out", "{out}"],
         ["sweep", "--dims", "2", "--dilations", "inf", "--replicates", "1", "--restarts", "1", "--out", "{out}"],
         ["simulate", "--dim", "2", "--dilation", "inf", "--out", "{out}"],
         ["sweep", "--config", "{dims_config}", "--out", "{out}"],

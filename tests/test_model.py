@@ -26,7 +26,7 @@ from sparsemix.model import (
     self_regression_log_likelihood,
 )
 from sparsemix.simulate import ScenarioConfig, gen_replicate
-from sparsemix.sparse_em import e_step
+from sparsemix.sparse_em import e_step, run
 
 
 def random_sample_set(rng, n=6, d=3, scale=1.0):
@@ -180,6 +180,12 @@ class TestHyperparams:
             Hyperparams(tol=0.0)
         with pytest.raises(ValueError):
             Hyperparams(restarts=0)
+
+    def test_negative_seed_names_field_and_value(self):
+        # rejected before the fit reaches numpy's SeedSequence
+        Y = random_sample_set(np.random.default_rng(8))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run(Y, 2, Hyperparams(seed=-1))
 
     def test_floor_resolution(self):
         Y = random_sample_set(np.random.default_rng(7))

@@ -151,6 +151,14 @@ class TestSampleFiles:
         assert labels is None
         npt.assert_array_equal(points, [[1.0, 2.0], [3.0, 4.0], [-1.5, 0.25]])
 
+    def test_three_integer_columns_without_header(self, tmp_path):
+        # a second line without d + 1 fields rules out the "d n K" header
+        path = tmp_path / "plain.txt"
+        path.write_text("1 2 3\n4 5 6\n")
+        points, labels = read_sample(path)
+        assert labels is None
+        npt.assert_array_equal(points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
     def test_malformed_lines_name_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2 3\n1.0 2.0 0\n1.0 oops 1\n")
@@ -181,6 +189,7 @@ class TestSampleFiles:
         ("1 2 2\n0.0 1.5\n1.0 1\n", "line 2: unparseable value"),
         ("1 2 2\n0.0 2\n1.0 x\n", "line 2: label out of range [0, 2)"),
         ("2 2 3\n1.0 x 0\n", "expected 2 data lines, found 1"),
+        ("2 3 2\n0.5 1.5 0\n-1.0 2.0 1\n", "expected 3 data lines, found 2"),
         ("2 2 3\n\n1.0 2.0 0\n\n\n1.0 x 1\n", "line 6: unparseable value"),
         ("\n2 2 3\n1.0 2.0 0\n\n1.0 2.0 0 4\n", "line 5: expected 3 fields, found 4"),
         # headerless: rows of as many floats as the first row
