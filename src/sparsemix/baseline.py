@@ -1,38 +1,36 @@
 """Standard maximum-likelihood EM for spherical Gaussian mixtures.
 
 The comparison method for the benchmark harness: covariances are
-sigma_k^2 * I and means are free vectors.  The fit is the sparse
-driver's harness with a one-step cycle, the full M-step, so
-initialization, variance floor, re-seeding, restarts and stopping rule
-are the same code and benchmark gaps isolate the estimator difference.
-
-As in the sparse driver, one evaluation of the log-joint matrix per
-iteration gives both the log likelihood after the M-step and the
-responsibilities of the next E-step.
+sigma_k^2 * I and means are free vectors.  A free mean is the weighted
+data mean tau_k^T Y / s_k, which is the self-regression mean Y beta_k
+with beta_k = tau_k / s_k, so classic EM is the sparse model at
+lambda = 0.  The fit runs on :class:`~sparsemix.model.MixtureParams`
+through the sparse driver's loop (:func:`~sparsemix.sparse_em.em_loop`)
+with a one-step cycle, the full M-step, and lambda held at 0: the
+evaluation of the carried model blocks, initialization, variance floor,
+re-seeding, restarts and stopping rule are the same code, so benchmark
+gaps isolate the estimator difference.  Only the report types differ:
+:class:`BaselineReport` carries :class:`SphericalParams`, whose means
+are realized once per restart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (
     EmptyClusterError,
     Hyperparams,
+    MixtureParams,
     SampleSet,
     log_joint,
     spherical_log_density_matrix,
     squared_distances,
 )
-from .sparse_em import (
-    EMPTY_FRACTION,
-    _reseed_weights,
-    best_restart,
-    choose_init_indices,
-    default_sigma2,
-    em_loop,
-)
+from .sparse_em import EMPTY_FRACTION, _Blocks, best_restart, em_loop, indicator_init
+
 
 @dataclass(frozen=True)
 class SphericalParams:
@@ -76,6 +74,8 @@ class BaselineReport:
     diagnostic: str | None = None
 
 
+# Evaluations of a reported SphericalParams; the fit evaluates its
+# MixtureParams through the sparse loop's carried blocks instead.
 def _evaluate(params: SphericalParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Log-joint matrix at ``params`` and its row log-normalizers."""
     return log_joint(spherical_log_density_matrix(Y.data, params.means, params.variances), params.weights)
@@ -90,40 +90,34 @@ def spherical_e_step(params: SphericalParams, Y: SampleSet) -> np.ndarray:
     return np.exp(logp - lse[:, None])
 
 
-def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> SphericalParams:
-    """Closed-form full update; raises on empty components."""
+def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> MixtureParams:
+    """Closed-form full update; raises on empty components.
+
+    Weights s / n, betas (tau / s)^T, so that each mean is its weighted
+    data mean, and the floored variances about those means.
+    """
     n, d = Y.data.shape
     s = tau.sum(axis=0)
     if np.any(s <= EMPTY_FRACTION * n):
         k = int(np.argmin(s))
         raise EmptyClusterError(f"component {k} has responsibility mass {s[k]:.3e}", component=k)
-    means = (tau.T @ Y.data) / s[:, None]
-    sq = squared_distances(Y.data, means)
+    betas = (tau / s).T
+    sq = squared_distances(Y.data, betas @ Y.data)
     variances = np.maximum(floor, (tau * sq).sum(axis=0) / (d * s))
-    return SphericalParams(weights=s / n, means=means, variances=variances)
+    return MixtureParams._trusted(s / n, betas, variances)
 
 
-def _reseed(params: SphericalParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> SphericalParams:
-    """Move component k onto the least committed data point."""
-    j, weights = _reseed_weights(params, tau, k)
-    means = params.means.copy()
-    means[k] = Y.data[j]
-    variances = params.variances.copy()
-    variances[k] = sigma2_default
-    return SphericalParams(weights=weights, means=means, variances=variances)
-
-
-def _step(params: SphericalParams, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> SphericalParams:
+def _step(params: MixtureParams, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
     """The whole cycle of classic EM: one full M-step."""
     return _m_step(tau, Y, hp.resolve_floor(Y))
 
 
-def _fit_once(Y: SampleSet, params: SphericalParams, hp: Hyperparams, restart_index: int) -> BaselineReport:
+def _fit_once(Y: SampleSet, params: MixtureParams, hp: Hyperparams, restart_index: int) -> BaselineReport:
     params, trace, iterations, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, (None,), _step, _evaluate, _reseed
+        Y, params, hp, (None,), _Blocks(Y), _step
     )
     return BaselineReport(
-        params=params,
+        params=SphericalParams(weights=params.weights, means=params.means(Y), variances=params.variances),
         loglik_trace=trace,
         iterations=iterations,
         converged=converged,
@@ -134,20 +128,11 @@ def _fit_once(Y: SampleSet, params: SphericalParams, hp: Hyperparams, restart_in
     )
 
 
-def _mean_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator) -> SphericalParams:
-    """Means at the K data points that the sparse ``indicator_init`` indicates."""
-    return SphericalParams(
-        weights=np.full(K, 1.0 / K),
-        means=Y.data[choose_init_indices(rng, Y.n, K)],
-        variances=np.full(K, default_sigma2(Y, K, floor)),
-    )
-
-
 def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineReport:
-    """Classic EM with restarts, in the sparse driver's harness.
+    """Classic EM with restarts, in the sparse driver's harness, with ``hp.lam`` held at 0.
 
-    Restart r initializes the means at the same K random data indices
-    the sparse driver would pick for the same seed, so paired
-    comparisons start from equivalent configurations.
+    Restart r starts from the sparse driver's ``indicator_init`` for the
+    same seed, so the means start at the same K random data points and
+    paired comparisons start from equivalent configurations.
     """
-    return best_restart(Y, K, hp, seed, _mean_init, _fit_once, "loglik_trace")
+    return best_restart(Y, K, replace(hp, lam=0.0), seed, indicator_init, _fit_once, "loglik_trace")

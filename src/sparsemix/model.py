@@ -24,10 +24,10 @@ EM loop that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
 evaluates this pair once per partial step and reads both views from it.
 The log densities are composed of blocks (:func:`squared_distances`,
 :func:`log_normalizers`, :func:`log_densities`, and :func:`log_weights`
-for the joint) that depend on one parameter array each, so the sparse
-EM loop carries them across its partial steps and recomputes only the
+for the joint) that depend on one parameter array each, so the EM
+loop carries them across its partial steps and recomputes only the
 blocks a step changed.
-Inside the sparse steps parameters are rebuilt through
+Inside the loop's steps parameters are rebuilt through
 :meth:`MixtureParams._trusted`, unvalidated by construction; parameters
 built outside them (user input, initialization, re-seeding) are
 validated.
@@ -284,11 +284,13 @@ def as_int(name: str, value) -> int:
 class Hyperparams:
     """Fitting configuration shared by the sparse and baseline drivers.
 
-    ``lam`` is the l1 penalty weight; ``None`` selects the per-cluster
-    default heuristic (see :func:`sparsemix.sparse_em.penalty_weight`).
-    A restart stops after ``max_cycles`` cycles, or earlier once one
-    cycle moves its objective by at most ``tol``, relative.
-    ``variance_floor=None`` derives the floor from the data via
+    ``lam`` is the sparse driver's l1 penalty weight, finite and >= 0;
+    ``None`` selects the per-cluster default heuristic (see
+    :func:`sparsemix.sparse_em.penalty_weight`).  The baseline runs the
+    same loop with ``lam`` held at 0, whatever is given.  A restart
+    stops after ``max_cycles`` cycles, or earlier once one cycle moves
+    its objective by at most ``tol``, relative.  ``variance_floor`` is
+    finite and positive; ``None`` derives it from the data via
     :func:`default_variance_floor`.  The best of ``restarts`` random
     starts is kept; ``seed`` (>= 0) seeds their streams.
     """
@@ -303,14 +305,14 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("max_cycles", "restarts", "seed"):
             as_int(name, getattr(self, name))
-        if self.lam is not None and not (self.lam >= 0):
-            raise ValueError("lam must be >= 0")
+        if self.lam is not None and not (0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
-        if self.variance_floor is not None and not (self.variance_floor > 0):
-            raise ValueError("variance_floor must be positive")
+        if self.variance_floor is not None and not (0 < self.variance_floor < math.inf):
+            raise ValueError(f"variance_floor must be finite and positive, got {self.variance_floor!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
@@ -359,10 +361,12 @@ def spherical_log_density_matrix(X: np.ndarray, means: np.ndarray, variances: np
     """Per-point, per-component spherical Gaussian log densities.
 
     ``X`` is (n, d), ``means`` is (K, d), ``variances`` is (K,).  Returns
-    an (n, K) matrix.  Shared by the self-regression model (means
-    realized from betas) and the baseline estimator (explicit means).
-    It is the composition of the three blocks above, which the sparse
-    EM loop carries across partial steps and refreshes one by one.
+    an (n, K) matrix, the composition of the three blocks above.  The
+    EM loop carries those blocks across partial steps and refreshes
+    them one by one, for both estimators: the baseline fits on
+    :class:`MixtureParams` too, with means ``Y beta_k``.  This
+    composition serves :func:`log_density_matrix` and the evaluation
+    of the baseline's reported explicit means.
     """
     return log_densities(log_normalizers(X.shape[1], variances), squared_distances(X, means), variances)
 

@@ -139,11 +139,13 @@ def read_sample(path) -> tuple[np.ndarray, np.ndarray | None]:
     Also accepts a headerless numeric table (rows of d floats) and then
     returns labels as None.  A first line of three integers "d n K" is
     the header only when a second line follows with d + 1 fields, or
-    when one of the three is below 1 (then it is a bad header).  One
-    ambiguity remains: a headerless table of three integer columns whose
-    first value is 2 reads as headered, since its second line has the
-    d + 1 = 3 fields of a header with d = 2.  Malformed content raises
-    ValueError with the offending 1-based line number.
+    when one of the three is below 1 and no second line of three fields
+    follows (then it is a bad header; with one, it is the first row of
+    a headerless table).  One ambiguity remains: a headerless table of
+    three integer columns whose first value is 2 reads as headered,
+    since its second line has the d + 1 = 3 fields of a header with
+    d = 2.  Malformed content raises ValueError with the offending
+    1-based line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [(lineno, line.split()) for lineno, line in enumerate(fh, 1) if line.strip()]
@@ -154,9 +156,11 @@ def read_sample(path) -> tuple[np.ndarray, np.ndarray | None]:
     d, K = len(first), None
     if len(first) == 3 and all(_is_int(f) for f in first):
         header_d, n, header_K = (int(f) for f in first)
-        if header_d < 1 or n < 1 or header_K < 1:
-            raise ValueError(f"{path}: line {first_lineno}: header values must be positive")
-        if len(lines) > 1 and len(lines[1][1]) == header_d + 1:
+        bad = min(header_d, n, header_K) < 1
+        after = len(lines[1][1]) if len(lines) > 1 else None
+        if after == header_d + 1 or (bad and after != 3):
+            if bad:
+                raise ValueError(f"{path}: line {first_lineno}: header values must be positive")
             d, K = header_d, header_K
             lines = lines[1:]
             if len(lines) != n:

@@ -13,9 +13,14 @@ within a cycle, the default adaptive weights included, and the stopping
 rule compares two values of that one objective.
 Clusters that lose all responsibility mass are re-seeded at the least
 committed data point; a cluster that needs more than three re-seeds
-aborts the fit as non-converged.  This harness (:func:`em_loop`) and the
-choice among restarts (:func:`best_restart`) are shared with the
-classic-EM baseline, which runs it with a one-step cycle.
+aborts the fit as non-converged.  The harness (:func:`em_loop`) with
+its evaluation (:class:`_Blocks`), initialization
+(:func:`indicator_init`) and re-seed (:func:`_reseed`), and the choice
+among restarts (:func:`best_restart`), are shared with the classic-EM
+baseline.  That is the same model with beta_k = tau_k / s_k, so the
+mean Y beta_k is the weighted data mean; it runs as the one-step cycle
+of the full M-step with lambda held at 0, and only its report types
+differ.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
@@ -207,17 +212,13 @@ def restart_seed_seq(seed, restart_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(restart_index,))
 
 
-def choose_init_indices(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
-    """K distinct data indices; shared by the sparse and baseline drivers."""
-    return rng.choice(n, size=K, replace=False)
-
 def default_sigma2(Y: SampleSet, K: int, floor: float) -> float:
     return max(floor, Y.total_variance() / (Y.d * K))
 
 
 def indicator_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator) -> MixtureParams:
     """Sparse warm start: each beta_k indicates one random data point."""
-    idx = choose_init_indices(rng, Y.n, K)
+    idx = rng.choice(Y.n, size=K, replace=False)
     betas = np.zeros((K, Y.n))
     betas[np.arange(K), idx] = 1.0
     return MixtureParams(
@@ -231,22 +232,17 @@ def indicator_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator)
 # Driver
 # ---------------------------------------------------------------------------
 
-def _reseed_weights(params, tau: np.ndarray, k: int) -> tuple[int, np.ndarray]:
-    """The least committed data point, and the weights with component k bumped.
+def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> MixtureParams:
+    """Move component k onto the least committed data point.
 
-    The bump matters: a component whose weight underflowed to zero would
-    otherwise stay invisible to the next E-step no matter where its mean
-    moved.
+    The weight of component k is bumped to at least 1 / (2K): a
+    component whose weight underflowed to zero would otherwise stay
+    invisible to the next E-step no matter where its mean moved.
     """
+    j = int(np.argmin(tau.max(axis=1)))
     weights = params.weights.copy()
     weights[k] = max(weights[k], 1.0 / (2 * params.K))
     weights /= weights.sum()
-    return int(np.argmin(tau.max(axis=1))), weights
-
-
-def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2_default: float) -> MixtureParams:
-    """Move component k onto the least committed data point."""
-    j, weights = _reseed_weights(params, tau, k)
     betas = params.betas.copy()
     betas[k] = 0.0
     betas[k, j] = 1.0
@@ -255,25 +251,25 @@ def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2
     return MixtureParams(weights=weights, betas=betas, variances=variances)
 
 
-def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate, reseed,
-            weigh=None, penalty=None):
+def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, blocks: _Blocks, step):
     """One restart of EM cycling through the partial steps in ``order``.
 
-    Classic EM is the one-step cycle ``(None,)``.  Each step reads its
-    responsibilities from the last ``evaluate(params, Y) -> (logp, lse)``
-    and returns ``step(params, tau, tag, Y, hp)``.  On EmptyClusterError
-    the component is re-seeded by ``reseed(params, tau, k, Y, sigma2)``,
-    or the restart aborts after ``MAX_RESEEDS`` re-seeds.
+    Each step reads its responsibilities from the last
+    ``blocks.evaluate(params, Y) -> (logp, lse)`` and returns
+    ``step(params, tau, tag, Y, hp)``: the sparse cycle passes
+    ``blocks.step``, classic EM the one-step cycle ``(None,)`` of its
+    full M-step.  On EmptyClusterError the component is re-seeded by
+    :func:`_reseed`, or the restart aborts after ``MAX_RESEEDS``
+    re-seeds.
 
-    A penalized fit passes both ``weigh`` and ``penalty``: each cycle
-    opens with ``weigh(params, tau, Y, hp)``, which fixes the penalty
-    weights of the cycle from its starting ``tau``, and
-    ``penalty(params)`` is the penalty under those weights.  Each trace
-    entry is ``sum(lse)``, less the penalty if any.  Cycle 1 onward
-    converges when its last entry lies within ``hp.tol``, relative, of
-    its start value: ``sum(lse)`` less the penalty, both at the start of
-    the cycle.  Without a penalty that is the previous cycle's last
-    entry, and so it is, bit for bit, under weights that do not move.
+    Each cycle opens by fixing its penalty weights ``blocks.lams``
+    (:func:`effective_lams` at the cycle's starting ``tau``).  Each
+    trace entry is ``sum(lse)`` less the l1 penalty under those
+    weights; classic EM holds ``hp.lam`` at 0, so its entries are the
+    log likelihood.  Cycle 1 onward converges when its last entry lies
+    within ``hp.tol``, relative, of its start value: ``sum(lse)`` less
+    the penalty, both at the start of the cycle.  Under weights that do
+    not move that is, bit for bit, the previous cycle's last entry.
 
     Returns ``(params, trace, cycles_run, converged, tau, reseed_events,
     diagnostic)``; events are ``(cycle, step index, component)``.
@@ -285,15 +281,14 @@ def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate,
     diagnostic = None
     converged = False
     cycles_run = 0
-    logp, lse = evaluate(params, Y)
+    logp, lse = blocks.evaluate(params, Y)
 
     for cycle in range(hp.max_cycles):
-        start = trace[-1] if trace else None
         for step_idx, tag in enumerate(order):
             tau = _responsibilities(logp, lse)
-            if step_idx == 0 and weigh is not None:
-                weigh(params, tau, Y, hp)
-                start = float(lse.sum()) - float(penalty(params))
+            if step_idx == 0:
+                blocks.lams = effective_lams(params, tau, Y, hp)
+                start = float(lse.sum()) - float(blocks.penalty(params))
             try:
                 params = step(params, tau, tag, Y, hp)
             except EmptyClusterError as err:
@@ -303,12 +298,9 @@ def em_loop(Y: SampleSet, params, hp: Hyperparams, order: tuple, step, evaluate,
                 if reseed_counts[k] > MAX_RESEEDS:
                     diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
                 else:
-                    params = reseed(params, tau, k, Y, sigma2_init)
-            logp, lse = evaluate(params, Y)
-            value = float(lse.sum())
-            if penalty is not None:
-                value -= float(penalty(params))
-            trace.append(value)
+                    params = _reseed(params, tau, k, Y, sigma2_init)
+            logp, lse = blocks.evaluate(params, Y)
+            trace.append(float(lse.sum()) - float(blocks.penalty(params)))
             if diagnostic is not None:
                 break
         if diagnostic is not None:
@@ -361,9 +353,9 @@ class _Blocks:
 
     Parameters this object did not produce (the initial ones, a
     re-seed) hold fresh arrays, so every block is recomputed from them.
-    ``lams`` holds the penalty weights of the current cycle
-    (:meth:`weigh`).  One instance serves one restart and is dropped
-    with it.
+    ``lams`` holds the penalty weights of the current cycle, which
+    :func:`em_loop` fixes.  One instance serves one restart and is
+    dropped with it.
     """
 
     def __init__(self, Y: SampleSet):
@@ -411,10 +403,6 @@ class _Blocks:
         variances[k] = update_sigma(k, params, tau, Y, hp, means=self.means)
         return MixtureParams._trusted(params.weights, params.betas, variances)
 
-    def weigh(self, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> None:
-        """Fix the cycle's penalty weights at its starting ``tau``."""
-        self.lams = effective_lams(params, tau, Y, hp)
-
     def penalty(self, params: MixtureParams) -> float:
         """The l1 term of :func:`penalized_value` under the cycle's weights."""
         self.sync(params)
@@ -435,7 +423,7 @@ def _fit_once(
     """
     blocks = _Blocks(Y)
     params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, order, blocks.step, blocks.evaluate, _reseed, blocks.weigh, blocks.penalty
+        Y, params, hp, order, blocks, blocks.step
     )
     return FitReport(
         params=params,

@@ -30,7 +30,7 @@ class TestMStep:
         Y = random_sample_set(rng, n=7, d=3)
         tau = np.ones((7, 1))
         params = _m_step(tau, Y, floor=1e-12)
-        npt.assert_allclose(params.means[0], 0.0, atol=1e-12)  # centered data
+        npt.assert_allclose(params.means(Y)[0], 0.0, atol=1e-12)  # centered data
         assert params.variances[0] == pytest.approx(Y.total_variance() / Y.d, rel=1e-12)
         npt.assert_allclose(params.weights, [1.0])
 
@@ -41,8 +41,8 @@ class TestMStep:
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
         params = _m_step(tau, Y, floor=1e-12)
-        npt.assert_allclose(params.means[0], Y.data[:2].mean(axis=0), rtol=1e-12)
-        npt.assert_allclose(params.means[1], Y.data[2:].mean(axis=0), rtol=1e-12)
+        npt.assert_allclose(params.means(Y)[0], Y.data[:2].mean(axis=0), rtol=1e-12)
+        npt.assert_allclose(params.means(Y)[1], Y.data[2:].mean(axis=0), rtol=1e-12)
         npt.assert_allclose(params.weights, [2 / 6, 4 / 6], rtol=1e-12)
 
     def test_empty_component_raises(self):

@@ -300,6 +300,11 @@ class TestUsageErrors:
         ["sweep", "--config", "{weights_config}", "--out", "{out}"],
         ["sweep", "--config", "{max_cycles_config}", "--out", "{out}"],
         ["sweep", "--config", "{fractional_replicates_config}", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--lambda", "inf", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--variance-floor", "inf", "--out", "{out}"],
+        ["fit", "{sample}", "-K", "2", "--lambda", "inf", "--method", "baseline", "--out", "{out}"],
+        ["sweep", "--lambda", "inf", "--out", "{out}"],
+        ["sweep", "--variance-floor", "inf", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         configs = {

@@ -187,6 +187,12 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             run(Y, 2, Hyperparams(seed=-1))
 
+    @pytest.mark.parametrize("field", ["lam", "variance_floor"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_names_field_and_value(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite and .*, got {value!r}$"):
+            Hyperparams(**{field: value})
+
     def test_floor_resolution(self):
         Y = random_sample_set(np.random.default_rng(7))
         hp = Hyperparams()

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsemix import baseline, sparse_em
-from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet
+from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet, self_regression_log_likelihood
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 
 
@@ -103,7 +103,7 @@ def reference_baseline_fit_once(Y, params, hp, restart_index):
     iterations = 0
 
     for it in range(hp.max_cycles):
-        tau = baseline.spherical_e_step(params, Y)
+        tau = sparse_em.e_step(params, Y)
         try:
             params = baseline._m_step(tau, Y, floor)
         except EmptyClusterError as err:
@@ -112,18 +112,18 @@ def reference_baseline_fit_once(Y, params, hp, restart_index):
             reseed_events.append((it, k))
             if reseed_counts[k] > sparse_em.MAX_RESEEDS:
                 diagnostic = f"component {k} stayed empty after {sparse_em.MAX_RESEEDS} re-seeds"
-                trace.append(baseline.spherical_log_likelihood(params, Y))
+                trace.append(self_regression_log_likelihood(params, Y))
                 break
-            params = baseline._reseed(params, tau, k, Y, sigma2_init)
-        trace.append(baseline.spherical_log_likelihood(params, Y))
+            params = sparse_em._reseed(params, tau, k, Y, sigma2_init)
+        trace.append(self_regression_log_likelihood(params, Y))
         iterations = it + 1
         if it >= 1 and abs(trace[-1] - trace[-2]) <= hp.tol * (1.0 + abs(trace[-1])):
             converged = True
             break
 
-    tau = baseline.spherical_e_step(params, Y)
+    tau = sparse_em.e_step(params, Y)
     return baseline.BaselineReport(
-        params=params,
+        params=baseline.SphericalParams(weights=params.weights, means=params.means(Y), variances=params.variances),
         loglik_trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,

@@ -158,6 +158,11 @@ class TestSampleFiles:
         points, labels = read_sample(path)
         assert labels is None
         npt.assert_array_equal(points, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        # so does one whose first row has a value below 1
+        path.write_text("0 1 2\n3 4 5\n")
+        points, labels = read_sample(path)
+        assert labels is None
+        npt.assert_array_equal(points, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
 
     def test_malformed_lines_name_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -6,7 +6,7 @@ fits cross d in {1, 2, 5, 50}, four dilations and three replicates with
 four hyperparameter sets: the acceptance configuration (restarts 1,
 max_cycles 60, tol 1e-7, adaptive lambda), two restarts, the fixed
 lambda 0 with tol 1e-5 and the fixed lambda 0.5 with max_cycles 30.
-The baseline ignores lambda, so each set changes something it reads.
+The baseline holds lambda at 0, so each set changes something it reads.
 Each report is hashed field by field (arrays by dtype, shape and bytes,
 so signed zeros count); a fit that raises is hashed by its exception
 type and message.  The sparse report's ``lams`` is left out, so that
