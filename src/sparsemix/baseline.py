@@ -5,13 +5,14 @@ sigma_k^2 * I and means are free vectors.  A free mean is the weighted
 data mean tau_k^T Y / s_k, which is the self-regression mean Y beta_k
 with beta_k = tau_k / s_k, so classic EM is the sparse model at
 lambda = 0.  The fit runs on :class:`~sparsemix.model.MixtureParams`
-through the sparse driver's loop (:func:`~sparsemix.sparse_em.em_loop`)
-with a one-step cycle, the full M-step, and lambda held at 0: the
-evaluation of the carried model blocks, initialization, variance floor,
-re-seeding, restarts and stopping rule are the same code, so benchmark
-gaps isolate the estimator difference.  Only the report types differ:
-:class:`BaselineReport` carries :class:`SphericalParams`, whose means
-are realized once per restart.
+through the sparse estimator's restart driver
+(:func:`~sparsemix.sparse_em.best_restart`) with a one-step cycle, the
+full M-step, and lambda held at 0: the initialization, the evaluation
+of the carried model blocks, the variance floor, re-seeding, the
+stopping rule and the ranking of restarts are the same code, so
+benchmark gaps isolate the estimator difference.  Only the report types
+differ: :class:`BaselineReport` carries :class:`SphericalParams`, whose
+means are realized once per fit, for the winning restart.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     spherical_log_density_matrix,
     squared_distances,
 )
-from .sparse_em import EMPTY_FRACTION, _Blocks, best_restart, em_loop, indicator_init
+from .sparse_em import EMPTY_FRACTION, best_restart
 
 
 @dataclass(frozen=True)
@@ -107,25 +108,9 @@ def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> MixtureParams:
     return MixtureParams._trusted(s / n, betas, variances)
 
 
-def _step(params: MixtureParams, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
+def _step(_blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
     """The whole cycle of classic EM: one full M-step."""
     return _m_step(tau, Y, hp.resolve_floor(Y))
-
-
-def _fit_once(Y: SampleSet, params: MixtureParams, hp: Hyperparams, restart_index: int) -> BaselineReport:
-    params, trace, iterations, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, (None,), _Blocks(Y), _step
-    )
-    return BaselineReport(
-        params=SphericalParams(weights=params.weights, means=params.means(Y), variances=params.variances),
-        loglik_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        assignments=np.argmax(tau, axis=1),
-        restart_index=restart_index,
-        reseed_events=[(it, k) for it, _, k in reseed_events],
-        diagnostic=diagnostic,
-    )
 
 
 def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineReport:
@@ -133,6 +118,18 @@ def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineRe
 
     Restart r starts from the sparse driver's ``indicator_init`` for the
     same seed, so the means start at the same K random data points and
-    paired comparisons start from equivalent configurations.
+    paired comparisons start from equivalent configurations.  The report
+    and its :class:`SphericalParams` are built once, for the winning
+    restart.
     """
-    return best_restart(Y, K, replace(hp, lam=0.0), seed, indicator_init, _fit_once, "loglik_trace")
+    r, out = best_restart(Y, K, replace(hp, lam=0.0), seed, (None,), _step)
+    return BaselineReport(
+        params=SphericalParams(weights=out.params.weights, means=out.params.means(Y), variances=out.params.variances),
+        loglik_trace=out.trace,
+        iterations=out.cycles_run,
+        converged=out.converged,
+        assignments=np.argmax(out.tau, axis=1),
+        restart_index=r,
+        reseed_events=[(it, k) for it, _, k in out.reseed_events],
+        diagnostic=out.diagnostic,
+    )

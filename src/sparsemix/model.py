@@ -104,9 +104,13 @@ class SampleSet:
         offset.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "center_offset", offset)
-        sq_norms = np.sum(data**2, axis=1)
-        object.__setattr__(self, "max_row_norm", math.sqrt(float(np.max(sq_norms))))
-        object.__setattr__(self, "_total_variance", float(np.mean(sq_norms)))
+        with np.errstate(over="ignore"):  # an overflow is rejected below, by name
+            sq_norms = np.sum(data**2, axis=1)
+            max_sq, mean_sq = float(np.max(sq_norms)), float(np.mean(sq_norms))
+        if not (math.isfinite(max_sq) and math.isfinite(mean_sq)):
+            raise ValueError("squared norms of the centered data overflow; the coordinates are too large")
+        object.__setattr__(self, "max_row_norm", math.sqrt(max_sq))
+        object.__setattr__(self, "_total_variance", mean_sq)
 
     @classmethod
     def from_points(cls, points) -> "SampleSet":

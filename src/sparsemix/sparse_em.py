@@ -13,14 +13,15 @@ within a cycle, the default adaptive weights included, and the stopping
 rule compares two values of that one objective.
 Clusters that lose all responsibility mass are re-seeded at the least
 committed data point; a cluster that needs more than three re-seeds
-aborts the fit as non-converged.  The harness (:func:`em_loop`) with
-its evaluation (:class:`_Blocks`), initialization
-(:func:`indicator_init`) and re-seed (:func:`_reseed`), and the choice
-among restarts (:func:`best_restart`), are shared with the classic-EM
-baseline.  That is the same model with beta_k = tau_k / s_k, so the
-mean Y beta_k is the weighted data mean; it runs as the one-step cycle
-of the full M-step with lambda held at 0, and only its report types
-differ.
+aborts the fit as non-converged.  The restart driver
+(:func:`best_restart`) is shared with the classic-EM baseline: for each
+restart it draws the initialization (:func:`indicator_init`), runs the
+loop (:func:`em_loop`) with its evaluation (:class:`_Blocks`) and
+re-seed (:func:`_reseed`), and it keeps the restart whose trace ends
+highest.  Classic EM is the same model with beta_k = tau_k / s_k, so
+the mean Y beta_k is the weighted data mean; it runs as the one-step
+cycle of the full M-step with lambda held at 0.  Each estimator builds
+its own report type once, for the winning restart.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
@@ -37,7 +38,8 @@ re-seeded ones are validated, and every block is recomputed from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,16 +87,17 @@ class FitReport:
     diagnostic: str | None = None
 
 
-def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: float, target: np.ndarray) -> float:
-    """Effective l1 weight for one component's mean update.
+def penalty_weight(Y: SampleSet, sigma2: float, total_weight: float, target: np.ndarray) -> float:
+    """Adaptive l1 weight for one component's mean update.
 
-    A fixed ``hp.lam`` wins.  The default keys the weight to the noise
-    level of the subproblem gradient: the weighted cluster mean carries
-    noise of standard deviation sigma / sqrt(s) per coordinate, so the
-    gradient coordinate (s / sigma^2) D_j^t m fluctuates with scale
-    sqrt(s) ||D_j|| / sigma; the usual sqrt(2 log n) union bound over the
-    n coordinates then prunes pure-noise coefficients while leaving
-    genuinely aligned data points active, uniformly across dilations.
+    :func:`effective_lams` uses it when ``hp.lam`` is None.  It keys the
+    weight to the noise level of the subproblem gradient: the weighted
+    cluster mean carries noise of standard deviation sigma / sqrt(s) per
+    coordinate, so the gradient coordinate (s / sigma^2) D_j^t m
+    fluctuates with scale sqrt(s) ||D_j|| / sigma; the usual
+    sqrt(2 log n) union bound over the n coordinates then prunes
+    pure-noise coefficients while leaving genuinely aligned data points
+    active, uniformly across dilations.
 
     The weight is clamped relative to the critical value
     (s / sigma^2) ||D^t m||_inf beyond which the whole block zeroes out.
@@ -107,8 +110,6 @@ def penalty_weight(hp: Hyperparams, Y: SampleSet, sigma2: float, total_weight: f
     line the origin lies between the groups and keeps claiming points,
     so the drift is a trap and the clamp must be much tighter.
     """
-    if hp.lam is not None:
-        return hp.lam
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
     noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
     critical = (total_weight / sigma2) * float(np.abs(Y.data @ target).max())
@@ -123,7 +124,7 @@ def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyp
     for k, sigma2 in enumerate(params.variances.tolist()):
         s = float(tau[:, k].sum())
         if s > EMPTY_FRACTION * Y.n:
-            out[k] = penalty_weight(hp, Y, sigma2, s, (tau[:, k] @ Y.data) / s)
+            out[k] = penalty_weight(Y, sigma2, s, (tau[:, k] @ Y.data) / s)
     return out
 
 
@@ -162,18 +163,15 @@ def _mass(k: int, tau: np.ndarray, Y: SampleSet) -> float:
 
 
 def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                lam: float | None = None) -> np.ndarray:
-    """Weighted-lasso update of one coefficient block, warm-started.
+                lam: float) -> np.ndarray:
+    """Weighted-lasso update of one coefficient block under the l1 weight ``lam``, warm-started.
 
-    ``lam`` is the block's l1 weight; the sparse loop passes the one it
-    fixed for the cycle.  Without it the weight is
-    :func:`penalty_weight` at ``tau`` and the current variance.
+    The sparse loop passes the weight it fixed for the cycle
+    (:func:`effective_lams`).
     """
     s = _mass(k, tau, Y)
     mean = (tau[:, k] @ Y.data) / s
     sigma2 = float(params.variances[k])
-    if lam is None:
-        lam = penalty_weight(hp, Y, sigma2, s, mean)
     problem = WeightedLassoProblem._trusted(Y.design, mean, s, sigma2, lam, Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
@@ -181,15 +179,12 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
     return solve_weighted_lasso(problem, beta_init=params.betas[k], tol=tol).beta
 
 
-def update_sigma(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
-                 means: np.ndarray | None = None) -> float:
-    """Floored responsibility-weighted mean squared deviation per coordinate.
+def update_sigma(k: int, tau: np.ndarray, Y: SampleSet, hp: Hyperparams, means: np.ndarray) -> float:
+    """Floored responsibility-weighted mean squared deviation per coordinate about ``means[k]``.
 
-    ``means``, if given, is ``params.means(Y)``.
+    ``means`` is ``params.means(Y)``, the means the step holds.
     """
     s = _mass(k, tau, Y)
-    if means is None:
-        means = params.means(Y)
     resid = Y.data - means[k][None, :]
     sq = float(tau[:, k] @ (resid**2).sum(axis=1))
     return max(hp.resolve_floor(Y), sq / (Y.d * s))
@@ -251,14 +246,28 @@ def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2
     return MixtureParams(weights=weights, betas=betas, variances=variances)
 
 
-def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, blocks: _Blocks, step):
-    """One restart of EM cycling through the partial steps in ``order``.
+class LoopOutcome(NamedTuple):
+    """One restart's end state, as :func:`em_loop` returns it."""
 
+    params: MixtureParams
+    trace: np.ndarray
+    cycles_run: int
+    converged: bool
+    tau: np.ndarray         # the responsibilities at params
+    reseed_events: list     # (cycle, step index, component)
+    diagnostic: str | None
+    lams: np.ndarray        # the l1 weights of the last cycle, behind trace[-1]
+
+
+def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, step) -> LoopOutcome:
+    """One restart of EM from ``params``, cycling through the partial steps in ``order``.
+
+    The restart carries its model blocks in a fresh :class:`_Blocks`.
     Each step reads its responsibilities from the last
     ``blocks.evaluate(params, Y) -> (logp, lse)`` and returns
-    ``step(params, tau, tag, Y, hp)``: the sparse cycle passes
-    ``blocks.step``, classic EM the one-step cycle ``(None,)`` of its
-    full M-step.  On EmptyClusterError the component is re-seeded by
+    ``step(blocks, params, tau, tag, Y, hp)``: the sparse cycle passes
+    :meth:`_Blocks.step`, classic EM the one-step cycle ``(None,)`` of
+    its full M-step.  On EmptyClusterError the component is re-seeded by
     :func:`_reseed`, or the restart aborts after ``MAX_RESEEDS``
     re-seeds.
 
@@ -270,10 +279,8 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     within ``hp.tol``, relative, of its start value: ``sum(lse)`` less
     the penalty, both at the start of the cycle.  Under weights that do
     not move that is, bit for bit, the previous cycle's last entry.
-
-    Returns ``(params, trace, cycles_run, converged, tau, reseed_events,
-    diagnostic)``; events are ``(cycle, step index, component)``.
     """
+    blocks = _Blocks(Y)
     sigma2_init = default_sigma2(Y, params.K, hp.resolve_floor(Y))
     trace: list[float] = []
     reseed_events: list = []
@@ -290,7 +297,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
                 blocks.lams = effective_lams(params, tau, Y, hp)
                 start = float(lse.sum()) - float(blocks.penalty(params))
             try:
-                params = step(params, tau, tag, Y, hp)
+                params = step(blocks, params, tau, tag, Y, hp)
             except EmptyClusterError as err:
                 k = err.component
                 reseed_counts[k] += 1
@@ -310,16 +317,18 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
             converged = True
             break
 
-    return params, np.asarray(trace), cycles_run, converged, _responsibilities(logp, lse), reseed_events, diagnostic
+    return LoopOutcome(params, np.asarray(trace), cycles_run, converged, _responsibilities(logp, lse),
+                       reseed_events, diagnostic, blocks.lams)
 
 
-def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, start, fit, trace: str, *args):
-    """The best of ``hp.restarts`` fits by the last entry of their ``trace`` field.
+def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step) -> tuple[int, LoopOutcome]:
+    """``(r, outcome)`` of the best of ``hp.restarts`` runs of :func:`em_loop`.
 
-    Restart r starts from ``start(Y, K, floor, rng)``, with ``rng`` on
-    the child stream r of ``seed`` (``hp.seed`` when None), and runs
-    ``fit(Y, params, hp, *args, restart_index=r)``.  A later restart
-    replaces the best only when it is strictly better.
+    Restart r starts from :func:`indicator_init`, drawn on the child
+    stream r of ``seed`` (``hp.seed`` when None), and runs
+    ``em_loop(Y, params, hp, order, step)``.  Restarts are ranked by
+    the last entry of their own trace: a later restart replaces the best
+    only when it is strictly larger, so a tie keeps the earlier one.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -330,10 +339,10 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, start, fit, trace:
     floor = hp.resolve_floor(Y)
     best = None
     for r in range(hp.restarts):
-        params = start(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
-        report = fit(Y, params, hp, *args, restart_index=r)
-        if best is None or getattr(report, trace)[-1] > getattr(best, trace)[-1]:
-            best = report
+        params = indicator_init(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
+        outcome = em_loop(Y, params, hp, order, step)
+        if best is None or outcome.trace[-1] > best[1].trace[-1]:
+            best = r, outcome
     return best
 
 
@@ -396,11 +405,11 @@ class _Blocks:
             return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
         if kind == "beta":
             betas = params.betas.copy()
-            betas[k] = update_beta(k, params, tau, Y, hp, lam=float(self.lams[k]))
+            betas[k] = update_beta(k, params, tau, Y, hp, float(self.lams[k]))
             return MixtureParams._trusted(params.weights, betas, params.variances)
         self.sync(params)  # a no-op in em_loop, which evaluated params last
         variances = params.variances.copy()
-        variances[k] = update_sigma(k, params, tau, Y, hp, means=self.means)
+        variances[k] = update_sigma(k, tau, Y, hp, self.means)
         return MixtureParams._trusted(params.weights, params.betas, variances)
 
     def penalty(self, params: MixtureParams) -> float:
@@ -409,58 +418,31 @@ class _Blocks:
         return self.lams @ self.l1
 
 
-def _fit_once(
-    Y: SampleSet,
-    params: MixtureParams,
-    hp: Hyperparams,
-    order: tuple,
-    restart_index: int,
-) -> FitReport:
-    """One restart from ``params``, cycling through the partial steps in ``order``.
-
-    :func:`run` passes the fixed order ``("weights", -1)``, ``("beta", k)``
-    for each k, then ``("sigma", k)`` for each k.
-    """
-    blocks = _Blocks(Y)
-    params, trace, cycles_run, converged, tau, reseed_events, diagnostic = em_loop(
-        Y, params, hp, order, blocks, blocks.step
-    )
-    return FitReport(
-        params=params,
-        objective_trace=trace,
-        beta_kkt_residuals=_kkt_certificate(params, tau, blocks.lams, Y)[0],
-        cycles_run=cycles_run,
-        converged=converged,
-        assignments=np.argmax(tau, axis=1),
-        restart_index=restart_index,
-        reseed_events=reseed_events,
-        lams=blocks.lams,
-        diagnostic=diagnostic,
-    )
-
-
-def run(
-    Y: SampleSet,
-    K: int,
-    hp: Hyperparams,
-    init: MixtureParams | None = None,
-    seed=None,
-) -> FitReport:
+def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
     """Fit a K-component model; returns the best restart by final objective.
 
-    With ``init`` given, a single fit runs from that parameter vector and
-    the restart budget is ignored.  ``seed`` overrides ``hp.seed`` and
-    may be an int or a ``numpy.random.SeedSequence``; restart r draws its
-    initialization from an independent child stream, so fits are
-    reproducible bit for bit.
+    ``seed`` overrides ``hp.seed`` and may be an int or a
+    ``numpy.random.SeedSequence``; restart r draws its initialization
+    from an independent child stream, so fits are reproducible bit for
+    bit.  Each cycle runs the fixed order ``("weights", -1)``,
+    ``("beta", k)`` for each k, then ``("sigma", k)`` for each k.  The
+    report, its KKT certificate included, is built once, for the
+    winning restart.
     """
     order = (("weights", -1),) + tuple(("beta", k) for k in range(K)) + tuple(("sigma", k) for k in range(K))
-    start = indicator_init
-    if init is not None:
-        if init.K != K or init.betas.shape[1] != Y.n:
-            raise ValueError("init has inconsistent shape")
-        hp, start = replace(hp, restarts=1), lambda *_: init
-    return best_restart(Y, K, hp, seed, start, _fit_once, "objective_trace", order)
+    r, out = best_restart(Y, K, hp, seed, order, _Blocks.step)
+    return FitReport(
+        params=out.params,
+        objective_trace=out.trace,
+        beta_kkt_residuals=_kkt_certificate(out.params, out.tau, out.lams, Y)[0],
+        cycles_run=out.cycles_run,
+        converged=out.converged,
+        assignments=np.argmax(out.tau, axis=1),
+        restart_index=r,
+        reseed_events=out.reseed_events,
+        lams=out.lams,
+        diagnostic=out.diagnostic,
+    )
 
 
 # ---------------------------------------------------------------------------

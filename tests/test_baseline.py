@@ -5,9 +5,9 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
-from test_reference_loops import assert_reports_identical, reference_baseline_fit_once
+from test_reference_loops import assert_reports_identical, reference_baseline_loop
 
-from sparsemix import baseline
+from sparsemix import baseline, sparse_em
 from sparsemix.baseline import (
     SphericalParams,
     _m_step,
@@ -65,7 +65,7 @@ class TestBaselineFit:
         hp = Hyperparams(restarts=2, max_cycles=60, tol=1e-7)
         with mock.patch.object(baseline, "_m_step", always_empty):
             rep = baseline_fit(Y, 3, hp)
-            with mock.patch.object(baseline, "_fit_once", reference_baseline_fit_once):
+            with mock.patch.object(sparse_em, "em_loop", reference_baseline_loop):
                 ref = baseline_fit(Y, 3, hp)
         assert_reports_identical(rep, ref)
         assert rep.diagnostic == f"component 0 stayed empty after {MAX_RESEEDS} re-seeds"

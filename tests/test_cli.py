@@ -305,6 +305,8 @@ class TestUsageErrors:
         ["fit", "{sample}", "-K", "2", "--lambda", "inf", "--method", "baseline", "--out", "{out}"],
         ["sweep", "--lambda", "inf", "--out", "{out}"],
         ["sweep", "--variance-floor", "inf", "--out", "{out}"],
+        ["fit", "{huge_sample}", "-K", "2", "--out", "{out}"],
+        ["fit", "{huge_sample}", "-K", "2", "--method", "baseline", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         configs = {
@@ -319,6 +321,9 @@ class TestUsageErrors:
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, cfg in configs.items():
             paths[name].write_text(json.dumps(cfg))
+        # squared norms past the float range
+        paths["huge_sample"] = tmp_path / "huge.txt"
+        np.savetxt(paths["huge_sample"], 1e160 * np.random.default_rng(93).normal(size=(10, 3)))
         out = tmp_path / "out"
         assert main([a.format(sample=two_cluster_file, out=out, **paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")

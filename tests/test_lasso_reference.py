@@ -282,6 +282,6 @@ class TestPartialStepsMatchReference:
                 expected = reference_update_beta(k, params, tau, Y, hp)
             except EmptyClusterError:
                 with pytest.raises(EmptyClusterError):
-                    sparse_em.update_beta(k, params, tau, Y, hp)
+                    sparse_em.update_beta(k, params, tau, Y, hp, float(lams[k]))
                 continue
-            assert sparse_em.update_beta(k, params, tau, Y, hp).tobytes() == expected.tobytes()
+            assert sparse_em.update_beta(k, params, tau, Y, hp, float(lams[k])).tobytes() == expected.tobytes()

@@ -80,6 +80,16 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="not centered"):
             SampleSet(data=Y.data + 1e-6 * scale, center_offset=Y.center_offset)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_rejects_overflowing_squared_norms(self, scale):
+        rng = np.random.default_rng(4)
+        raw = scale * (1.0 + 0.1 * rng.normal(size=(10, 3)))
+        with pytest.raises(ValueError, match="squared norms .* overflow"):
+            SampleSet.from_points(raw)
+        # each squared norm is finite, their mean is not
+        with pytest.raises(ValueError, match="squared norms .* overflow"):
+            SampleSet(data=np.array([[1.2e154], [-1.2e154]]), center_offset=np.zeros(1))
+
     def test_max_row_norm(self):
         Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
         assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)

@@ -4,8 +4,8 @@ Each driver evaluates the model once per partial step and builds its
 parameters unvalidated inside the loop.  The reference loops below do
 the same work the direct way: a fresh E-step before every step, the
 objective from its own evaluation afterwards, and validated parameters
-throughout.  Swapped in for the fast loop under the same restart
-harness, they must produce byte-identical reports.
+throughout.  Swapped in for the fast loop (``sparse_em.em_loop``) under
+the same restart driver, they must produce byte-identical reports.
 """
 
 from dataclasses import replace
@@ -20,7 +20,7 @@ from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet, self_regr
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 
 
-def reference_fit_once(Y, params, hp, order, restart_index):
+def reference_loop(Y, params, hp, order, _step):
     """The sparse loop with one E-step and one objective evaluation per step.
 
     The penalty weights come from ``effective_lams`` once per cycle, at
@@ -53,7 +53,7 @@ def reference_fit_once(Y, params, hp, order, restart_index):
                     params = replace(params, betas=betas)
                 else:
                     variances = params.variances.copy()
-                    variances[k] = sparse_em.update_sigma(k, params, tau, Y, hp)
+                    variances[k] = sparse_em.update_sigma(k, tau, Y, hp, params.means(Y))
                     params = replace(params, variances=variances)
             except EmptyClusterError:
                 reseed_counts[k] += 1
@@ -76,22 +76,11 @@ def reference_fit_once(Y, params, hp, order, restart_index):
                 break
         cycles_run = cycle + 1
 
-    tau = sparse_em.e_step(params, Y)
-    return sparse_em.FitReport(
-        params=params,
-        objective_trace=np.asarray(trace),
-        beta_kkt_residuals=sparse_em._kkt_certificate(params, tau, lams, Y)[0],
-        cycles_run=cycles_run,
-        converged=converged and not aborted,
-        assignments=np.argmax(tau, axis=1),
-        restart_index=restart_index,
-        reseed_events=reseed_events,
-        lams=lams,
-        diagnostic=diagnostic,
-    )
+    return sparse_em.LoopOutcome(params, np.asarray(trace), cycles_run, converged and not aborted,
+                                 sparse_em.e_step(params, Y), reseed_events, diagnostic, lams)
 
 
-def reference_baseline_fit_once(Y, params, hp, restart_index):
+def reference_baseline_loop(Y, params, hp, _order, _step):
     """The baseline loop with separate E-step and log-likelihood evaluations."""
     floor = hp.resolve_floor(Y)
     sigma2_init = sparse_em.default_sigma2(Y, params.K, floor)
@@ -109,7 +98,7 @@ def reference_baseline_fit_once(Y, params, hp, restart_index):
         except EmptyClusterError as err:
             k = err.component
             reseed_counts[k] += 1
-            reseed_events.append((it, k))
+            reseed_events.append((it, 0, k))
             if reseed_counts[k] > sparse_em.MAX_RESEEDS:
                 diagnostic = f"component {k} stayed empty after {sparse_em.MAX_RESEEDS} re-seeds"
                 trace.append(self_regression_log_likelihood(params, Y))
@@ -121,17 +110,8 @@ def reference_baseline_fit_once(Y, params, hp, restart_index):
             converged = True
             break
 
-    tau = sparse_em.e_step(params, Y)
-    return baseline.BaselineReport(
-        params=baseline.SphericalParams(weights=params.weights, means=params.means(Y), variances=params.variances),
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-        assignments=np.argmax(tau, axis=1),
-        restart_index=restart_index,
-        reseed_events=reseed_events,
-        diagnostic=diagnostic,
-    )
+    return sparse_em.LoopOutcome(params, np.asarray(trace), iterations, converged, sparse_em.e_step(params, Y),
+                                 reseed_events, diagnostic, np.zeros(params.K))
 
 
 def assert_reports_identical(fast, ref):
@@ -187,7 +167,7 @@ class TestSparseLoop:
     @example(case=ABORT)
     def test_run_matches_reference_loop(self, case):
         Y, hp, seed = fit_inputs(case)
-        with mock.patch.object(sparse_em, "_fit_once", reference_fit_once):
+        with mock.patch.object(sparse_em, "em_loop", reference_loop):
             ref = sparse_em.run(Y, 3, hp, seed=seed)
         assert_reports_identical(sparse_em.run(Y, 3, hp, seed=seed), ref)
 
@@ -206,7 +186,7 @@ class TestBaselineLoop:
     @example(case=BASELINE_RESEED)
     def test_baseline_fit_matches_reference_loop(self, case):
         Y, hp, seed = fit_inputs(case)
-        with mock.patch.object(baseline, "_fit_once", reference_baseline_fit_once):
+        with mock.patch.object(sparse_em, "em_loop", reference_baseline_loop):
             ref = baseline.baseline_fit(Y, 3, hp, seed=seed)
         assert_reports_identical(baseline.baseline_fit(Y, 3, hp, seed=seed), ref)
 

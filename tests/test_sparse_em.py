@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_reference_loops import fit_inputs
 
-from sparsemix import sparse_em
+from sparsemix import baseline, sparse_em
 from sparsemix.evaluate import best_permutation_correct
 from sparsemix.model import (
     EmptyClusterError,
@@ -138,7 +138,7 @@ class TestUpdateBeta:
         params = random_params(rng, K=2, n=3)
         tau = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         hp = Hyperparams(lam=0.0)
-        beta0 = update_beta(0, params, tau, Y, hp)
+        beta0 = update_beta(0, params, tau, Y, hp, hp.lam)
         npt.assert_allclose(beta0 @ Y.data, Y.data[0], atol=1e-6)
 
     def test_supercritical_lambda_gives_origin(self):
@@ -150,7 +150,7 @@ class TestUpdateBeta:
         m = (tau[:, 0] @ Y.data) / s
         crit = (s / params.variances[0]) * np.max(np.abs(Y.data @ m))
         hp = Hyperparams(lam=float(2.0 * crit))
-        beta0 = update_beta(0, params, tau, Y, hp)
+        beta0 = update_beta(0, params, tau, Y, hp, hp.lam)
         npt.assert_array_equal(beta0, np.zeros(6))
 
     def test_penalized_surrogate_never_decreases(self):
@@ -160,7 +160,7 @@ class TestUpdateBeta:
             params = random_params(rng, K=2, n=7)
             tau = e_step(params, Y)
             hp = Hyperparams(lam=lam)
-            new = replace(params, betas=np.vstack([update_beta(0, params, tau, Y, hp), params.betas[1]]))
+            new = replace(params, betas=np.vstack([update_beta(0, params, tau, Y, hp, lam), params.betas[1]]))
             before = q_function(params, tau, Y) - lam * params.l1_norms().sum()
             after = q_function(new, tau, Y) - lam * new.l1_norms().sum()
             assert after >= before - 1e-9 * (1 + abs(before))
@@ -172,7 +172,7 @@ class TestUpdateBeta:
         tau = np.zeros((5, 2))
         tau[:, 1] = 1.0
         with pytest.raises(EmptyClusterError):
-            update_beta(0, params, tau, Y, Hyperparams(lam=0.1))
+            update_beta(0, params, tau, Y, Hyperparams(), 0.1)
 
 
 class TestUpdateSigma:
@@ -181,14 +181,14 @@ class TestUpdateSigma:
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 2)), variances=np.array([5.0]))
         tau = np.ones((2, 1))
         hp = Hyperparams(variance_floor=1e-8)
-        assert update_sigma(0, params, tau, Y, hp) == pytest.approx(1.0, rel=1e-12)
+        assert update_sigma(0, tau, Y, hp, params.means(Y)) == pytest.approx(1.0, rel=1e-12)
 
     def test_floor_engagement_on_zero_residuals(self):
         Y = SampleSet(data=np.zeros((3, 1)), center_offset=np.zeros(1))
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 3)), variances=np.array([1.0]))
         tau = np.ones((3, 1))
         hp = Hyperparams(variance_floor=0.5)
-        assert update_sigma(0, params, tau, Y, hp) == 0.5
+        assert update_sigma(0, tau, Y, hp, params.means(Y)) == 0.5
 
     def test_surrogate_never_decreases(self):
         rng = np.random.default_rng(57)
@@ -196,7 +196,7 @@ class TestUpdateSigma:
         params = random_params(rng, K=2, n=7)
         tau = e_step(params, Y)
         hp = Hyperparams(variance_floor=1e-10)
-        new_sigma = update_sigma(1, params, tau, Y, hp)
+        new_sigma = update_sigma(1, tau, Y, hp, params.means(Y))
         variances = params.variances.copy()
         variances[1] = new_sigma
         new = replace(params, variances=variances)
@@ -293,17 +293,18 @@ class TestRun:
         init = indicator_init(Y, 3, hp.resolve_floor(Y), rng)
         perm = np.array([2, 0, 1])
         inv = np.argsort(perm)
+        natural = (("weights", -1),) + tuple(("beta", k) for k in range(3)) + tuple(("sigma", k) for k in range(3))
         order = (
             (("weights", -1),)
             + tuple(("beta", int(inv[c])) for c in range(3))
             + tuple(("sigma", int(inv[c])) for c in range(3))
         )
-        rep1 = run(Y, 3, hp, init=init)
-        rep2 = sparse_em._fit_once(Y, init.permuted(perm), hp, order, restart_index=0)
-        npt.assert_array_equal(rep2.assignments, inv[rep1.assignments])
-        npt.assert_allclose(rep2.params.weights, rep1.params.weights[perm], rtol=1e-8)
-        npt.assert_allclose(rep2.params.betas, rep1.params.betas[perm], atol=1e-8)
-        npt.assert_allclose(rep2.params.variances, rep1.params.variances[perm], rtol=1e-8)
+        out1 = sparse_em.em_loop(Y, init, hp, natural, sparse_em._Blocks.step)
+        out2 = sparse_em.em_loop(Y, init.permuted(perm), hp, order, sparse_em._Blocks.step)
+        npt.assert_array_equal(np.argmax(out2.tau, axis=1), inv[np.argmax(out1.tau, axis=1)])
+        npt.assert_allclose(out2.params.weights, out1.params.weights[perm], rtol=1e-8)
+        npt.assert_allclose(out2.params.betas, out1.params.betas[perm], atol=1e-8)
+        npt.assert_allclose(out2.params.variances, out1.params.variances[perm], rtol=1e-8)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(62)
@@ -322,7 +323,8 @@ class TestRun:
         init = MixtureParams(
             weights=np.array([0.5, 0.5]), betas=betas, variances=np.array([1.0, 1.0])
         )
-        rep = run(Y, 2, Hyperparams(lam=0.5), init=init)
+        with mock.patch.object(sparse_em, "indicator_init", lambda *_: init):
+            rep = run(Y, 2, Hyperparams(lam=0.5, restarts=1))
         assert rep.reseed_events
         assert rep.diagnostic is None
         assert np.all(np.isfinite(rep.params.betas))
@@ -333,6 +335,27 @@ class TestRun:
         rep = run(Y, 2, hp)
         assert rep.converged
         assert np.all(rep.beta_kkt_residuals < 1e-6)
+
+
+class TestBestRestart:
+    def test_strictly_larger_last_entry_wins_and_ties_keep_the_earlier(self):
+        # the three restarts' traces end at 1, 2 and 2: restart 1 beats
+        # restart 0, and restart 2 only ties it
+        Y = random_sample_set(np.random.default_rng(64), n=8, d=2)
+        hp = Hyperparams(restarts=3, max_cycles=5)
+        loop = sparse_em.em_loop
+        outcomes = []
+
+        def ranked_loop(*args):
+            outcomes.append(loop(*args)._replace(trace=np.array([(1.0, 2.0, 2.0)[len(outcomes) % 3]])))
+            return outcomes[-1]
+
+        with mock.patch.object(sparse_em, "em_loop", ranked_loop):
+            r, outcome = sparse_em.best_restart(Y, 2, hp, None, (None,), baseline._step)
+            assert r == 1 and outcome is outcomes[1]
+            assert run(Y, 2, hp).restart_index == 1
+            assert baseline.baseline_fit(Y, 2, hp).restart_index == 1
+        assert len(outcomes) == 9
 
 
 class TestStationarity:
@@ -463,8 +486,9 @@ class TestPenaltyWeight:
     def test_fixed_lambda_wins(self):
         rng = np.random.default_rng(67)
         Y = random_sample_set(rng)
-        m = Y.data[:3].mean(axis=0)
-        assert penalty_weight(Hyperparams(lam=2.5), Y, 4.0, 3.0, m) == 2.5
+        params = random_params(rng, K=3, n=Y.n)
+        lams = sparse_em.effective_lams(params, e_step(params, Y), Y, Hyperparams(lam=2.5))
+        assert lams.tolist() == [2.5, 2.5, 2.5]
 
     def test_heuristic_positive_and_dilation_invariant(self):
         # beta is dimensionless (means and data dilate together), so the
@@ -475,9 +499,8 @@ class TestPenaltyWeight:
         Y1 = SampleSet.from_points(pts)
         Y2 = SampleSet.from_points(10.0 * pts)
         m1 = Y1.data[:3].mean(axis=0)
-        hp = Hyperparams()
-        w1 = penalty_weight(hp, Y1, 2.0, 3.0, m1)
-        w2 = penalty_weight(hp, Y2, 200.0, 3.0, 10.0 * m1)
+        w1 = penalty_weight(Y1, 2.0, 3.0, m1)
+        w2 = penalty_weight(Y2, 200.0, 3.0, 10.0 * m1)
         assert w1 > 0
         assert w2 == pytest.approx(w1, rel=1e-9)
 
@@ -487,6 +510,6 @@ class TestPenaltyWeight:
         Y = random_sample_set(rng, n=6, d=2)
         m = Y.data[:2].mean(axis=0)
         s, sigma2 = 3.0, 1e6  # absurdly inflated variance estimate
-        lam = penalty_weight(Hyperparams(), Y, sigma2, s, m)
+        lam = penalty_weight(Y, sigma2, s, m)
         critical = (s / sigma2) * np.max(np.abs(Y.data @ m))
         assert 0 < lam < critical
