@@ -30,7 +30,7 @@ from .model import (
     spherical_log_density_matrix,
     squared_distances,
 )
-from .sparse_em import EMPTY_FRACTION, best_restart
+from .sparse_em import EMPTY_FRACTION, best_restart, on_simplex
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> MixtureParams:
     betas = (tau / s).T
     sq = squared_distances(Y.data, betas @ Y.data)
     variances = np.maximum(floor, (tau * sq).sum(axis=0) / (d * s))
-    return MixtureParams._trusted(s / n, betas, variances)
+    return MixtureParams._trusted(on_simplex(s / n), betas, variances)
 
 
 def _step(_blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:

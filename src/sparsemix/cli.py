@@ -121,11 +121,11 @@ def cube_label(dilation: float) -> str:
 def cmd_fit(args) -> int:
     try:
         points, _labels = read_sample(args.input)
-    except (OSError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        Y = SampleSet.from_points(points)
+        Y = SampleSet(points)
     except ValueError as err:
         print(f"error: {args.input}: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -224,7 +224,7 @@ def resolve_out(out_flag) -> str:
 def cmd_sweep(args) -> int:
     try:
         spec = build_sweep_spec(args)
-    except (OSError, ValueError, TypeError) as err:
+    except (ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -436,7 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:  # a file that cannot be read, created or written
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -114,7 +114,7 @@ def fit_replicate(scenario: ScenarioConfig, method: str, hp: Hyperparams, replic
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     sample = gen_replicate(scenario, replicate)
-    Y = SampleSet.from_points(sample.points)
+    Y = SampleSet(sample.points)
     seed = fit_seed_seq(scenario, replicate)
     start = time.perf_counter()
     if method == "sparse":

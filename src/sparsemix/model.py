@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-CENTERING_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -69,64 +68,46 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Centered data matrix with the centering offset retained.
+    """Centered observations with the centering offset retained.
 
-    ``data`` has one observation per row, shape (n, d); the column means
-    are zero to within 1e-10 times the data scale, max(1, max|data|,
-    max|center_offset|).  ``center_offset`` is the mean that was
-    subtracted, so fitted quantities can be mapped back to the original
+    ``SampleSet(points)`` centers the raw observations (one per row,
+    shape (n, d)) in two passes: the column mean is subtracted, then the
+    mean of that result, which cancels most of the first pass's rounding.
+    ``data`` holds the centered rows and ``center_offset`` the sum of
+    both means, so fitted quantities map back to the original
     coordinates via :meth:`uncenter`.  ``max_row_norm`` is the largest
     Euclidean norm of an observation (a design column); it and
     :meth:`total_variance` are computed once, and :attr:`gram` on first
-    use.
+    use.  Points whose centering or squared norms overflow are rejected.
     """
 
-    data: np.ndarray
-    center_offset: np.ndarray
+    points: InitVar[np.ndarray]
+    data: np.ndarray = field(init=False)
+    center_offset: np.ndarray = field(init=False)
     max_row_norm: float = field(init=False, repr=False, compare=False)
     _total_variance: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        data = _as_float_array(self.data, "data")
-        offset = _as_float_array(self.center_offset, "center_offset")
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("data must be a non-empty 2-d array (n, d)")
-        if offset.shape != (data.shape[1],):
-            raise ValueError("center_offset must have shape (d,)")
-        # rounding in the mean grows with the coordinates, so the
-        # tolerance does too
-        scale = max(1.0, float(np.max(np.abs(data))), float(np.max(np.abs(offset))))
-        if np.max(np.abs(data.mean(axis=0))) > CENTERING_TOL * scale:
-            raise ValueError("data is not centered: column means exceed 1e-10 times the data scale")
-        data = data.copy()
-        data.setflags(write=False)
-        offset = offset.copy()
-        offset.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "center_offset", offset)
-        with np.errstate(over="ignore"):  # an overflow is rejected below, by name
-            sq_norms = np.sum(data**2, axis=1)
-            max_sq, mean_sq = float(np.max(sq_norms)), float(np.mean(sq_norms))
-        if not (math.isfinite(max_sq) and math.isfinite(mean_sq)):
-            raise ValueError("squared norms of the centered data overflow; the coordinates are too large")
-        object.__setattr__(self, "max_row_norm", math.sqrt(max_sq))
-        object.__setattr__(self, "_total_variance", mean_sq)
-
-    @classmethod
-    def from_points(cls, points) -> "SampleSet":
-        """Center raw observations (rows) and keep the subtracted mean.
-
-        Centering runs twice so the residual column means stay within the
-        relative 1e-10 invariant even for large coordinate scales.
-        """
+    def __post_init__(self, points):
         pts = _as_float_array(points, "points")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a non-empty 2-d array (n, d)")
-        offset = pts.mean(axis=0)
-        centered = pts - offset
-        resid = centered.mean(axis=0)
-        centered -= resid
-        return cls(data=centered, center_offset=offset + resid)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below, by name
+            offset = pts.mean(axis=0)
+            centered = pts - offset
+            resid = centered.mean(axis=0)
+            centered -= resid
+            offset += resid
+            data = np.ascontiguousarray(centered)  # row-major whatever the caller's layout
+            sq_norms = np.sum(data**2, axis=1)
+            max_sq, mean_sq = float(np.max(sq_norms)), float(np.mean(sq_norms))
+        if not math.isfinite(mean_sq):  # finite only if every centered entry is
+            raise ValueError("squared norms of the centered data overflow; the coordinates are too large")
+        data.setflags(write=False)
+        offset.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "center_offset", offset)
+        object.__setattr__(self, "max_row_norm", math.sqrt(max_sq))
+        object.__setattr__(self, "_total_variance", mean_sq)
 
     @property
     def n(self) -> int:

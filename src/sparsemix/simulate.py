@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import as_int
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -30,18 +32,20 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.n_points < 1 or self.K < 1 or self.replicates < 1:
-            raise ValueError("dim, n_points, K and replicates must be >= 1")
+        as_int("seed", self.seed)
+        for name in ("dim", "n_points", "K", "replicates"):
+            if as_int(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0 < self.dilation < float("inf"):
             raise ValueError(f"dilation must be finite and positive, got {self.dilation!r}")
         w = np.asarray(self.weights, dtype=float)
         v = np.asarray(self.variances, dtype=float)
         if w.shape != (self.K,) or v.shape != (self.K,):
             raise ValueError("weights and variances must have length K")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be non-negative and sum to 1")
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ValueError(f"weights must be finite, non-negative and sum to 1, got {self.weights!r}")
+        if not (np.all(np.isfinite(v)) and np.all(v > 0)):
+            raise ValueError(f"variances must be finite and positive, got {self.variances!r}")
 
     @property
     def cube_bounds(self) -> tuple:

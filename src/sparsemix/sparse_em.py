@@ -45,6 +45,7 @@ import numpy as np
 
 from .lasso import WeightedLassoProblem, default_tolerance, kkt_residual, solve_weighted_lasso
 from .model import (
+    WEIGHT_SUM_TOL,
     EmptyClusterError,
     Hyperparams,
     MixtureParams,
@@ -151,7 +152,18 @@ def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
 
 def update_weights(tau: np.ndarray) -> np.ndarray:
     """Component weights as mean responsibility mass per column."""
-    return tau.sum(axis=0) / tau.shape[0]
+    return on_simplex(tau.sum(axis=0) / tau.shape[0])
+
+
+def on_simplex(weights: np.ndarray) -> np.ndarray:
+    """``weights`` divided by their sum when it misses 1 by more than ``WEIGHT_SUM_TOL``.
+
+    Responsibility rows sum to 1 only to within the absolute rounding of
+    their log-normalizer, about 1e-11 at log densities near 1e5 (d = 200
+    with variances near 1e-300), and the weights inherit that error.
+    """
+    total = weights.sum()
+    return weights / total if abs(total - 1.0) > WEIGHT_SUM_TOL else weights
 
 
 def _mass(k: int, tau: np.ndarray, Y: SampleSet) -> float:

@@ -120,7 +120,7 @@ class TestMonotonicity:
         for trial in range(100):
             n, d = 10, int(rng.choice([2, 5]))
             K = int(rng.choice([2, 3]))
-            Y = SampleSet.from_points(rng.normal(size=(n, d)))
+            Y = SampleSet(rng.normal(size=(n, d)))
             hp = Hyperparams(
                 lam=float(rng.uniform(0.0, 1.5)), restarts=1, max_cycles=30, tol=1e-9, seed=trial
             )
@@ -147,7 +147,7 @@ class TestProximalIdentity:
         for _ in range(100):
             n, d = int(rng.integers(5, 11)), int(rng.choice([2, 3]))
             K = int(rng.choice([2, 3]))
-            Y = SampleSet.from_points(rng.normal(size=(n, d)))
+            Y = SampleSet(rng.normal(size=(n, d)))
             def rand_params():
                 w = rng.uniform(0.2, 1.0, size=K)
                 return MixtureParams(
@@ -238,7 +238,7 @@ def separated_fixture(rng, K, d, min_gap=10.0, spread=0.5, n_per=4):
         if K == 1 or pdist(centers).min() >= min_gap:
             break
     pts = np.vstack([centers[k] + spread * rng.normal(size=(n_per, d)) for k in range(K)])
-    return SampleSet.from_points(pts)
+    return SampleSet(pts)
 
 
 class TestStationarityCertificate:
@@ -269,7 +269,7 @@ class TestStationarityCertificate:
 
         fd_worst = 0.0
         for _ in range(5):
-            Y = SampleSet.from_points(rng.normal(size=(6, 2)))
+            Y = SampleSet(rng.normal(size=(6, 2)))
             w = rng.uniform(0.2, 1.0, size=2)
             params = MixtureParams(
                 weights=w / w.sum(),

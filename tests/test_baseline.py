@@ -21,7 +21,7 @@ from sparsemix.sparse_em import run as sparse_run
 
 
 def random_sample_set(rng, n=8, d=2, scale=1.0):
-    return SampleSet.from_points(scale * rng.normal(size=(n, d)))
+    return SampleSet(scale * rng.normal(size=(n, d)))
 
 
 class TestMStep:
@@ -108,7 +108,7 @@ class TestBaselineFit:
         rng = np.random.default_rng(76)
         a = rng.normal(size=(4, 2)) * 0.5
         b = np.array([12.0, 9.0]) + rng.normal(size=(4, 2)) * 0.5
-        Y = SampleSet.from_points(np.vstack([a, b]))
+        Y = SampleSet(np.vstack([a, b]))
         rep = baseline_fit(Y, 2, Hyperparams(restarts=3, seed=0))
         labels = rep.assignments
         assert len(set(labels[:4])) == 1 and len(set(labels[4:])) == 1
@@ -122,7 +122,7 @@ class TestBaselineFit:
         a = rng.normal(size=(3, 8)) * 0.6
         b = rng.normal(size=(3, 8)) * 0.6
         b[:, 0] += 10.0
-        Y = SampleSet.from_points(np.vstack([a, b]))
+        Y = SampleSet(np.vstack([a, b]))
         hp = Hyperparams(lam=0.0, restarts=2, seed=4, tol=1e-12, max_cycles=400)
         sparse = sparse_run(Y, 2, hp)
         base = baseline_fit(Y, 2, hp)

@@ -74,7 +74,7 @@ class TestFit:
             weights=np.array(report["weights"]), betas=np.array(report["betas"]),
             variances=np.array(report["variances"]),
         )
-        value = penalized_value(params, SampleSet.from_points(points), lams)
+        value = penalized_value(params, SampleSet(points), lams)
         assert value == pytest.approx(report["objective_trace"][-1], rel=1e-12)
 
     def test_headerless_input(self, tmp_path):
@@ -307,6 +307,11 @@ class TestUsageErrors:
         ["sweep", "--variance-floor", "inf", "--out", "{out}"],
         ["fit", "{huge_sample}", "-K", "2", "--out", "{out}"],
         ["fit", "{huge_sample}", "-K", "2", "--method", "baseline", "--out", "{out}"],
+        ["fit", "{near_max_sample}", "-K", "2", "--out", "{out}"],
+        ["simulate", "--dim", "2", "--dilation", "10", "--variances", "inf", "1", "1", "--out", "{out}"],
+        ["simulate", "--dim", "2", "--dilation", "10", "--weights", "nan", "0.5", "0.5", "--out", "{out}"],
+        ["sweep", "--dims", "2", "--dilations", "10", "--variances", "inf", "1", "1", "--replicates", "1",
+         "--restarts", "1", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         configs = {
@@ -324,10 +329,32 @@ class TestUsageErrors:
         # squared norms past the float range
         paths["huge_sample"] = tmp_path / "huge.txt"
         np.savetxt(paths["huge_sample"], 1e160 * np.random.default_rng(93).normal(size=(10, 3)))
+        # finite coordinates whose column sums overflow
+        paths["near_max_sample"] = tmp_path / "near_max.txt"
+        np.savetxt(paths["near_max_sample"], 5e307 * (1.0 + 0.1 * np.random.default_rng(94).normal(size=(10, 2))))
         out = tmp_path / "out"
         assert main([a.format(sample=two_cluster_file, out=out, **paths) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, env_out", [
+        (["fit", "{sample}", "-K", "2", "--out", "{missing}/report.json"], False),
+        (["simulate", "--dim", "2", "--dilation", "10", "--out", "{taken}"], False),
+        (["sweep", "--dims", "2", "--dilations", "10", "--replicates", "1", "--restarts", "1"], True),
+    ])
+    def test_unwritable_output_exit_2(self, argv, env_out, two_cluster_file, tmp_path, capsys, monkeypatch):
+        # a missing directory for fit's report; a file where simulate or
+        # sweep would make their output directory
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        if env_out:
+            monkeypatch.setenv("SPARSEMIX_OUT", str(taken))
+        paths = dict(sample=two_cluster_file, missing=tmp_path / "missing", taken=taken)
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("missing" in err or "taken" in err)
+        assert taken.read_text() == "not a directory\n"
+        assert not (tmp_path / "missing").exists()
 
 
 class TestConsoleScript:

@@ -200,7 +200,7 @@ class TestSolveWeightedLasso:
     def test_precomputed_gram_gives_identical_solution(self):
         rng = np.random.default_rng(44)
         for d in (1, 2, 5, 50):
-            Y = SampleSet.from_points(rng.normal(size=(10, d)) * 30.0)
+            Y = SampleSet(rng.normal(size=(10, d)) * 30.0)
             m = Y.design @ rng.random(10) / 3.0
             for lam in (0.0, 0.05, 5.0):
                 args = dict(design=Y.design, target=m, total_weight=3.0, sigma2=40.0, lam=lam)
@@ -233,7 +233,7 @@ class TestSolveWeightedLasso:
 
     def test_trusted_problem_matches_validated(self):
         rng = np.random.default_rng(46)
-        Y = SampleSet.from_points(rng.normal(size=(10, 2)) * 30.0)
+        Y = SampleSet(rng.normal(size=(10, 2)) * 30.0)
         D = Y.design
         m = D @ rng.random(10) / 3.0
         checked = WeightedLassoProblem(design=D, target=m, total_weight=3.0, sigma2=40.0, lam=0.5, gram=Y.gram)

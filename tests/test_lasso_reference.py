@@ -191,7 +191,7 @@ def problems(draw):
         # near-duplicate observations: the stalls refine exists for
         dup = rng.integers(0, n, size=n)
         points = points[dup] + rng.normal(size=(n, d)) * scale * 1e-6
-    D = SampleSet.from_points(points).design.copy()
+    D = SampleSet(points).design.copy()
     zero = draw(st.lists(st.integers(0, n - 1), max_size=2))
     D[:, zero] = 0.0
     weights = rng.random(n)
@@ -271,7 +271,7 @@ class TestPartialStepsMatchReference:
     @given(case=states)
     def test_update_beta_and_lams_bit_for_bit(self, case):
         config = ScenarioConfig(dim=case["dim"], dilation=case["dilation"], seed=case["data_seed"])
-        Y = SampleSet.from_points(gen_replicate(config, case["replicate"]).points)
+        Y = SampleSet(gen_replicate(config, case["replicate"]).points)
         hp = Hyperparams(restarts=1, max_cycles=case["cycles"], tol=case["tol"], lam=case["lam"])
         params = sparse_em.run(Y, 3, hp, seed=fit_seed_seq(config, case["replicate"])).params
         tau = sparse_em.e_step(params, Y)

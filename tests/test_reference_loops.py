@@ -146,7 +146,7 @@ LOOP_SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[
 
 def fit_inputs(case):
     config = ScenarioConfig(dim=case["dim"], dilation=case["dilation"], seed=case["data_seed"])
-    Y = SampleSet.from_points(gen_replicate(config, case["replicate"]).points)
+    Y = SampleSet(gen_replicate(config, case["replicate"]).points)
     hp = Hyperparams(restarts=case["restarts"], max_cycles=60, tol=1e-7, lam=case["lam"])
     return Y, hp, fit_seed_seq(config, case["replicate"])
 

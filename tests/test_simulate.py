@@ -32,6 +32,19 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(dim=0, dilation=10.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dim=2.5), "dim must be an integer, got 2.5"),
+        (dict(n_points=0), "n_points must be >= 1, got 0"),
+        (dict(replicates=1.0), "replicates must be an integer, got 1.0"),
+        (dict(seed=0.5), "seed must be an integer, got 0.5"),
+        (dict(weights=(float("nan"), 0.5, 0.5)), r"weights must be finite.*got \(nan, 0.5, 0.5\)"),
+        (dict(variances=(float("inf"), 1.0, 1.0)), r"variances must be finite and positive, got \(inf, 1.0, 1.0\)"),
+        (dict(variances=(5.0, float("nan"), 10.0)), r"variances must be finite and positive, got \(5.0, nan, 10.0\)"),
+    ])
+    def test_rejects_what_it_cannot_generate(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            config(**kwargs)
+
     def test_cube_bounds(self):
         assert config(dilation=10.0).cube_bounds == (-5.0, 5.0)
         assert config(dilation=100.0).cube_bounds == (-50.0, 50.0)

@@ -36,7 +36,7 @@ from sparsemix.sparse_em import (
 
 
 def random_sample_set(rng, n=8, d=2, scale=1.0):
-    return SampleSet.from_points(scale * rng.normal(size=(n, d)))
+    return SampleSet(scale * rng.normal(size=(n, d)))
 
 
 def random_params(rng, K, n):
@@ -51,7 +51,7 @@ def random_params(rng, K, n):
 def two_cluster_line(gap=20.0):
     """Six 1-d points in two tight groups ``gap`` apart."""
     pts = np.array([[-0.2], [0.2], [-0.1], [gap - 0.1], [gap + 0.1], [gap + 0.3]])
-    return SampleSet.from_points(pts), np.array([0, 0, 0, 1, 1, 1])
+    return SampleSet(pts), np.array([0, 0, 0, 1, 1, 1])
 
 
 def two_blob_plane(gap=16.0, seed=0, n_per=4):
@@ -64,7 +64,7 @@ def two_blob_plane(gap=16.0, seed=0, n_per=4):
     a = rng.normal(size=(n_per, 2)) * 0.4
     b = np.array([gap, 0.6 * gap]) + rng.normal(size=(n_per, 2)) * 0.4
     pts = np.vstack([a, b])
-    return SampleSet.from_points(pts), np.array([0] * n_per + [1] * n_per)
+    return SampleSet(pts), np.array([0] * n_per + [1] * n_per)
 
 
 class TestEStep:
@@ -82,7 +82,7 @@ class TestEStep:
 
     def test_separation_limit(self):
         # point sits exactly on the first mean; the other mean is far away
-        Y = SampleSet.from_points(np.array([[-5.0], [5.0]]))
+        Y = SampleSet(np.array([[-5.0], [5.0]]))
         params = MixtureParams(
             weights=np.array([0.5, 0.5]),
             betas=np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -93,7 +93,7 @@ class TestEStep:
         assert tau[1, 1] == pytest.approx(1.0, abs=1e-20)
 
     def test_matches_direct_bayes_rule(self):
-        Y = SampleSet.from_points(np.array([[-1.0], [0.0], [1.0]]))
+        Y = SampleSet(np.array([[-1.0], [0.0], [1.0]]))
         params = MixtureParams(
             weights=np.array([0.4, 0.6]),
             betas=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # means -1 and +1
@@ -177,14 +177,14 @@ class TestUpdateBeta:
 
 class TestUpdateSigma:
     def test_hand_computed_value(self):
-        Y = SampleSet.from_points(np.array([[-1.0], [1.0]]))
+        Y = SampleSet(np.array([[-1.0], [1.0]]))
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 2)), variances=np.array([5.0]))
         tau = np.ones((2, 1))
         hp = Hyperparams(variance_floor=1e-8)
         assert update_sigma(0, tau, Y, hp, params.means(Y)) == pytest.approx(1.0, rel=1e-12)
 
     def test_floor_engagement_on_zero_residuals(self):
-        Y = SampleSet(data=np.zeros((3, 1)), center_offset=np.zeros(1))
+        Y = SampleSet(np.zeros((3, 1)))
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 3)), variances=np.array([1.0]))
         tau = np.ones((3, 1))
         hp = Hyperparams(variance_floor=0.5)
@@ -314,6 +314,43 @@ class TestRun:
         with pytest.raises(ValueError):
             run(Y, 5, Hyperparams())
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        kind=st.sampled_from(["duplicates", "all_equal", "n_eq_K", "d1", "wide", "constant_column"]),
+        exponent=st.integers(-300, 150),
+        K=st.integers(1, 3),
+        lam=st.sampled_from([None, 0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="all_equal", exponent=-300, K=3, lam=None, seed=0)
+    @example(kind="wide", exponent=150, K=3, lam=None, seed=0)
+    @example(kind="duplicates", exponent=150, K=2, lam=0.5, seed=0)
+    @example(kind="wide", exponent=-151, K=2, lam=None, seed=0)  # soft rows at log densities near 7e4
+    def test_degenerate_inputs_fit_to_finite_reports(self, kind, exponent, K, lam, seed):
+        # duplicate rows, a single repeated point, n = K, d = 1, d >> n
+        # and a constant column, at coordinate scales 1e-300 to 1e150
+        rng = np.random.default_rng(seed)
+        n, d = {"n_eq_K": (K, 3), "d1": (8, 1), "wide": (5, 200)}.get(kind, (8, 3))
+        points = rng.normal(size=(n, d))
+        if kind == "duplicates":
+            points = points[rng.integers(0, 3, size=n)]
+        elif kind == "all_equal":
+            points[:] = points[0]
+        elif kind == "constant_column":
+            points[:, 0] = points[0, 0]
+        Y = SampleSet(10.0**exponent * points)
+        hp = Hyperparams(lam=lam, restarts=1, max_cycles=30, seed=seed)
+        for rep, trace in (
+            (run(Y, K, hp), "objective_trace"),
+            (baseline.baseline_fit(Y, K, hp), "loglik_trace"),
+        ):
+            weights, variances = rep.params.weights, rep.params.variances
+            assert np.all(np.isfinite(weights)) and np.all(np.isfinite(variances))
+            assert np.all(np.isfinite(getattr(rep, trace)))
+            assert abs(weights.sum() - 1.0) <= 1e-12
+            assert rep.assignments.shape == (n,)
+            assert np.all((rep.assignments >= 0) & (rep.assignments < K))
+
     def test_reseeds_recover_underflowed_component(self):
         rng = np.random.default_rng(63)
         Y = random_sample_set(rng, n=8, d=2)
@@ -409,7 +446,7 @@ class TestStationarity:
 
     def test_one_e_step_per_report(self):
         rng = np.random.default_rng(67)
-        Y = SampleSet.from_points(np.vstack([c + rng.normal(size=(4, 2)) for c in ([0, 0], [20, 0], [0, 20])]))
+        Y = SampleSet(np.vstack([c + rng.normal(size=(4, 2)) for c in ([0, 0], [20, 0], [0, 20])]))
         hp = Hyperparams(restarts=1, max_cycles=30)
         rep = run(Y, 3, hp)
         with mock.patch.object(sparse_em, "e_step", wraps=sparse_em.e_step) as spy:
@@ -496,8 +533,8 @@ class TestPenaltyWeight:
         # data, target and standard deviation
         rng = np.random.default_rng(68)
         pts = rng.normal(size=(10, 3))
-        Y1 = SampleSet.from_points(pts)
-        Y2 = SampleSet.from_points(10.0 * pts)
+        Y1 = SampleSet(pts)
+        Y2 = SampleSet(10.0 * pts)
         m1 = Y1.data[:3].mean(axis=0)
         w1 = penalty_weight(Y1, 2.0, 3.0, m1)
         w2 = penalty_weight(Y2, 200.0, 3.0, 10.0 * m1)

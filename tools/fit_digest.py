@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         for dilation in DILATIONS:
             config = ScenarioConfig(dim=dim, dilation=dilation, seed=0)
             for replicate in range(REPLICATES):
-                Y = SampleSet.from_points(gen_replicate(config, replicate).points)
+                Y = SampleSet(gen_replicate(config, replicate).points)
                 seed = fit_seed_seq(config, replicate)
                 case = repr((dim, dilation, replicate)).encode()
                 for i, hp_set in enumerate(HP_SETS):
