@@ -26,9 +26,11 @@ from .model import (
     Hyperparams,
     MixtureParams,
     SampleSet,
+    as_finite_array,
     log_joint,
     spherical_log_density_matrix,
     squared_distances,
+    weights_and_variances,
 )
 from .sparse_em import EMPTY_FRACTION, best_restart, on_simplex
 
@@ -42,15 +44,10 @@ class SphericalParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.means, dtype=float)
-        v = np.asarray(self.variances, dtype=float)
-        if w.ndim != 1 or m.ndim != 2 or m.shape[0] != w.size or v.shape != w.shape:
-            raise ValueError("inconsistent parameter shapes")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be non-negative and sum to 1")
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
+        w, v = weights_and_variances(self.weights, self.variances)
+        m = as_finite_array(self.means, "means")
+        if m.ndim != 2 or m.shape[0] != w.size:
+            raise ValueError(f"means must have shape (K={w.size}, d), got {m.shape}")
         for name, arr in (("weights", w), ("means", m), ("variances", v)):
             arr = arr.copy()
             arr.setflags(write=False)

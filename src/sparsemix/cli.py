@@ -64,21 +64,21 @@ class SweepSpec:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):
-        self.dims = tuple(as_int("dims", d) for d in self.dims)
+        self.dims = tuple(as_int("dims", d, 1) for d in self.dims)
         self.dilations = tuple(float(x) for x in self.dilations)
         self.methods = tuple(self.methods)
         self.weights = tuple(float(w) for w in self.weights)
         self.variances = tuple(float(v) for v in self.variances)
-        for name in ("replicates", "seed", "jobs", "n_points", "components"):
-            setattr(self, name, as_int(name, getattr(self, name)))
+        for name, minimum in (("replicates", 1), ("seed", 0), ("jobs", 1), ("n_points", 1), ("components", 1)):
+            setattr(self, name, as_int(name, getattr(self, name), minimum))
         self.out = str(self.out)
         self.hyperparams = replace(self.hyperparams, seed=self.seed)
         if not self.dims or not self.dilations or not self.methods:
             raise ValueError("dims, dilations and methods must be non-empty")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for name in ("dims", "dilations", "methods"):  # a repeat would fit and write its cells twice
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -138,10 +138,13 @@ def cmd_fit(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
+    out = args.out or default_report_path(args.input)
+    open(out, "w", encoding="ascii").close()  # a report path that cannot be written exits 2 before the fit
     sparse = args.method == "sparse"
     try:
         rep = (sparse_fit if sparse else baseline_fit)(Y, args.components, hp)
     except NumericalError as err:
+        os.remove(out)  # no report, as for every other failure
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -174,7 +177,6 @@ def cmd_fit(args) -> int:
             "version": __version__,
         }
     )
-    out = args.out or default_report_path(args.input)
     with open(out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import baseline_fit
-from .model import Hyperparams, SampleSet
+from .model import Hyperparams, SampleSet, as_int
 from .simulate import ScenarioConfig, data_hash, fit_seed_seq, gen_replicate
 from .sparse_em import run as sparse_fit
 
@@ -145,8 +145,7 @@ def run_mc_cell(scenario: ScenarioConfig, method: str, hp: Hyperparams, jobs: in
     depend on scheduling.  Non-converged fits are recorded with their
     final assignments scored like any other, never dropped.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    as_int("jobs", jobs, 1)
     tasks = [(scenario, method, hp, r) for r in range(scenario.replicates)]
     workers = min(jobs, scenario.replicates)
     if workers > 1:

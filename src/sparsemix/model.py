@@ -59,11 +59,41 @@ class NumericalError(RuntimeError):
     """A computation produced non-finite intermediates."""
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
+def as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum`` (numpy integers count, bools do not); ValueError otherwise."""
+    try:
+        out = operator.index(None if isinstance(value, bool) else value)  # a bool is an int, but no count
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if out < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return out
+
+
+def weights_and_variances(weights, variances) -> tuple[np.ndarray, np.ndarray]:
+    """``weights`` and ``variances`` as float arrays, or a ValueError naming the field and its value.
+
+    Weights are a non-empty vector, finite, non-negative and summing to 1 within ``WEIGHT_SUM_TOL``
+    (a NaN fails every comparison, an inf the sum); variances have their shape, finite and positive.
+    """
+    w = np.asarray(weights, dtype=float)
+    v = np.asarray(variances, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError(f"weights must be a non-empty vector, got {weights!r}")
+    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
+        raise ValueError(f"weights must be finite, non-negative and sum to 1, got {weights!r}")
+    if v.shape != w.shape:
+        raise ValueError(f"variances must have the shape {w.shape} of weights, got {variances!r}")
+    if not (v.min() > 0.0 and v.max() < math.inf):
+        raise ValueError(f"variances must be finite and positive, got {variances!r}")
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -88,7 +118,7 @@ class SampleSet:
     _total_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, points):
-        pts = _as_float_array(points, "points")
+        pts = as_finite_array(points, "points")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("points must be a non-empty 2-d array (n, d)")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below, by name
@@ -196,22 +226,10 @@ class MixtureParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = _as_float_array(self.weights, "weights")
-        b = _as_float_array(self.betas, "betas")
-        v = _as_float_array(self.variances, "variances")
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty vector")
-        K = w.size
-        if b.ndim != 2 or b.shape[0] != K:
-            raise ValueError("betas must have shape (K, n)")
-        if v.shape != (K,):
-            raise ValueError("variances must have shape (K,)")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
-        if np.any(v <= 0):
-            raise ValueError("variances must be positive")
+        w, v = weights_and_variances(self.weights, self.variances)
+        b = as_finite_array(self.betas, "betas")
+        if b.ndim != 2 or b.shape[0] != w.size:
+            raise ValueError(f"betas must have shape (K={w.size}, n), got {b.shape}")
         for name, arr in (("weights", w), ("betas", b), ("variances", v)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -257,14 +275,6 @@ class MixtureParams:
         )
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int when it is one (numpy integers included); ValueError otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Fitting configuration shared by the sparse and baseline drivers.
@@ -288,20 +298,14 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_cycles", "restarts", "seed"):
-            as_int(name, getattr(self, name))
+        for name, minimum in (("max_cycles", 1), ("restarts", 1), ("seed", 0)):
+            as_int(name, getattr(self, name), minimum)
         if self.lam is not None and not (0 <= self.lam < math.inf):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if self.variance_floor is not None and not (0 < self.variance_floor < math.inf):
             raise ValueError(f"variance_floor must be finite and positive, got {self.variance_floor!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_floor(self, Y: SampleSet) -> float:
         return self.variance_floor if self.variance_floor is not None else default_variance_floor(Y)
@@ -316,8 +320,8 @@ def component_log_density(y, beta, sigma2: float, Y: SampleSet) -> float:
 
     Returns -(d/2) log(2 pi sigma2) - ||y - Y beta||^2 / (2 sigma2).
     """
-    yv = _as_float_array(y, "y")
-    bv = _as_float_array(beta, "beta")
+    yv = as_finite_array(y, "y")
+    bv = as_finite_array(beta, "beta")
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValueError("sigma2 must be positive and finite")
     if yv.shape != (Y.d,) or bv.shape != (Y.n,):

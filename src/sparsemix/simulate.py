@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_int
+from .model import as_int, weights_and_variances
 
 
 @dataclass(frozen=True)
@@ -32,20 +32,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        as_int("seed", self.seed)
-        for name in ("dim", "n_points", "K", "replicates"):
-            if as_int(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, minimum in (("dim", 1), ("n_points", 1), ("K", 1), ("replicates", 1), ("seed", 0)):
+            as_int(name, getattr(self, name), minimum)
         if not 0 < self.dilation < float("inf"):
             raise ValueError(f"dilation must be finite and positive, got {self.dilation!r}")
-        w = np.asarray(self.weights, dtype=float)
-        v = np.asarray(self.variances, dtype=float)
-        if w.shape != (self.K,) or v.shape != (self.K,):
-            raise ValueError("weights and variances must have length K")
-        if not (np.all(np.isfinite(w)) and np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
-            raise ValueError(f"weights must be finite, non-negative and sum to 1, got {self.weights!r}")
-        if not (np.all(np.isfinite(v)) and np.all(v > 0)):
-            raise ValueError(f"variances must be finite and positive, got {self.variances!r}")
+        if np.shape(self.weights) != (self.K,) or np.shape(self.variances) != (self.K,):
+            raise ValueError(f"weights and variances need K={self.K} entries, got {self.weights!r}, {self.variances!r}")
+        weights_and_variances(self.weights, self.variances)
 
     @property
     def cube_bounds(self) -> tuple:

@@ -51,6 +51,7 @@ from .model import (
     MixtureParams,
     NumericalError,
     SampleSet,
+    as_int,
     log_densities,
     log_density_matrix,
     log_joint,
@@ -342,8 +343,7 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     the last entry of their own trace: a later restart replaces the best
     only when it is strictly larger, so a tie keeps the earlier one.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    as_int("K", K, 1)
     if Y.n < K:
         raise ValueError("need at least K data points")
     if seed is None:

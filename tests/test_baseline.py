@@ -54,6 +54,17 @@ class TestMStep:
             _m_step(tau, Y, floor=1e-12)
 
 
+class TestSphericalParams:
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        fields = dict(weights=np.array([0.5, 0.5]), means=np.zeros((2, 3)), variances=np.array([1.0, 2.0]))
+        fields[field] = fields[field].copy()
+        fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SphericalParams(**fields)
+
+
 class TestBaselineFit:
     def test_abort_matches_reference_loop(self):
         # no scenario draw empties a baseline component for good, so force

@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from sparsemix import cli
 from sparsemix.cli import SweepSpec, main, read_sample
-from sparsemix.model import MixtureParams, SampleSet, penalized_value
+from sparsemix.model import MixtureParams, NumericalError, SampleSet, penalized_value
 from sparsemix.simulate import LabeledSample, write_sample
 
 
@@ -98,6 +100,16 @@ class TestFit:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.txt"), "-K", "2"]) == 2
+
+    def test_numerical_failure_exit_1_leaves_no_report(self, two_cluster_file, tmp_path, monkeypatch, capsys):
+        def failing_fit(*args, **kwargs):
+            raise NumericalError("non-finite responsibilities")
+
+        monkeypatch.setattr(cli, "sparse_fit", failing_fit)
+        out = tmp_path / "report.json"
+        assert main(["fit", str(two_cluster_file), "-K", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: numerical failure: non-finite responsibilities\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1e8, 1e12, 1e100])
     @pytest.mark.parametrize("method", ["sparse", "baseline"])
@@ -271,6 +283,15 @@ class TestSweep:
         assert code == 0
         assert (env_out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("field, values", [
+        ("dims", (2, 5, 2)),
+        ("dilations", (10.0, 10.0)),
+        ("methods", ("baseline", "sparse", "baseline")),
+    ])
+    def test_repeated_setting_named_with_value(self, field, values):
+        with pytest.raises(ValueError, match=rf"^{field} must not repeat a value, got {re.escape(repr(values))}$"):
+            SweepSpec(**{field: values})
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--methods", "kmeans"])
@@ -312,6 +333,14 @@ class TestUsageErrors:
         ["simulate", "--dim", "2", "--dilation", "10", "--weights", "nan", "0.5", "0.5", "--out", "{out}"],
         ["sweep", "--dims", "2", "--dilations", "10", "--variances", "inf", "1", "1", "--replicates", "1",
          "--restarts", "1", "--out", "{out}"],
+        ["sweep", "--dims", "2", "2", "--dilations", "10", "--methods", "baseline", "--replicates", "2",
+         "--restarts", "1", "--out", "{out}"],
+        ["sweep", "--dims", "2", "--dilations", "10", "10", "--methods", "baseline", "--replicates", "2",
+         "--restarts", "1", "--out", "{out}"],
+        ["sweep", "--dims", "2", "--dilations", "10", "--methods", "baseline", "baseline", "--replicates", "2",
+         "--restarts", "1", "--out", "{out}"],
+        ["sweep", "--config", "{bool_replicates_config}", "--dims", "2", "--dilations", "10", "--methods", "baseline",
+         "--restarts", "1", "--out", "{out}"],
     ])
     def test_exit_2(self, argv, two_cluster_file, tmp_path, capsys):
         configs = {
@@ -322,6 +351,7 @@ class TestUsageErrors:
             "weights_config": {"weights": [0.5, "x", 0.5]},
             "max_cycles_config": {"hyperparams": {"max_cycles": 2.5}},
             "fractional_replicates_config": {"replicates": 2.5},
+            "bool_replicates_config": {"replicates": True},
         }
         paths = {name: tmp_path / f"{name}.json" for name in configs}
         for name, cfg in configs.items():
@@ -344,7 +374,12 @@ class TestUsageErrors:
     ])
     def test_unwritable_output_exit_2(self, argv, env_out, two_cluster_file, tmp_path, capsys, monkeypatch):
         # a missing directory for fit's report; a file where simulate or
-        # sweep would make their output directory
+        # sweep would make their output directory; fit finds its path
+        # unwritable before it runs the estimator
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the estimator ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "sparse_fit", no_fit)
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
         if env_out:

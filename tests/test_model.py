@@ -1,6 +1,7 @@
 """Core types and objective functions."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -174,6 +175,20 @@ class TestMixtureParams:
         with pytest.raises(ValueError):
             MixtureParams(weights=np.array([-0.1, 1.1]), betas=np.zeros((2, 3)), variances=np.ones(2))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", np.array([0.5, 0.6]), "weights must be finite, non-negative and sum to 1"),
+        ("weights", np.array([np.nan, 1.0]), "weights must be finite, non-negative and sum to 1"),
+        ("weights", np.array([np.inf, 1.0]), "weights must be finite, non-negative and sum to 1"),
+        ("weights", np.array([]), "weights must be a non-empty vector"),
+        ("variances", np.array([1.0, 0.0]), "variances must be finite and positive"),
+        ("variances", np.array([np.inf, 1.0]), "variances must be finite and positive"),
+        ("variances", np.ones(3), "variances must have the shape (2,) of weights"),
+    ])
+    def test_messages_name_field_and_value(self, field, value, message):
+        kw = dict(weights=np.array([0.5, 0.5]), betas=np.zeros((2, 3)), variances=np.ones(2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
+            MixtureParams(**{**kw, field: value})
+
     def test_means_are_derived(self):
         rng = np.random.default_rng(5)
         Y = random_sample_set(rng, n=4, d=2)
@@ -197,6 +212,11 @@ class TestHyperparams:
             Hyperparams(tol=0.0)
         with pytest.raises(ValueError):
             Hyperparams(restarts=0)
+
+    @pytest.mark.parametrize("field", ["max_cycles", "restarts", "seed"])
+    def test_rejects_bool_counts(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
+            Hyperparams(**{field: True})
 
     def test_negative_seed_names_field_and_value(self):
         # rejected before the fit reaches numpy's SeedSequence

@@ -45,6 +45,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             config(**kwargs)
 
+    @pytest.mark.parametrize("field", ["dim", "n_points", "replicates", "seed"])
+    def test_rejects_bool_counts(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
+            config(**{field: True})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            config(seed=-1)
+
     def test_cube_bounds(self):
         assert config(dilation=10.0).cube_bounds == (-5.0, 5.0)
         assert config(dilation=100.0).cube_bounds == (-50.0, 50.0)
