@@ -73,17 +73,17 @@ class SweepSpec:
             setattr(self, name, as_int(name, getattr(self, name), minimum))
         self.out = str(self.out)
         self.hyperparams = replace(self.hyperparams, seed=self.seed)
-        if not self.dims or not self.dilations or not self.methods:
-            raise ValueError("dims, dilations and methods must be non-empty")
         for name in ("dims", "dilations", "methods"):  # a repeat would fit and write its cells twice
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty, got {values!r}")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         if self.n_points < self.components:
-            raise ValueError("points must be >= components")
+            raise ValueError(f"points must be >= components, got points={self.n_points}, components={self.components}")
         for dim in self.dims:
             for dilation in self.dilations:
                 self.scenario(dim, dilation)

@@ -117,15 +117,15 @@ def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     )
 
 
-def _stationarity_violation(grad: np.ndarray, beta: np.ndarray, lam: float) -> float:
+def _stationarity_violation(grad: np.ndarray, beta: list, lam: float) -> float:
     """Max coordinate violation of 0 in grad + lam * subdiff(|.|).
 
     The coordinate terms of :func:`kkt_residual`, evaluated on Python
-    floats like the coordinate sweep; a NaN coordinate makes the result
-    NaN, as numpy's ``max`` would.
+    floats like the coordinate sweep, which holds ``beta`` as a list; a
+    NaN coordinate makes the result NaN, as numpy's ``max`` would.
     """
     worst = 0.0
-    for g, b in zip(grad.tolist(), beta.tolist()):
+    for g, b in zip(grad.tolist(), beta):
         if b != 0:  # NaN included, whose sign is NaN
             v = abs(g + lam * (1.0 if b > 0 else -1.0 if b < 0 else b))
         else:
@@ -146,7 +146,7 @@ def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     """
     b = np.asarray(beta, dtype=float)
     grad = -problem.smooth_scale * (problem.design.T @ (problem.target - problem.design @ b))
-    return _stationarity_violation(grad, b, problem.lam)
+    return _stationarity_violation(grad, b.tolist(), problem.lam)
 
 
 def default_tolerance(problem: WeightedLassoProblem) -> float:
@@ -216,6 +216,14 @@ def solve_weighted_lasso(
         # objective up to the constant (c/2) ||m||^2
         return 0.5 * c * (b @ gb_b) - c * (q @ b) + lam * np.sum(np.abs(b))
 
+    # refine's candidates of this call, by signed column set (T, sign b_T):
+    # q, lam, c and the Gram are fixed within one solve, so a candidate
+    # never changes.  The key gives column j two bits at 4^j: 1 for a
+    # positive sign, 2 for a negative one, 3 for any other (NaN).  An
+    # entry is () for a rejected candidate, else [cand, its KKT
+    # residual, its objective once needed].
+    candidates = {}
+
     def refine(b, gb_b, current_residual):
         # Near-duplicate design columns make plain coordinate descent
         # shuttle mass between them at a slow, sometimes non-geometric
@@ -227,40 +235,53 @@ def solve_weighted_lasso(
         # descent would have activated), one lstsq each, for |S| <= 9.
         # sign(b_S), the right-hand side q_S - (lam/c) sign(b_S) and
         # G[S, S] are gathered once per call, and each candidate takes
-        # its entries from them; every step that decides the result
-        # (lstsq, the full gram @ cand, the KKT residual, the objective
-        # test and the strict first-best rule) runs as in the plain
-        # solver, whose output tests/test_lasso_reference.py pins bit for
-        # bit.  A candidate is accepted only with a consistent sign
-        # pattern, a full KKT residual better than the current iterate
-        # and no objective increase, which preserves the monotonicity
-        # contract.  The objective is evaluated only for a candidate that
-        # would become the best.
+        # its entries from them; a signed sub-support already solved in
+        # this solve reuses its cached candidate instead of a new lstsq.
+        # Every step that decides the result (lstsq, the full gram @ cand,
+        # the KKT residual, the objective test and the strict first-best
+        # rule in bitmask order) runs as in the plain solver, whose output
+        # tests/test_lasso_reference.py pins bit for bit.  A candidate is
+        # accepted only with a consistent sign pattern, a full KKT
+        # residual better than the current iterate and no objective
+        # increase, which preserves the monotonicity contract.  The
+        # objective is evaluated only for a candidate that would become
+        # the best.
         support = np.flatnonzero(b)
         if support.size == 0 or 2 ** support.size > 512:
             return None
         base_value = value(b, gb_b)
         signs = np.sign(b[support])
         sign_list = signs.tolist()
+        codes = [(1 if s > 0 else 2 if s < 0 else 3) << 2 * j for j, s in zip(support.tolist(), sign_list)]
         rhs_all = q[support] - (lam / c) * signs
         sub_all = gram[np.ix_(support, support)]
         best = None
         for idx, ix, picked in _subsets(support.size):
-            x, *_ = np.linalg.lstsq(sub_all[ix], rhs_all[idx], rcond=None)
-            if not all(math.isfinite(v) and not v * sign_list[i] < 0 for v, i in zip(x.tolist(), picked)):
+            key = sum(map(codes.__getitem__, picked))
+            entry = candidates.get(key)
+            gb_cand = None
+            if entry is None:
+                x, *_ = np.linalg.lstsq(sub_all[ix], rhs_all[idx], rcond=None)
+                entry = ()
+                if all(math.isfinite(v) and not v * sign_list[i] < 0 for v, i in zip(x.tolist(), picked)):
+                    cand = np.zeros_like(b)
+                    cand[support[idx]] = x
+                    gb_cand = gram @ cand
+                    entry = [cand, _stationarity_violation(c * (gb_cand - q), cand.tolist(), lam), None]
+                candidates[key] = entry
+            if not entry or not (entry[1] < current_residual and (best is None or entry[1] < best[1])):
                 continue
-            cand = np.zeros_like(b)
-            cand[support[idx]] = x
-            gb_cand = gram @ cand
-            resid = _stationarity_violation(c * (gb_cand - q), cand, lam)
-            if resid < current_residual and (best is None or resid < best[2]):
-                if value(cand, gb_cand) <= base_value + 1e-12 * (1.0 + abs(base_value)):
-                    best = (cand, gb_cand, resid)
-        return best
+            if entry[2] is None:
+                entry[2] = value(entry[0], gram @ entry[0] if gb_cand is None else gb_cand)
+            if entry[2] <= base_value + 1e-12 * (1.0 + abs(base_value)):
+                best = entry
+        # a fresh gram @ cand: the sweep updates gb in place
+        return None if best is None else (best[0], gram @ best[0], best[1])
 
     sweeps = 0
+    b = beta.tolist()
     grad = c * (gb - q)
-    residual = _stationarity_violation(grad, beta, lam)
+    residual = _stationarity_violation(grad, b, lam)
     converged = residual <= tol
     if converged or max_iters < 1:
         return LassoSolution(beta=beta, kkt_residual=residual, iterations=sweeps, converged=converged)
@@ -268,14 +289,15 @@ def solve_weighted_lasso(
     # The sweeps run on Python floats: beta as a list, the soft-threshold
     # step written out.  It reproduces sign(z) * max(|z| - lam, 0) bit
     # for bit, signed zeros and NaN included; gb stays a numpy vector.
+    # The stall test reads the support off the list, and a beta array is
+    # built only for refine and the result.
     live, col2, columns = g.live, g.diag, g.columns
     curvature = [c * x for x in col2]
     if any(curvature[j] == 0.0 for j in live):
         # c * ||D_j||^2 underflowed: the coordinate map divides by zero
         raise NumericalError("coordinate descent produced non-finite values")
     qs = q.tolist()
-    b = beta.tolist()
-    prev_support = np.flatnonzero(beta)
+    prev_support = [j for j, x in enumerate(b) if x]
     while not converged and sweeps < max_iters:
         changed = False
         for j in live:
@@ -293,24 +315,23 @@ def solve_weighted_lasso(
                 b[j] = new
                 changed = True
         sweeps += 1
-        beta = np.array(b)
         grad = c * (gb - q)
         if not np.isfinite(grad).all():
             raise NumericalError("coordinate descent produced non-finite values")
-        residual = _stationarity_violation(grad, beta, lam)
+        residual = _stationarity_violation(grad, b, lam)
         converged = residual <= tol
-        support = np.flatnonzero(beta)
-        if not converged and np.array_equal(support, prev_support):
-            refined = refine(beta, gb, residual)
+        support = [j for j, x in enumerate(b) if x]
+        if not converged and support == prev_support:
+            refined = refine(np.array(b), gb, residual)
             if refined is not None:
-                beta, gb, residual = refined
-                b = beta.tolist()
+                cand, gb, residual = refined
+                b = cand.tolist()
                 converged = residual <= tol
-                support = np.flatnonzero(beta)
+                support = [j for j, x in enumerate(b) if x]
         prev_support = support
         if not changed and not converged:
             # float-precision fixed point of the coordinate map; further
             # sweeps cannot move, so stop even when tol is unreachable
             break
 
-    return LassoSolution(beta=beta, kkt_residual=residual, iterations=sweeps, converged=converged)
+    return LassoSolution(beta=np.array(b), kkt_residual=residual, iterations=sweeps, converged=converged)

@@ -303,7 +303,7 @@ class Hyperparams:
         if self.lam is not None and not (0 <= self.lam < math.inf):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.variance_floor is not None and not (0 < self.variance_floor < math.inf):
             raise ValueError(f"variance_floor must be finite and positive, got {self.variance_floor!r}")
 
@@ -371,6 +371,9 @@ def log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
+_SHIFT_LIMIT = 2.0**970  # half an ulp of the largest double: |a_max| below it keeps a - a_max finite
+
+
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """``log(sum(exp(a), axis=1))`` for a real 2-d array, stably.
 
@@ -378,13 +381,15 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     axis=1)`` on real input, so results agree bit for bit: the terms tied
     at the row max are counted instead of exponentiated, and rows whose
     shifted result is not finite (all -inf, or an inf/nan entry) fall
-    back to the direct formula.  When every row max is finite and
-    attained once, the tie count is 1, so dividing by it and adding its
-    log (0) change nothing and are skipped, and no operation can warn.
+    back to the direct formula.  When every row max is attained once and
+    is below 2^970 in magnitude, the tie count is 1, so dividing by it
+    and adding its log (0) change nothing and are skipped, and no
+    operation can warn: a finite a - a_max then rounds to at least
+    -1.8e308 instead of overflowing.  Larger maxima take the general path.
     """
     a_max = a.max(axis=1, keepdims=True)
     tie = a == a_max
-    if np.isfinite(a_max).all() and np.count_nonzero(tie) == a.shape[0]:
+    if (abs(a_max) < _SHIFT_LIMIT).all() and np.count_nonzero(tie) == a.shape[0]:
         return np.log1p(np.exp(np.where(tie, -np.inf, a - a_max)).sum(axis=1)) + a_max[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = tie.sum(axis=1, keepdims=True, dtype=a.dtype)
@@ -424,7 +429,7 @@ def penalized_value(params: MixtureParams, Y: SampleSet, lams) -> float:
     if lams.shape != (params.K,):
         raise ValueError(f"lams must have shape ({params.K},), got {lams.shape}")
     if not np.all(lams >= 0):
-        raise ValueError("lams must be >= 0")
+        raise ValueError(f"lams must be >= 0, got {lams.tolist()!r}")
     return self_regression_log_likelihood(params, Y) - float(lams @ params.l1_norms())
 
 

@@ -292,6 +292,15 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^{field} must not repeat a value, got {re.escape(repr(values))}$"):
             SweepSpec(**{field: values})
 
+    @pytest.mark.parametrize("field, empty", [("dims", ()), ("dilations", ()), ("methods", ())])
+    def test_empty_setting_named_with_value(self, field, empty):
+        with pytest.raises(ValueError, match=rf"^{field} must be non-empty, got \(\)$"):
+            SweepSpec(**{field: empty})
+
+    def test_too_few_points_named_with_values(self):
+        with pytest.raises(ValueError, match=r"^points must be >= components, got points=2, components=3$"):
+            SweepSpec(n_points=2, components=3)
+
     def test_bad_flags_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--methods", "kmeans"])

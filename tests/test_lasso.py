@@ -269,7 +269,7 @@ class TestStationarityViolation:
         beta = np.array([b for _, b in pairs])
         with np.errstate(all="ignore"):
             expected = numpy_stationarity_violation(grad, beta, lam)
-            got = _stationarity_violation(grad, beta, lam)
+            got = _stationarity_violation(grad, beta.tolist(), lam)
         assert type(got) is float
         assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)

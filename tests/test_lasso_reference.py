@@ -10,6 +10,7 @@ KKT residual, sweep count and flag, or raise the same error.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +251,29 @@ class TestSolverMatchesReference:
         assert outcome(solve_weighted_lasso, problem, beta0) == expected
         with pytest.raises(NumericalError):
             solve_weighted_lasso(problem, beta0)
+
+
+class TestRefineCache:
+    def test_repeated_signed_sets_skip_lstsq(self):
+        # d=50, n=10 near-duplicate points: refine stalls on nested supports
+        # of one sign pattern, so later calls meet signed sub-supports that
+        # the first one solved; each must be solved only once per solve
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(10, 50))
+        points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, 50)) * 1e-6
+        D = SampleSet(points).design
+        weights = rng.random(10)
+        target = D @ weights / weights.sum()
+        lam = 0.05 * 3.0 * float(np.max(np.abs(D.T @ target)))
+        problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
+        counts = []
+        outcomes = []
+        for solve in (solve_weighted_lasso, reference_solve_weighted_lasso):
+            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+                outcomes.append(outcome(solve, problem, np.zeros(10)))
+            counts.append(lstsq.call_count)
+        assert outcomes[0] == outcomes[1]
+        assert 0 < counts[0] < counts[1]
 
 
 # Benchmark-style replicates (n=10, K=3) at a few points along a fit.

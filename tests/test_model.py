@@ -213,6 +213,10 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(restarts=0)
 
+    def test_nonpositive_tol_names_value(self):
+        with pytest.raises(ValueError, match=r"^tol must be positive, got -0.0$"):
+            Hyperparams(tol=-0.0)
+
     @pytest.mark.parametrize("field", ["max_cycles", "restarts", "seed"])
     def test_rejects_bool_counts(self, field):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
@@ -338,6 +342,7 @@ class TestLogLikelihood:
         "all -inf": [-np.inf, -np.inf, -np.inf],
         "+inf": [np.inf, 1.0, 0.0],
         "nan": [np.nan, 1.0, 0.0],
+        "shift beyond the float range": [-1.7976931348623157e308, 3e292, -np.inf],
     }
 
     @pytest.mark.parametrize("name", list(PINNED_ROWS))
@@ -416,6 +421,13 @@ class TestPenalizedObjective:
             penalized_value(params, Y, [0.5, -0.1])
         with pytest.raises(ValueError, match="lams must be >= 0"):
             penalized_value(params, Y, [0.5, np.nan])
+
+    def test_negative_lambda_named_with_value(self):
+        rng = np.random.default_rng(19)
+        Y = random_sample_set(rng)
+        params = random_params(rng, K=2, n=Y.n)
+        with pytest.raises(ValueError, match=r"^lams must be >= 0, got \[0.5, -0.25\]$"):
+            penalized_value(params, Y, [0.5, -0.25])
 
     @pytest.mark.parametrize("lams", [0.5, [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
     def test_rejects_one_weight_per_component_mismatch(self, lams):

@@ -3,9 +3,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparsemix.simulate import (
+    LabeledSample,
     ScenarioConfig,
     data_hash,
     gen_centers,
@@ -158,6 +161,25 @@ class TestSampleFiles:
         points, labels = read_sample(path)
         npt.assert_array_equal(points, sample.points)
         npt.assert_array_equal(labels, sample.labels)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_roundtrip_is_byte_exact(self, tmp_path, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        d = data.draw(st.integers(1, 5), label="d")
+        K = data.draw(st.integers(1, 4), label="K")
+        # finite floats, signed zeros and subnormals drawn on purpose
+        coordinate = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+        )
+        points = np.array(data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)), dtype=np.int64)
+        path = tmp_path / "sample.txt"
+        write_sample(path, LabeledSample(points=points, labels=labels, centers=np.zeros((K, d))))
+        got_points, got_labels = read_sample(path)
+        assert got_points.shape == points.shape and got_points.tobytes() == points.tobytes()
+        assert got_labels.dtype == np.int64 and got_labels.tobytes() == labels.tobytes()
 
     def test_header_line_format(self, tmp_path):
         cfg = config(dim=2, dilation=10.0, n_points=10)
