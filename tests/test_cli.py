@@ -292,10 +292,10 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^{field} must not repeat a value, got {re.escape(repr(values))}$"):
             SweepSpec(**{field: values})
 
-    @pytest.mark.parametrize("field, empty", [("dims", ()), ("dilations", ()), ("methods", ())])
-    def test_empty_setting_named_with_value(self, field, empty):
+    @pytest.mark.parametrize("field", ["dims", "dilations", "methods"])
+    def test_empty_setting_named_with_value(self, field):
         with pytest.raises(ValueError, match=rf"^{field} must be non-empty, got \(\)$"):
-            SweepSpec(**{field: empty})
+            SweepSpec(**{field: ()})
 
     def test_too_few_points_named_with_values(self):
         with pytest.raises(ValueError, match=r"^points must be >= components, got points=2, components=3$"):

@@ -79,7 +79,7 @@ def problem_inputs(n: int, d: int, rng: np.random.Generator) -> list[tuple]:
 def outcome(lasso, problem, beta0):
     try:
         sol = lasso.solve_weighted_lasso(problem, beta0)
-    except (ValueError, RuntimeError) as err:  # input checks; NumericalError
+    except (ValueError, RuntimeError) as err:  # the input checks and NumericalError
         return (type(err).__name__, str(err))
     return (sol.beta.tobytes(), sol.kkt_residual, sol.iterations, sol.converged)
 
