@@ -22,7 +22,6 @@ from .model import (
     MixtureParams,
     NumericalError,
     SampleSet,
-    component_log_density,
     default_variance_floor,
     kullback_penalty,
     penalized_value,
@@ -59,7 +58,6 @@ __all__ = [
     "WeightedLassoProblem",
     "baseline_fit",
     "best_permutation_correct",
-    "component_log_density",
     "default_variance_floor",
     "e_step",
     "gen_centers",

@@ -72,8 +72,8 @@ class BaselineReport:
     diagnostic: str | None = None
 
 
-# Evaluations of a reported SphericalParams; the fit evaluates its
-# MixtureParams through the sparse loop's carried blocks instead.
+# Evaluations of a reported SphericalParams; a MixtureParams, the fit's
+# included, is evaluated through model.Blocks instead.
 def _evaluate(params: SphericalParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """Log-joint matrix at ``params`` and its row log-normalizers."""
     return log_joint(spherical_log_density_matrix(Y.data, params.means, params.variances), params.weights)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import __version__
 from .baseline import baseline_fit
 from .evaluate import METHODS, run_mc_cell
-from .model import Hyperparams, NumericalError, SampleSet, as_int
+from .model import Hyperparams, NumericalError, SampleSet, as_int, no_bool
 from .simulate import ScenarioConfig, gen_replicate, read_sample, write_sample
 from .sparse_em import run as sparse_fit
 
@@ -47,7 +47,7 @@ class SweepSpec:
     file gives them as a dict keyed by ``Hyperparams`` field names); its
     seed is always the sweep ``seed``.  Values are cast to the field
     types here, so a config file may give ``10`` for a dilation, but not
-    ``2.5`` for an integer setting.
+    ``2.5`` for an integer setting, nor ``true`` for a number.
     """
 
     dims: tuple = (2,)
@@ -65,10 +65,10 @@ class SweepSpec:
 
     def __post_init__(self):
         self.dims = tuple(as_int("dims", d, 1) for d in self.dims)
-        self.dilations = tuple(float(x) for x in self.dilations)
+        self.dilations = tuple(float(x) for x in no_bool("dilations", self.dilations))
         self.methods = tuple(self.methods)
-        self.weights = tuple(float(w) for w in self.weights)
-        self.variances = tuple(float(v) for v in self.variances)
+        self.weights = tuple(float(w) for w in no_bool("weights", self.weights))
+        self.variances = tuple(float(v) for v in no_bool("variances", self.variances))
         for name, minimum in (("replicates", 1), ("seed", 0), ("jobs", 1), ("n_points", 1), ("components", 1)):
             setattr(self, name, as_int(name, getattr(self, name), minimum))
         self.out = str(self.out)

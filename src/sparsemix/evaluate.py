@@ -132,28 +132,24 @@ def fit_replicate(scenario: ScenarioConfig, method: str, hp: Hyperparams, replic
     )
 
 
-def _worker(args) -> ReplicateRecord:
-    return fit_replicate(*args)
-
-
 def run_mc_cell(scenario: ScenarioConfig, method: str, hp: Hyperparams, jobs: int = 1) -> McResult:
     """All replicates of one (dim, dilation, method) cell.
 
     Replicates run independently, in a pool of at most ``jobs`` worker
     processes (never more than there are replicates) when ``jobs`` > 1;
-    results are ordered by replicate index, so the output does not
-    depend on scheduling.  Non-converged fits are recorded with their
+    both paths return the records in replicate order, so the output does
+    not depend on scheduling.  Non-converged fits are recorded with their
     final assignments scored like any other, never dropped.
     """
     as_int("jobs", jobs, 1)
-    tasks = [(scenario, method, hp, r) for r in range(scenario.replicates)]
-    workers = min(jobs, scenario.replicates)
+    n = scenario.replicates
+    columns = ([scenario] * n, [method] * n, [hp] * n, range(n))
+    workers = min(jobs, n)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_worker, tasks, chunksize=8))
+            records = list(pool.map(fit_replicate, *columns, chunksize=8))
     else:
-        records = [fit_replicate(*t) for t in tasks]
-    records.sort(key=lambda rec: rec.replicate)
+        records = list(map(fit_replicate, *columns))
     ancrci = float(np.mean([rec.correct for rec in records]))
     return McResult(
         cell=(scenario.dim, scenario.dilation, method),

@@ -17,16 +17,17 @@ All likelihood arithmetic is done in log space with per-row max shifts,
 so dimensions up to a few hundred do not underflow.
 
 The log-joint matrix ``logp[i, k] = log pi_k + log N(y_i; Y beta_k,
-sigma_k^2 I)`` and its row log-normalizers ``lse`` (:func:`log_joint`)
-carry everything a partial step needs: ``sum(lse)`` is the mixture log
-likelihood and ``exp(logp - lse[:, None])`` the responsibilities.  The
-EM loop that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
-evaluates this pair once per partial step and reads both views from it.
-The log densities are composed of blocks (:func:`squared_distances`,
+sigma_k^2 I)`` and its row log-normalizers ``lse`` carry everything a
+partial step needs: ``sum(lse)`` is the mixture log likelihood and
+``exp(logp - lse[:, None])`` the responsibilities.  :class:`Blocks` is
+the one evaluator of that pair for a :class:`MixtureParams`.  It
+composes the log densities from blocks (:func:`squared_distances`,
 :func:`log_normalizers`, :func:`log_densities`, and :func:`log_weights`
-for the joint) that depend on one parameter array each, so the EM
-loop carries them across its partial steps and recomputes only the
-blocks a step changed.
+for the joint) that depend on one parameter array each, so the EM loop
+that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
+carries one instance across its partial steps and recomputes only the
+blocks a step changed; the objectives below and
+:func:`sparsemix.sparse_em.e_step` evaluate through a fresh one.
 Inside the loop's steps parameters are rebuilt through
 :meth:`MixtureParams._trusted`, unvalidated by construction; parameters
 built outside them (user input, initialization, re-seeding) are
@@ -75,6 +76,15 @@ def as_int(name: str, value, minimum: int) -> int:
     if out < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return out
+
+
+def no_bool(name: str, value):
+    """``value`` itself, or a ValueError naming the setting when it is or holds a bool (numpy reads True as 1.0)."""
+    bools = (bool, np.bool_)
+    seq = isinstance(value, (list, tuple, np.ndarray))
+    if isinstance(value, bools) or seq and any(isinstance(x, bools) for x in value):
+        raise ValueError(f"{name} takes numbers, not bools, got {value!r}")
+    return value
 
 
 def weights_and_variances(weights, variances) -> tuple[np.ndarray, np.ndarray]:
@@ -300,6 +310,8 @@ class Hyperparams:
     def __post_init__(self):
         for name, minimum in (("max_cycles", 1), ("restarts", 1), ("seed", 0)):
             as_int(name, getattr(self, name), minimum)
+        for name in ("lam", "tol", "variance_floor"):
+            no_bool(name, getattr(self, name))
         if self.lam is not None and not (0 <= self.lam < math.inf):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if not (self.tol > 0):
@@ -314,21 +326,6 @@ class Hyperparams:
 # ---------------------------------------------------------------------------
 # Objective functions
 # ---------------------------------------------------------------------------
-
-def component_log_density(y, beta, sigma2: float, Y: SampleSet) -> float:
-    """Log of one spherical Gaussian component at ``y`` with mean Y beta.
-
-    Returns -(d/2) log(2 pi sigma2) - ||y - Y beta||^2 / (2 sigma2).
-    """
-    yv = as_finite_array(y, "y")
-    bv = as_finite_array(beta, "beta")
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError("sigma2 must be positive and finite")
-    if yv.shape != (Y.d,) or bv.shape != (Y.n,):
-        raise ValueError("y must have shape (d,), beta shape (n,)")
-    resid = yv - bv @ Y.data
-    return float(-0.5 * Y.d * (LOG_2PI + math.log(sigma2)) - resid @ resid / (2.0 * sigma2))
-
 
 def squared_distances(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     """(n, K) matrix of squared distances from each row of ``X`` to each mean."""
@@ -350,18 +347,15 @@ def spherical_log_density_matrix(X: np.ndarray, means: np.ndarray, variances: np
     """Per-point, per-component spherical Gaussian log densities.
 
     ``X`` is (n, d), ``means`` is (K, d), ``variances`` is (K,).  Returns
-    an (n, K) matrix, the composition of the three blocks above.  The
-    EM loop carries those blocks across partial steps and refreshes
-    them one by one, for both estimators: the baseline fits on
-    :class:`MixtureParams` too, with means ``Y beta_k``.  This
-    composition serves :func:`log_density_matrix` and the evaluation
-    of the baseline's reported explicit means.
+    an (n, K) matrix, the composition of the three blocks above that
+    :class:`Blocks` carries.  It serves :func:`log_density_matrix` and
+    the evaluation of the baseline's reported explicit means.
     """
     return log_densities(log_normalizers(X.shape[1], variances), squared_distances(X, means), variances)
 
 
 def log_density_matrix(params: MixtureParams, Y: SampleSet) -> np.ndarray:
-    """(n, K) matrix of component log densities at the realized means."""
+    """(n, K) component log densities at the realized means, composed directly: a reference for :class:`Blocks`."""
     return spherical_log_density_matrix(Y.data, params.means(Y), params.variances)
 
 
@@ -412,15 +406,66 @@ def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np
     return logp, logsumexp_rows(logp)
 
 
-def log_responsibilities(params: MixtureParams, Y: SampleSet) -> np.ndarray:
-    """Row-normalized log posteriors at ``params``."""
-    logp, lse = log_joint(log_density_matrix(params, Y), params.weights)
-    return logp - lse[:, None]
+class Blocks:
+    """The model blocks of one :class:`MixtureParams`, the only evaluator of its log-joint.
+
+    A partial step replaces one parameter array and shares the other two
+    with its input (:meth:`MixtureParams._trusted` stores them as they
+    are, read-only), so each block below is recomputed only when the
+    array it derives from is a different object:
+
+    - ``betas``: the means ``betas @ Y.data``, the squared distances
+      ``sq`` and the l1 norms;
+    - ``variances``: the terms ``d * (log 2 pi + log sigma_k^2)``;
+    - ``betas`` or ``variances``: the log-density matrix;
+    - ``weights``: the log weights.
+
+    The EM loop carries one instance per restart; everything else
+    evaluates through a fresh one, ``Blocks(Y).evaluate(params)``.
+    Parameters an instance did not produce (the initial ones, a re-seed)
+    hold fresh arrays, so every block is recomputed from them.  ``lams``
+    holds the penalty weights of the loop's current cycle.
+    """
+
+    def __init__(self, Y: SampleSet):
+        self.Y = Y
+        self.betas = self.variances = self.weights = self.lams = None
+
+    def sync(self, params: MixtureParams) -> None:
+        """Recompute the blocks whose source array ``params`` replaced."""
+        Y = self.Y
+        fresh = False
+        if params.betas is not self.betas:
+            self.betas = params.betas
+            self.means = params.means(Y)
+            self.sq = squared_distances(Y.data, self.means)
+            self.l1 = params.l1_norms()
+            fresh = True
+        if params.variances is not self.variances:
+            self.variances = params.variances
+            self.norms = log_normalizers(Y.d, params.variances)
+            fresh = True
+        if fresh:
+            self.log_dens = log_densities(self.norms, self.sq, self.variances)
+        if params.weights is not self.weights:
+            self.weights = params.weights
+            self.log_w = log_weights(params.weights)
+
+    def evaluate(self, params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
+        """Log-joint matrix at ``params`` and its row log-normalizers, as :func:`log_joint` returns them."""
+        self.sync(params)
+        logp = self.log_dens + self.log_w[None, :]
+        return logp, logsumexp_rows(logp)
+
+    def penalty(self, params: MixtureParams) -> float:
+        """The l1 term of :func:`penalized_value` under the cycle's weights ``lams``."""
+        self.sync(params)
+        return self.lams @ self.l1
 
 
 def self_regression_log_likelihood(params: MixtureParams, Y: SampleSet) -> float:
     """Mixture log likelihood with means realized as Y beta_k."""
-    return float(np.sum(log_joint(log_density_matrix(params, Y), params.weights)[1]))
+    return float(np.sum(Blocks(Y).evaluate(params)[1]))
 
 
 def penalized_value(params: MixtureParams, Y: SampleSet, lams) -> float:
@@ -451,7 +496,7 @@ def q_function(params: MixtureParams, tau: np.ndarray, Y: SampleSet) -> float:
     tau_ik > 0 the function returns -inf (a sentinel, not an exception).
     """
     t = np.asarray(tau, dtype=float)
-    logp = log_density_matrix(params, Y) + log_weights(params.weights)[None, :]
+    logp = Blocks(Y).evaluate(params)[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         complete = np.where(t > 0, t * logp, 0.0)
         entropy = np.where(t > 0, t * np.log(t), 0.0)
@@ -465,8 +510,7 @@ def kullback_penalty(theta: MixtureParams, theta_bar: MixtureParams, Y: SampleSe
     >= 0, zero when the responsibility matrices coincide, +inf when
     t_ik(theta) = 0 somewhere t_ik(theta_bar) > 0.
     """
-    log_t = log_responsibilities(theta, Y)
-    log_tb = log_responsibilities(theta_bar, Y)
+    log_t, log_tb = (logp - lse[:, None] for logp, lse in map(Blocks(Y).evaluate, (theta, theta_bar)))
     tb = np.exp(log_tb)
     with np.errstate(invalid="ignore"):
         terms = np.where(tb > 0, tb * (log_tb - log_t), 0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_int, weights_and_variances
+from .model import as_int, no_bool, weights_and_variances
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, minimum in (("dim", 1), ("n_points", 1), ("K", 1), ("replicates", 1), ("seed", 0)):
             as_int(name, getattr(self, name), minimum)
-        if not 0 < self.dilation < float("inf"):
+        if not 0 < no_bool("dilation", self.dilation) < float("inf"):
             raise ValueError(f"dilation must be finite and positive, got {self.dilation!r}")
         if np.shape(self.weights) != (self.K,) or np.shape(self.variances) != (self.K,):
             raise ValueError(f"weights and variances need K={self.K} entries, got {self.weights!r}, {self.variances!r}")
-        weights_and_variances(self.weights, self.variances)
+        weights_and_variances(no_bool("weights", self.weights), no_bool("variances", self.variances))
 
     @property
     def cube_bounds(self) -> tuple:

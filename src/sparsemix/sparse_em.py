@@ -16,8 +16,8 @@ committed data point; a cluster that needs more than three re-seeds
 aborts the fit as non-converged.  The restart driver
 (:func:`best_restart`) is shared with the classic-EM baseline: for each
 restart it draws the initialization (:func:`indicator_init`), runs the
-loop (:func:`em_loop`) with its evaluation (:class:`_Blocks`) and
-re-seed (:func:`_reseed`), and it keeps the restart whose trace ends
+loop (:func:`em_loop`) with its evaluation (:class:`~sparsemix.model.Blocks`)
+and re-seed (:func:`_reseed`), and it keeps the restart whose trace ends
 highest.  Classic EM is the same model with beta_k = tau_k / s_k, so
 the mean Y beta_k is the weighted data mean; it runs as the one-step
 cycle of the full M-step with lambda held at 0.  Each estimator builds
@@ -25,11 +25,12 @@ its own report type once, for the winning restart.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
-matrix (see :func:`sparsemix.model.log_joint`).  Each restart carries
-the blocks of that matrix across its steps (:class:`_Blocks`) and
-recomputes only those the step changed: a beta step the means, squared
-distances and l1 norms, a sigma step the log normalizers, either of
-them the log densities, and the weights step only the log weights.
+matrix, evaluated only by :class:`sparsemix.model.Blocks`.  Each restart
+carries one instance across its steps and recomputes only the blocks the
+step changed: a beta step the means, squared distances and l1 norms, a
+sigma step the log normalizers, either of them the log densities, and
+the weights step only the log weights.  :func:`e_step` evaluates through
+a fresh instance.
 Parameters inside the loop are built by :meth:`MixtureParams._trusted`
 and so are unvalidated by construction; the initial parameters and
 re-seeded ones are validated, and every block is recomputed from them.
@@ -46,21 +47,15 @@ import numpy as np
 from .lasso import WeightedLassoProblem, default_tolerance, kkt_residual, solve_weighted_lasso
 from .model import (
     WEIGHT_SUM_TOL,
+    Blocks,
     EmptyClusterError,
     Hyperparams,
     MixtureParams,
     NumericalError,
     SampleSet,
     as_int,
-    log_densities,
-    log_density_matrix,
-    log_joint,
-    log_normalizers,
-    log_weights,
-    logsumexp_rows,
-    penalized_value,
-    squared_distances,
 )
+from .model import log_density_matrix, penalized_value  # noqa: F401  (bound here by perfbench/tracing.py)
 
 EMPTY_FRACTION = 1e-8   # s_k below this times n counts as an empty cluster
 MAX_RESEEDS = 3
@@ -134,11 +129,6 @@ def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyp
 # Partial steps
 # ---------------------------------------------------------------------------
 
-def _evaluate(params: MixtureParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Log-joint matrix at ``params`` and its row log-normalizers."""
-    return log_joint(log_density_matrix(params, Y), params.weights)
-
-
 def _responsibilities(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
     tau = np.exp(logp - lse[:, None])
     if not np.isfinite(tau).all():
@@ -148,7 +138,7 @@ def _responsibilities(logp: np.ndarray, lse: np.ndarray) -> np.ndarray:
 
 def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
     """Posterior component memberships, one normalized row per point."""
-    return _responsibilities(*_evaluate(params, Y))
+    return _responsibilities(*Blocks(Y).evaluate(params))
 
 
 def update_weights(tau: np.ndarray) -> np.ndarray:
@@ -201,6 +191,22 @@ def update_sigma(k: int, tau: np.ndarray, Y: SampleSet, hp: Hyperparams, means: 
     resid = Y.data - means[k][None, :]
     sq = float(tau[:, k] @ (resid**2).sum(axis=1))
     return max(hp.resolve_floor(Y), sq / (Y.d * s))
+
+
+def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
+          hp: Hyperparams) -> MixtureParams:
+    """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
+    kind, k = tag
+    if kind == "weights":
+        return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
+    if kind == "beta":
+        betas = params.betas.copy()
+        betas[k] = update_beta(k, params, tau, Y, hp, float(blocks.lams[k]))
+        return MixtureParams._trusted(params.weights, betas, params.variances)
+    blocks.sync(params)  # a no-op in em_loop, which evaluated params last
+    variances = params.variances.copy()
+    variances[k] = update_sigma(k, tau, Y, hp, blocks.means)
+    return MixtureParams._trusted(params.weights, params.betas, variances)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +281,11 @@ class LoopOutcome(NamedTuple):
 def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, step) -> LoopOutcome:
     """One restart of EM from ``params``, cycling through the partial steps in ``order``.
 
-    The restart carries its model blocks in a fresh :class:`_Blocks`.
+    The restart carries its model blocks in a fresh :class:`Blocks`.
     Each step reads its responsibilities from the last
-    ``blocks.evaluate(params, Y) -> (logp, lse)`` and returns
+    ``blocks.evaluate(params) -> (logp, lse)`` and returns
     ``step(blocks, params, tau, tag, Y, hp)``: the sparse cycle passes
-    :meth:`_Blocks.step`, classic EM the one-step cycle ``(None,)`` of
+    :func:`_step`, classic EM the one-step cycle ``(None,)`` of
     its full M-step.  On EmptyClusterError the component is re-seeded by
     :func:`_reseed`, or the restart aborts after ``MAX_RESEEDS``
     re-seeds.
@@ -293,7 +299,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     the penalty, both at the start of the cycle.  Under weights that do
     not move that is, bit for bit, the previous cycle's last entry.
     """
-    blocks = _Blocks(Y)
+    blocks = Blocks(Y)
     sigma2_init = default_sigma2(Y, params.K, hp.resolve_floor(Y))
     trace: list[float] = []
     reseed_events: list = []
@@ -301,7 +307,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     diagnostic = None
     converged = False
     cycles_run = 0
-    logp, lse = blocks.evaluate(params, Y)
+    logp, lse = blocks.evaluate(params)
 
     for cycle in range(hp.max_cycles):
         for step_idx, tag in enumerate(order):
@@ -319,7 +325,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
                     diagnostic = f"component {k} stayed empty after {MAX_RESEEDS} re-seeds"
                 else:
                     params = _reseed(params, tau, k, Y, sigma2_init)
-            logp, lse = blocks.evaluate(params, Y)
+            logp, lse = blocks.evaluate(params)
             trace.append(float(lse.sum()) - float(blocks.penalty(params)))
             if diagnostic is not None:
                 break
@@ -358,78 +364,6 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     return best
 
 
-class _Blocks:
-    """The model blocks of one restart, carried across its partial steps.
-
-    A partial step replaces one parameter array and shares the other two
-    with its input (:meth:`MixtureParams._trusted` stores them as they
-    are, read-only), so each block below is recomputed only when the
-    array it derives from is a different object:
-
-    - ``betas``: the means ``betas @ Y.data``, the squared distances
-      ``sq`` and the l1 norms;
-    - ``variances``: the terms ``d * (log 2 pi + log sigma_k^2)``;
-    - ``betas`` or ``variances``: the log-density matrix;
-    - ``weights``: the log weights.
-
-    Parameters this object did not produce (the initial ones, a
-    re-seed) hold fresh arrays, so every block is recomputed from them.
-    ``lams`` holds the penalty weights of the current cycle, which
-    :func:`em_loop` fixes.  One instance serves one restart and is
-    dropped with it.
-    """
-
-    def __init__(self, Y: SampleSet):
-        self.Y = Y
-        self.betas = self.variances = self.weights = self.lams = None
-
-    def sync(self, params: MixtureParams) -> None:
-        """Recompute the blocks whose source array ``params`` replaced."""
-        Y = self.Y
-        fresh = False
-        if params.betas is not self.betas:
-            self.betas = params.betas
-            self.means = params.means(Y)
-            self.sq = squared_distances(Y.data, self.means)
-            self.l1 = params.l1_norms()
-            fresh = True
-        if params.variances is not self.variances:
-            self.variances = params.variances
-            self.norms = log_normalizers(Y.d, params.variances)
-            fresh = True
-        if fresh:
-            self.log_dens = log_densities(self.norms, self.sq, self.variances)
-        if params.weights is not self.weights:
-            self.weights = params.weights
-            self.log_w = log_weights(params.weights)
-
-    def evaluate(self, params: MixtureParams, Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-        """What :func:`_evaluate` returns, from the carried blocks."""
-        self.sync(params)
-        logp = self.log_dens + self.log_w[None, :]
-        return logp, logsumexp_rows(logp)
-
-    def step(self, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
-             hp: Hyperparams) -> MixtureParams:
-        """One partial step of the sparse cycle: the weights, one beta_k or one sigma_k."""
-        kind, k = tag
-        if kind == "weights":
-            return MixtureParams._trusted(update_weights(tau), params.betas, params.variances)
-        if kind == "beta":
-            betas = params.betas.copy()
-            betas[k] = update_beta(k, params, tau, Y, hp, float(self.lams[k]))
-            return MixtureParams._trusted(params.weights, betas, params.variances)
-        self.sync(params)  # a no-op in em_loop, which evaluated params last
-        variances = params.variances.copy()
-        variances[k] = update_sigma(k, tau, Y, hp, self.means)
-        return MixtureParams._trusted(params.weights, params.betas, variances)
-
-    def penalty(self, params: MixtureParams) -> float:
-        """The l1 term of :func:`penalized_value` under the cycle's weights."""
-        self.sync(params)
-        return self.lams @ self.l1
-
-
 def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
     """Fit a K-component model; returns the best restart by final objective.
 
@@ -442,7 +376,7 @@ def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
     winning restart.
     """
     order = (("weights", -1),) + tuple(("beta", k) for k in range(K)) + tuple(("sigma", k) for k in range(K))
-    r, out = best_restart(Y, K, hp, seed, order, _Blocks.step)
+    r, out = best_restart(Y, K, hp, seed, order, _step)
     return FitReport(
         params=out.params,
         objective_trace=out.trace,

@@ -1,18 +1,41 @@
-"""The EM loop's carried model blocks against fresh evaluations, bit for bit.
+"""The model's one evaluator against the direct composition, bit for bit.
 
-Within one restart the loop keeps the means, squared distances, log
-normalizers, log weights and log densities that a partial step leaves
-unchanged.  Every (logp, lse) the loop reads must equal a fresh
-evaluation of the same parameters, after every kind of step and after
-every re-seed, for the sparse cycle and for the baseline's M-step.
+Every evaluation of a ``MixtureParams`` goes through ``model.Blocks``.
+Within one restart the EM loop carries one instance and keeps the means,
+squared distances, log normalizers, log weights and log densities that a
+partial step leaves unchanged; everywhere else a fresh instance is
+built.  Both must equal ``log_joint(log_density_matrix(...))``, which
+composes the same arithmetic directly: the loop's (logp, lse) after
+every kind of step and after every re-seed, for the sparse cycle and for
+the baseline's M-step, and the objectives (``e_step``,
+``self_regression_log_likelihood``, ``q_function``, ``kullback_penalty``)
+against their formulas written on that composition.
 """
 
 from unittest import mock
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from test_reference_loops import ABORT, BASELINE_RESEED, RESEED, cases, fit_inputs
 
 from sparsemix import baseline, sparse_em
+from sparsemix.model import (
+    Blocks,
+    MixtureParams,
+    SampleSet,
+    kullback_penalty,
+    log_density_matrix,
+    log_joint,
+    log_weights,
+    q_function,
+    self_regression_log_likelihood,
+)
+
+
+def direct_evaluate(params, Y):
+    return log_joint(log_density_matrix(params, Y), params.weights)
 
 
 class CheckedLoop:
@@ -28,7 +51,7 @@ class CheckedLoop:
         self.last = "init"
 
     def __enter__(self):
-        step, evaluate, reseed = sparse_em._Blocks.step, sparse_em._Blocks.evaluate, sparse_em._reseed
+        step, evaluate, reseed = sparse_em._step, Blocks.evaluate, sparse_em._reseed
         m_step = baseline._step
 
         def checked_step(blocks, params, tau, tag, Y, hp):
@@ -39,9 +62,9 @@ class CheckedLoop:
             self.last = "m_step"
             return m_step(*args)
 
-        def checked_evaluate(blocks, params, Y):
-            logp, lse = evaluate(blocks, params, Y)
-            fresh_logp, fresh_lse = sparse_em._evaluate(params, Y)
+        def checked_evaluate(blocks, params):
+            logp, lse = evaluate(blocks, params)
+            fresh_logp, fresh_lse = direct_evaluate(params, blocks.Y)
             assert logp.tobytes() == fresh_logp.tobytes(), self.last
             assert lse.tobytes() == fresh_lse.tobytes(), self.last
             self.seen[self.last] = self.seen.get(self.last, 0) + 1
@@ -53,8 +76,8 @@ class CheckedLoop:
             return reseed(*args)
 
         self.patches = [
-            mock.patch.object(sparse_em._Blocks, "step", checked_step),
-            mock.patch.object(sparse_em._Blocks, "evaluate", checked_evaluate),
+            mock.patch.object(sparse_em, "_step", checked_step),
+            mock.patch.object(Blocks, "evaluate", checked_evaluate),
             mock.patch.object(sparse_em, "_reseed", checked_reseed),
             mock.patch.object(baseline, "_step", checked_m_step),
         ]
@@ -96,3 +119,68 @@ class TestCarriedBlocks:
             with CheckedLoop() as loop:
                 fit(Y, 3, hp, seed=seed)
             assert loop.seen["reseed"] >= 1 and loop.seen[step] >= 1
+
+
+# Each objective written on the direct composition log_joint(log_density_matrix(...)), the reference for Blocks.
+def direct_e_step(params, Y):
+    logp, lse = direct_evaluate(params, Y)
+    return np.exp(logp - lse[:, None])
+
+
+def direct_log_likelihood(params, Y):
+    return float(np.sum(direct_evaluate(params, Y)[1]))
+
+
+def direct_q_function(params, tau, Y):
+    logp = log_density_matrix(params, Y) + log_weights(params.weights)[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        complete = np.where(tau > 0, tau * logp, 0.0)
+        entropy = np.where(tau > 0, tau * np.log(tau), 0.0)
+    return float(np.sum(complete) - np.sum(entropy))
+
+
+def direct_kullback_penalty(theta, theta_bar, Y):
+    logp, lse = direct_evaluate(theta, Y)
+    log_t = logp - lse[:, None]
+    logp, lse = direct_evaluate(theta_bar, Y)
+    log_tb = logp - lse[:, None]
+    tb = np.exp(log_tb)
+    with np.errstate(invalid="ignore"):
+        terms = np.where(tb > 0, tb * (log_tb - log_t), 0.0)
+    return float(np.sum(terms))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """Data and two parameter sets on it; weights may hold exact zeros (log weight -inf)."""
+    n, d, K = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    Y = SampleSet(draw(hnp.arrays(float, (n, d), elements=st.floats(-100.0, 100.0))))
+
+    def params():
+        w = draw(hnp.arrays(float, K, elements=st.floats(0.0, 1.0)).filter(lambda w: w.sum() > 0.01))
+        return MixtureParams(
+            weights=w / w.sum(),
+            betas=draw(hnp.arrays(float, (K, n), elements=st.floats(-3.0, 3.0))),
+            variances=draw(hnp.arrays(float, K, elements=st.floats(1e-2, 1e2))),
+        )
+
+    return Y, params(), params()
+
+
+class TestFreshEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=evaluation_inputs())
+    def test_objectives_match_direct_composition(self, inputs):
+        Y, theta, theta_bar = inputs
+        logp, lse = Blocks(Y).evaluate(theta)
+        direct_logp, direct_lse = direct_evaluate(theta, Y)
+        assert same_bits(logp, direct_logp) and same_bits(lse, direct_lse)
+        tau = sparse_em.e_step(theta_bar, Y)
+        assert same_bits(tau, direct_e_step(theta_bar, Y))
+        assert same_bits(self_regression_log_likelihood(theta, Y), direct_log_likelihood(theta, Y))
+        assert same_bits(q_function(theta, tau, Y), direct_q_function(theta, tau, Y))
+        assert same_bits(kullback_penalty(theta, theta_bar, Y), direct_kullback_penalty(theta, theta_bar, Y))

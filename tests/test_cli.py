@@ -149,6 +149,16 @@ class TestSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+    def test_bool_number_exit_2(self, tmp_path, capsys):
+        # argparse types the flags, so a bool reaches the command only through its namespace
+        out = tmp_path / "sim"
+        args = cli.build_parser().parse_args(["simulate", "--dim", "2", "--dilation", "30", "--out", str(out)])
+        args.dilation = True
+        assert args.func(args) == 2
+        assert "dilation takes numbers, not bools, got True" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     SWEEP_FLAGS = [
         "sweep", "--dims", "2", "--dilations", "10", "40", "--methods", "sparse", "baseline",
@@ -274,6 +284,25 @@ class TestSweep:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"dialations": [10]}))
         assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ({"hyperparams": {"tol": True, "lam": False}}, "takes numbers, not bools"),
+        ({"hyperparams": {"variance_floor": True}}, "variance_floor takes numbers, not bools, got True"),
+        ({"dilations": [True]}, r"dilations takes numbers, not bools, got \[True\]"),
+        ({"weights": [True, False, False]}, r"weights takes numbers, not bools, got \[True, False, False\]"),
+        ({"variances": [5.0, True, 10.0]}, r"variances takes numbers, not bools, got \[5.0, True, 10.0\]"),
+    ])
+    def test_bool_number_in_config_exit_2(self, config, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"replicates": 1, **config}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_spec_rejects_bool_before_casting(self):
+        with pytest.raises(ValueError, match=r"^dilations takes numbers, not bools, got \(10.0, True\)$"):
+            SweepSpec(dilations=(10.0, True))
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"

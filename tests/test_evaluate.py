@@ -122,8 +122,8 @@ class TestRunMcCell:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *columns, chunksize=1):
+                return map(fn, *columns)
 
         cfg = replace(self.CFG, replicates=3)
         with mock.patch.object(evaluate, "ProcessPoolExecutor", SerialPool):

@@ -17,7 +17,7 @@ from sparsemix.model import (
     Hyperparams,
     MixtureParams,
     SampleSet,
-    component_log_density,
+    as_finite_array,
     default_variance_floor,
     kullback_penalty,
     log_density_matrix,
@@ -42,6 +42,21 @@ def random_params(rng, K, n, beta_scale=0.5):
         betas=beta_scale * rng.normal(size=(K, n)),
         variances=rng.uniform(0.5, 2.0, size=K),
     )
+
+
+def component_log_density(y, beta, sigma2: float, Y: SampleSet) -> float:
+    """Scalar oracle: log of one spherical Gaussian component at ``y`` with mean Y beta.
+
+    Returns -(d/2) log(2 pi sigma2) - ||y - Y beta||^2 / (2 sigma2).
+    """
+    yv = as_finite_array(y, "y")
+    bv = as_finite_array(beta, "beta")
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError("sigma2 must be positive and finite")
+    if yv.shape != (Y.d,) or bv.shape != (Y.n,):
+        raise ValueError("y must have shape (d,), beta shape (n,)")
+    resid = yv - bv @ Y.data
+    return float(-0.5 * Y.d * (math.log(2.0 * math.pi) + math.log(sigma2)) - resid @ resid / (2.0 * sigma2))
 
 
 def naive_log_likelihood(params, Y):
@@ -220,6 +235,11 @@ class TestHyperparams:
     @pytest.mark.parametrize("field", ["max_cycles", "restarts", "seed"])
     def test_rejects_bool_counts(self, field):
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
+            Hyperparams(**{field: True})
+
+    @pytest.mark.parametrize("field", ["lam", "tol", "variance_floor"])
+    def test_rejects_bool_numbers(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} takes numbers, not bools, got True$"):
             Hyperparams(**{field: True})
 
     def test_negative_seed_names_field_and_value(self):

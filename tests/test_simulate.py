@@ -53,6 +53,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
             config(**{field: True})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(dilation=True), r"^dilation takes numbers, not bools, got True$"),
+        (dict(weights=(True, False, False)), r"^weights takes numbers, not bools, got \(True, False, False\)$"),
+        (dict(variances=np.ones(3, dtype=bool)), r"^variances takes numbers, not bools, got array"),
+    ])
+    def test_rejects_bool_numbers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            config(**kwargs)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             config(seed=-1)

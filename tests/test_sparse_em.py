@@ -299,8 +299,8 @@ class TestRun:
             + tuple(("beta", int(inv[c])) for c in range(3))
             + tuple(("sigma", int(inv[c])) for c in range(3))
         )
-        out1 = sparse_em.em_loop(Y, init, hp, natural, sparse_em._Blocks.step)
-        out2 = sparse_em.em_loop(Y, init.permuted(perm), hp, order, sparse_em._Blocks.step)
+        out1 = sparse_em.em_loop(Y, init, hp, natural, sparse_em._step)
+        out2 = sparse_em.em_loop(Y, init.permuted(perm), hp, order, sparse_em._step)
         npt.assert_array_equal(np.argmax(out2.tau, axis=1), inv[np.argmax(out1.tau, axis=1)])
         npt.assert_allclose(out2.params.weights, out1.params.weights[perm], rtol=1e-8)
         npt.assert_allclose(out2.params.betas, out1.params.betas[perm], atol=1e-8)
