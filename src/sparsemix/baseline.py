@@ -10,9 +10,13 @@ through the sparse estimator's restart driver
 full M-step, and lambda held at 0: the initialization, the evaluation
 of the carried model blocks, the variance floor, re-seeding, the
 stopping rule and the ranking of restarts are the same code, so
-benchmark gaps isolate the estimator difference.  Only the report types
-differ: :class:`BaselineReport` carries :class:`SphericalParams`, whose
-means are realized once per fit, for the winning restart.
+benchmark gaps isolate the estimator difference.  The M-step computes
+the means, squared distances and l1 norms of its new betas once, in the
+carried :class:`~sparsemix.model.Blocks`; the loop's evaluation then
+adds the log normalizers, log densities and log weights.  Only the
+report types differ: :class:`BaselineReport` carries
+:class:`SphericalParams`, whose means are realized once per fit, for
+the winning restart.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    Blocks,
     EmptyClusterError,
     Hyperparams,
     MixtureParams,
@@ -29,7 +34,6 @@ from .model import (
     as_finite_array,
     log_joint,
     spherical_log_density_matrix,
-    squared_distances,
     weights_and_variances,
 )
 from .sparse_em import EMPTY_FRACTION, best_restart, on_simplex
@@ -88,26 +92,29 @@ def spherical_e_step(params: SphericalParams, Y: SampleSet) -> np.ndarray:
     return np.exp(logp - lse[:, None])
 
 
-def _m_step(tau: np.ndarray, Y: SampleSet, floor: float) -> MixtureParams:
-    """Closed-form full update; raises on empty components.
+def _m_step(blocks: Blocks, tau: np.ndarray, floor: float) -> MixtureParams:
+    """Closed-form full update on the sample ``blocks.Y``; raises on empty components.
 
     Weights s / n, betas (tau / s)^T, so that each mean is its weighted
-    data mean, and the floored variances about those means.
+    data mean, and the floored variances about those means.  The new
+    betas' means, squared distances and l1 norms are computed once, by
+    ``blocks.set_betas``, and stay in ``blocks`` for the evaluation that
+    follows the step; an empty component raises before ``blocks`` changes.
     """
-    n, d = Y.data.shape
+    n, d = blocks.Y.data.shape
     s = tau.sum(axis=0)
-    if np.any(s <= EMPTY_FRACTION * n):
+    if (s <= EMPTY_FRACTION * n).any():
         k = int(np.argmin(s))
         raise EmptyClusterError(f"component {k} has responsibility mass {s[k]:.3e}", component=k)
     betas = (tau / s).T
-    sq = squared_distances(Y.data, betas @ Y.data)
-    variances = np.maximum(floor, (tau * sq).sum(axis=0) / (d * s))
+    blocks.set_betas(betas)
+    variances = np.maximum(floor, (tau * blocks.sq).sum(axis=0) / (d * s))
     return MixtureParams._trusted(on_simplex(s / n), betas, variances)
 
 
-def _step(_blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
+def _step(blocks: Blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
     """The whole cycle of classic EM: one full M-step."""
-    return _m_step(tau, Y, hp.resolve_floor(Y))
+    return _m_step(blocks, tau, hp.resolve_floor(Y))
 
 
 def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineReport:

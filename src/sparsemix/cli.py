@@ -47,7 +47,8 @@ class SweepSpec:
     file gives them as a dict keyed by ``Hyperparams`` field names); its
     seed is always the sweep ``seed``.  Values are cast to the field
     types here, so a config file may give ``10`` for a dilation, but not
-    ``2.5`` for an integer setting, nor ``true`` for a number.
+    ``2.5`` for an integer setting, nor ``true`` for a number; ``out`` is
+    a path, a string or ``os.PathLike``, never a number or a bool.
     """
 
     dims: tuple = (2,)
@@ -71,7 +72,9 @@ class SweepSpec:
         self.variances = tuple(float(v) for v in no_bool("variances", self.variances))
         for name, minimum in (("replicates", 1), ("seed", 0), ("jobs", 1), ("n_points", 1), ("components", 1)):
             setattr(self, name, as_int(name, getattr(self, name), minimum))
-        self.out = str(self.out)
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"out must be a path, got {self.out!r}")
+        self.out = os.fspath(self.out)
         self.hyperparams = replace(self.hyperparams, seed=self.seed)
         for name in ("dims", "dilations", "methods"):  # a repeat would fit and write its cells twice
             values = getattr(self, name)
@@ -273,7 +276,8 @@ def build_sweep_spec(args) -> SweepSpec:
         flag = getattr(args, f.name, None)
         if flag is not None:
             settings[f.name] = flag
-    settings["out"] = settings.get("out") or os.environ.get(OUT_ENV_VAR) or SweepSpec.out
+    if settings.get("out") in (None, ""):  # any other value, false and 0 included, is checked by SweepSpec
+        settings["out"] = os.environ.get(OUT_ENV_VAR) or SweepSpec.out
     settings["hyperparams"] = hyperparams_from_args(args, settings)
     return SweepSpec(**settings)
 

@@ -80,9 +80,8 @@ class WeightedLassoProblem:
         if not (math.isfinite(sigma2) and sigma2 > 0):
             raise ValueError("sigma2 must be positive and finite")
         self = object.__new__(cls)
-        for name, value in (("design", design), ("target", target), ("total_weight", total_weight),
-                            ("sigma2", sigma2), ("lam", lam), ("gram", gram)):
-            object.__setattr__(self, name, value)
+        vars(self).update(design=design, target=target, total_weight=total_weight, sigma2=sigma2, lam=lam,
+                          gram=gram)
         return self
 
     @property
@@ -156,7 +155,8 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     size of the gradient at the origin, so behavior is uniform across
     data dilations.
     """
-    scale = problem.smooth_scale * float(np.linalg.norm(problem.target)) * problem.gram.col_max
+    t = problem.target
+    scale = problem.smooth_scale * math.sqrt(t @ t) * problem.gram.col_max  # t @ t and sqrt, as np.linalg.norm
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
@@ -193,7 +193,7 @@ def solve_weighted_lasso(
     beta = np.array(beta_init, dtype=float)
     if beta.shape != (problem.n,):
         raise ValueError("beta_init must have shape (n,)")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ValueError("beta_init contains non-finite entries")
 
     D = problem.design

@@ -62,7 +62,7 @@ class NumericalError(RuntimeError):
 
 def as_finite_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -253,10 +253,11 @@ class MixtureParams:
         by ``__post_init__`` by construction.  The arrays are frozen
         read-only in place rather than copied.
         """
+        weights.setflags(write=False)
+        betas.setflags(write=False)
+        variances.setflags(write=False)
         self = object.__new__(cls)
-        for name, arr in (("weights", weights), ("betas", betas), ("variances", variances)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        vars(self).update(weights=weights, betas=betas, variances=variances)
         return self
 
     @property
@@ -383,8 +384,10 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """
     a_max = a.max(axis=1, keepdims=True)
     tie = a == a_max
-    if (abs(a_max) < _SHIFT_LIMIT).all() and np.count_nonzero(tie) == a.shape[0]:
-        return np.log1p(np.exp(np.where(tie, -np.inf, a - a_max)).sum(axis=1)) + a_max[:, 0]
+    if abs(a_max).max() < _SHIFT_LIMIT and np.count_nonzero(tie) == a.shape[0]:  # a NaN max fails the test
+        shifted = a - a_max
+        np.copyto(shifted, -np.inf, where=tie)
+        return np.log1p(np.exp(shifted).sum(axis=1)) + a_max[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m = tie.sum(axis=1, keepdims=True, dtype=a.dtype)
         s = np.exp(np.where(tie, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
@@ -415,37 +418,45 @@ class Blocks:
     array it derives from is a different object:
 
     - ``betas``: the means ``betas @ Y.data``, the squared distances
-      ``sq`` and the l1 norms;
+      ``sq`` and the l1 norms ``l1`` (:meth:`set_betas`);
     - ``variances``: the terms ``d * (log 2 pi + log sigma_k^2)``;
     - ``betas`` or ``variances``: the log-density matrix;
     - ``weights``: the log weights.
 
-    The EM loop carries one instance per restart; everything else
-    evaluates through a fresh one, ``Blocks(Y).evaluate(params)``.
-    Parameters an instance did not produce (the initial ones, a re-seed)
-    hold fresh arrays, so every block is recomputed from them.  ``lams``
-    holds the penalty weights of the loop's current cycle.
+    Which step computes them: :meth:`sync` does, for a sparse partial
+    step and for parameters an instance did not produce (the initial
+    ones, a re-seed), which hold fresh arrays, so every block is
+    recomputed from them.  Classic EM's M-step needs the squared
+    distances of its new betas for its variances, so it installs the
+    beta blocks itself through :meth:`set_betas`, and :meth:`sync` then
+    recomputes only the variance, density and weight blocks.  The EM
+    loop carries one instance per restart and reads the cycle's penalty
+    ``lams @ l1`` from it, ``lams`` being the penalty weights of its
+    current cycle; everything else evaluates through a fresh instance,
+    ``Blocks(Y).evaluate(params)``.
     """
 
     def __init__(self, Y: SampleSet):
         self.Y = Y
-        self.betas = self.variances = self.weights = self.lams = None
+        self.betas = self.variances = self.weights = self.lams = self.log_dens = None
+
+    def set_betas(self, betas: np.ndarray) -> None:
+        """Hold ``betas`` with its means, squared distances and l1 norms; the log densities go stale."""
+        self.betas = betas
+        self.means = betas @ self.Y.data
+        self.sq = squared_distances(self.Y.data, self.means)
+        self.l1 = np.abs(betas).sum(axis=1)
+        self.log_dens = None
 
     def sync(self, params: MixtureParams) -> None:
         """Recompute the blocks whose source array ``params`` replaced."""
-        Y = self.Y
-        fresh = False
         if params.betas is not self.betas:
-            self.betas = params.betas
-            self.means = params.means(Y)
-            self.sq = squared_distances(Y.data, self.means)
-            self.l1 = params.l1_norms()
-            fresh = True
+            self.set_betas(params.betas)
         if params.variances is not self.variances:
             self.variances = params.variances
-            self.norms = log_normalizers(Y.d, params.variances)
-            fresh = True
-        if fresh:
+            self.norms = log_normalizers(self.Y.d, params.variances)
+            self.log_dens = None
+        if self.log_dens is None:
             self.log_dens = log_densities(self.norms, self.sq, self.variances)
         if params.weights is not self.weights:
             self.weights = params.weights
@@ -456,11 +467,6 @@ class Blocks:
         self.sync(params)
         logp = self.log_dens + self.log_w[None, :]
         return logp, logsumexp_rows(logp)
-
-    def penalty(self, params: MixtureParams) -> float:
-        """The l1 term of :func:`penalized_value` under the cycle's weights ``lams``."""
-        self.sync(params)
-        return self.lams @ self.l1
 
 
 def self_regression_log_likelihood(params: MixtureParams, Y: SampleSet) -> float:
@@ -473,7 +479,7 @@ def penalized_value(params: MixtureParams, Y: SampleSet, lams) -> float:
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (params.K,):
         raise ValueError(f"lams must have shape ({params.K},), got {lams.shape}")
-    if not np.all(lams >= 0):
+    if not (lams >= 0).all():
         raise ValueError(f"lams must be >= 0, got {lams.tolist()!r}")
     return self_regression_log_likelihood(params, Y) - float(lams @ params.l1_norms())
 

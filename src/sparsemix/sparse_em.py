@@ -26,11 +26,16 @@ its own report type once, for the winning restart.
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
 matrix, evaluated only by :class:`sparsemix.model.Blocks`.  Each restart
-carries one instance across its steps and recomputes only the blocks the
-step changed: a beta step the means, squared distances and l1 norms, a
-sigma step the log normalizers, either of them the log densities, and
-the weights step only the log weights.  :func:`e_step` evaluates through
-a fresh instance.
+carries one instance across its steps and computes each block once per
+step that changes it: after a beta step the evaluation recomputes the
+means, squared distances and l1 norms, after a sigma step the log
+normalizers, after either the log densities, and after the weights step
+only the log weights.  Classic EM's M-step installs the means, squared
+distances and l1 norms of its new betas itself, since its variances need
+the squared distances, so the evaluation after it recomputes only the
+other blocks.  The penalty in each trace entry is ``lams @ l1`` on the
+blocks just evaluated.  :func:`e_step` evaluates through a fresh
+instance.
 Parameters inside the loop are built by :meth:`MixtureParams._trusted`
 and so are unvalidated by construction; the initial parameters and
 re-seeded ones are validated, and every block is recomputed from them.
@@ -286,18 +291,22 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     ``blocks.evaluate(params) -> (logp, lse)`` and returns
     ``step(blocks, params, tau, tag, Y, hp)``: the sparse cycle passes
     :func:`_step`, classic EM the one-step cycle ``(None,)`` of
-    its full M-step.  On EmptyClusterError the component is re-seeded by
-    :func:`_reseed`, or the restart aborts after ``MAX_RESEEDS``
-    re-seeds.
+    its full M-step, which leaves the beta blocks of its result in
+    ``blocks``.  The evaluation after the step computes the blocks the
+    step changed and did not leave there.  On EmptyClusterError the
+    component is re-seeded by :func:`_reseed`, or the restart aborts
+    after ``MAX_RESEEDS`` re-seeds.
 
     Each cycle opens by fixing its penalty weights ``blocks.lams``
     (:func:`effective_lams` at the cycle's starting ``tau``).  Each
     trace entry is ``sum(lse)`` less the l1 penalty under those
-    weights; classic EM holds ``hp.lam`` at 0, so its entries are the
+    weights, ``blocks.lams @ blocks.l1``, both read from the evaluation
+    just made; classic EM holds ``hp.lam`` at 0, so its entries are the
     log likelihood.  Cycle 1 onward converges when its last entry lies
-    within ``hp.tol``, relative, of its start value: ``sum(lse)`` less
-    the penalty, both at the start of the cycle.  Under weights that do
-    not move that is, bit for bit, the previous cycle's last entry.
+    within ``hp.tol``, relative, of its start value: the ``sum(lse)`` of
+    the evaluation before the cycle, summed once, less the penalty under
+    the cycle's weights.  Under weights that do not move that is, bit for
+    bit, the previous cycle's last entry.
     """
     blocks = Blocks(Y)
     sigma2_init = default_sigma2(Y, params.K, hp.resolve_floor(Y))
@@ -308,13 +317,14 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     converged = False
     cycles_run = 0
     logp, lse = blocks.evaluate(params)
+    loglik = float(lse.sum())
 
     for cycle in range(hp.max_cycles):
         for step_idx, tag in enumerate(order):
             tau = _responsibilities(logp, lse)
             if step_idx == 0:
                 blocks.lams = effective_lams(params, tau, Y, hp)
-                start = float(lse.sum()) - float(blocks.penalty(params))
+                start = loglik - float(blocks.lams @ blocks.l1)
             try:
                 params = step(blocks, params, tau, tag, Y, hp)
             except EmptyClusterError as err:
@@ -326,7 +336,8 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
                 else:
                     params = _reseed(params, tau, k, Y, sigma2_init)
             logp, lse = blocks.evaluate(params)
-            trace.append(float(lse.sum()) - float(blocks.penalty(params)))
+            loglik = float(lse.sum())
+            trace.append(loglik - float(blocks.lams @ blocks.l1))
             if diagnostic is not None:
                 break
         if diagnostic is not None:

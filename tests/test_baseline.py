@@ -15,7 +15,7 @@ from sparsemix.baseline import (
     spherical_e_step,
     spherical_log_likelihood,
 )
-from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet
+from sparsemix.model import Blocks, EmptyClusterError, Hyperparams, SampleSet
 from sparsemix.sparse_em import MAX_RESEEDS
 from sparsemix.sparse_em import run as sparse_run
 
@@ -29,7 +29,7 @@ class TestMStep:
         rng = np.random.default_rng(70)
         Y = random_sample_set(rng, n=7, d=3)
         tau = np.ones((7, 1))
-        params = _m_step(tau, Y, floor=1e-12)
+        params = _m_step(Blocks(Y), tau, floor=1e-12)
         npt.assert_allclose(params.means(Y)[0], 0.0, atol=1e-12)  # centered data
         assert params.variances[0] == pytest.approx(Y.total_variance() / Y.d, rel=1e-12)
         npt.assert_allclose(params.weights, [1.0])
@@ -40,7 +40,7 @@ class TestMStep:
         tau = np.zeros((6, 2))
         tau[:2, 0] = 1.0
         tau[2:, 1] = 1.0
-        params = _m_step(tau, Y, floor=1e-12)
+        params = _m_step(Blocks(Y), tau, floor=1e-12)
         npt.assert_allclose(params.means(Y)[0], Y.data[:2].mean(axis=0), rtol=1e-12)
         npt.assert_allclose(params.means(Y)[1], Y.data[2:].mean(axis=0), rtol=1e-12)
         npt.assert_allclose(params.weights, [2 / 6, 4 / 6], rtol=1e-12)
@@ -51,7 +51,7 @@ class TestMStep:
         tau = np.zeros((4, 2))
         tau[:, 0] = 1.0
         with pytest.raises(EmptyClusterError):
-            _m_step(tau, Y, floor=1e-12)
+            _m_step(Blocks(Y), tau, floor=1e-12)
 
 
 class TestSphericalParams:
@@ -69,7 +69,7 @@ class TestBaselineFit:
     def test_abort_matches_reference_loop(self):
         # no scenario draw empties a baseline component for good, so force
         # it: every M-step finds component 0 empty
-        def always_empty(tau, Y, floor):
+        def always_empty(blocks, tau, floor):
             raise EmptyClusterError("forced", component=0)
 
         Y = random_sample_set(np.random.default_rng(80), n=10, d=2)

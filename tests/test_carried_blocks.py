@@ -9,12 +9,16 @@ composes the same arithmetic directly: the loop's (logp, lse) after
 every kind of step and after every re-seed, for the sparse cycle and for
 the baseline's M-step, and the objectives (``e_step``,
 ``self_regression_log_likelihood``, ``q_function``, ``kullback_penalty``)
-against their formulas written on that composition.
+against their formulas written on that composition.  Every block the
+loop carries must also equal, byte for byte, the block of a fresh
+``Blocks(Y)`` synced to the same parameters, including the beta blocks
+that the baseline's M-step installs itself.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -23,6 +27,7 @@ from test_reference_loops import ABORT, BASELINE_RESEED, RESEED, cases, fit_inpu
 from sparsemix import baseline, sparse_em
 from sparsemix.model import (
     Blocks,
+    EmptyClusterError,
     MixtureParams,
     SampleSet,
     kullback_penalty,
@@ -36,6 +41,19 @@ from sparsemix.model import (
 
 def direct_evaluate(params, Y):
     return log_joint(log_density_matrix(params, Y), params.weights)
+
+
+BLOCK_NAMES = ("means", "sq", "l1", "norms", "log_dens", "log_w")
+
+
+def assert_blocks_match(blocks, params, names=BLOCK_NAMES):
+    """Each named block of ``blocks`` has the bytes of a fresh ``Blocks`` synced to ``params``."""
+    fresh = Blocks(blocks.Y)
+    fresh.sync(params)
+    for name in names:
+        got, want = getattr(blocks, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 class CheckedLoop:
@@ -67,6 +85,7 @@ class CheckedLoop:
             fresh_logp, fresh_lse = direct_evaluate(params, blocks.Y)
             assert logp.tobytes() == fresh_logp.tobytes(), self.last
             assert lse.tobytes() == fresh_lse.tobytes(), self.last
+            assert_blocks_match(blocks, params)
             self.seen[self.last] = self.seen.get(self.last, 0) + 1
             self.last = "init"
             return logp, lse
@@ -119,6 +138,45 @@ class TestCarriedBlocks:
             with CheckedLoop() as loop:
                 fit(Y, 3, hp, seed=seed)
             assert loop.seen["reseed"] >= 1 and loop.seen[step] >= 1
+
+
+class TestMStepBlocks:
+    """Classic EM's M-step computes its betas' blocks once and leaves them in the carried ``Blocks``."""
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cases)
+    @example(case=BASELINE_RESEED)
+    def test_m_step_leaves_fresh_blocks(self, case):
+        Y, hp, seed = fit_inputs(case)
+        m_step = baseline._m_step
+        checked = []
+
+        def checked_m_step(blocks, tau, floor):
+            params = m_step(blocks, tau, floor)
+            assert blocks.betas is params.betas  # so the loop's sync keeps them
+            assert_blocks_match(blocks, params, ("means", "sq", "l1"))
+            assert blocks.log_dens is None  # stale until the sync that follows
+            blocks.sync(params)
+            assert_blocks_match(blocks, params)
+            checked.append(params)
+            return params
+
+        with mock.patch.object(baseline, "_m_step", checked_m_step):
+            baseline.baseline_fit(Y, 3, hp, seed=seed)
+        assert checked
+
+    def test_empty_component_leaves_blocks_unchanged(self):
+        Y, hp, seed = fit_inputs(BASELINE_RESEED)
+        params = sparse_em.indicator_init(Y, 2, hp.resolve_floor(Y), np.random.default_rng(0))
+        blocks = Blocks(Y)
+        blocks.evaluate(params)
+        tau = np.zeros((Y.n, 2))
+        tau[:, 0] = 1.0
+        before = {name: getattr(blocks, name) for name in ("betas", *BLOCK_NAMES)}
+        with pytest.raises(EmptyClusterError):
+            baseline._m_step(blocks, tau, hp.resolve_floor(Y))
+        assert all(getattr(blocks, name) is value for name, value in before.items())
+        assert_blocks_match(blocks, params)
 
 
 # Each objective written on the direct composition log_joint(log_density_matrix(...)), the reference for Blocks.

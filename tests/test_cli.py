@@ -300,6 +300,32 @@ class TestSweep:
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [True, False, 0, 1, ["runs"]])
+    def test_non_string_out_in_config_exit_2(self, value, tmp_path, capsys, monkeypatch):
+        # `true` used to become the directory ./True; `false` and 0 fell back to the default unannounced
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPARSEMIX_OUT", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": value, "replicates": 1, "dims": [2], "dilations": [10],
+                                        "methods": ["baseline"]}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: out must be a path, got {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_null_out_in_config_keeps_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SPARSEMIX_OUT", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"out": None, "replicates": 1, "dims": [2], "dilations": [10],
+                                        "methods": ["baseline"], "hyperparams": {"restarts": 1}}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / SweepSpec.out / "manifest.json").exists()
+
+    def test_spec_takes_a_path_for_out(self, tmp_path):
+        assert SweepSpec(out=tmp_path / "runs").out == str(tmp_path / "runs")
+        with pytest.raises(ValueError, match=r"^out must be a path, got True$"):
+            SweepSpec(out=True)
+
     def test_spec_rejects_bool_before_casting(self):
         with pytest.raises(ValueError, match=r"^dilations takes numbers, not bools, got \(10.0, True\)$"):
             SweepSpec(dilations=(10.0, True))

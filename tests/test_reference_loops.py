@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsemix import baseline, sparse_em
-from sparsemix.model import EmptyClusterError, Hyperparams, SampleSet, self_regression_log_likelihood
+from sparsemix.model import Blocks, EmptyClusterError, Hyperparams, SampleSet, self_regression_log_likelihood
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 
 
@@ -94,7 +94,7 @@ def reference_baseline_loop(Y, params, hp, _order, _step):
     for it in range(hp.max_cycles):
         tau = sparse_em.e_step(params, Y)
         try:
-            params = baseline._m_step(tau, Y, floor)
+            params = baseline._m_step(Blocks(Y), tau, floor)
         except EmptyClusterError as err:
             k = err.component
             reseed_counts[k] += 1
