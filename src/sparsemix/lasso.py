@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EmptyClusterError, Gram, NumericalError
+from .model import EmptyClusterError, Gram, NumericalError, as_finite_array, no_bool
 
 _SCALE_EPS = 1e-12
 
@@ -42,25 +42,27 @@ class WeightedLassoProblem:
     gram: Gram | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("total_weight", "sigma2", "lam"):
+            no_bool(name, getattr(self, name))
         D = np.asarray(self.design, dtype=float)
         m = np.asarray(self.target, dtype=float)
         if D.ndim != 2:
-            raise ValueError("design must be a 2-d array (d, n)")
+            raise ValueError(f"design must be a 2-d array (d, n), got shape {D.shape}")
         if m.shape != (D.shape[0],):
-            raise ValueError("target must have shape (d,)")
-        if not (np.isfinite(D).all() and np.isfinite(m).all()):
-            raise ValueError("design/target contain non-finite entries")
+            raise ValueError(f"target must have shape ({D.shape[0]},), got {m.shape}")
+        as_finite_array(D, "design")
+        as_finite_array(m, "target")
         if not math.isfinite(self.total_weight):
-            raise ValueError("total_weight must be finite")
+            raise ValueError(f"total_weight must be finite, got {self.total_weight!r}")
         if not (self.total_weight > 0):
-            raise EmptyClusterError("total_weight must be positive")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError("sigma2 must be positive and finite")
+            raise EmptyClusterError(f"total_weight must be positive, got {self.total_weight!r}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         if not (self.lam >= 0):
-            raise ValueError("lam must be >= 0")
+            raise ValueError(f"lam must be >= 0, got {self.lam!r}")
         gram = Gram.of(D) if self.gram is None else self.gram
-        if gram.matrix.shape != (D.shape[1], D.shape[1]):
-            raise ValueError("gram must have shape (n, n)")
+        if gram.matrix.shape != (D.shape[1],) * 2:
+            raise ValueError(f"gram must have shape {(D.shape[1],) * 2}, got {gram.matrix.shape}")
         object.__setattr__(self, "design", D)
         object.__setattr__(self, "target", m)
         object.__setattr__(self, "gram", gram)
@@ -78,7 +80,7 @@ class WeightedLassoProblem:
         still checked here.
         """
         if not (math.isfinite(sigma2) and sigma2 > 0):
-            raise ValueError("sigma2 must be positive and finite")
+            raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self = object.__new__(cls)
         vars(self).update(design=design, target=target, total_weight=total_weight, sigma2=sigma2, lam=lam,
                           gram=gram)
@@ -136,6 +138,12 @@ def _stationarity_violation(grad: np.ndarray, beta: list, lam: float) -> float:
     return worst
 
 
+def _stationarity_violations(grads: np.ndarray, betas: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`_stationarity_violation` of each row pair of ``grads`` and ``betas``, bit for bit."""
+    on = np.abs(grads + lam * np.sign(betas))
+    return np.where(betas != 0, on, np.abs(grads) - lam).max(axis=1, initial=0.0)
+
+
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     """Stationarity violation of F at ``beta``.
 
@@ -162,18 +170,18 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
 
 @functools.cache
 def _subsets(size: int) -> tuple:
-    """The non-empty subsets of range(size), in bitmask order 1 .. 2^size - 1.
+    """The non-empty subsets of range(size), one group per member count t = 1 .. size.
 
-    Each entry is (index array, its ``np.ix_`` pair, index list): the
-    positions of the set bits of the mask, ready to gather a sub-vector,
-    a sub-Gram and the matching Python-float signs.
+    Group t - 1 is (masks, members): the bitmasks of the t-member
+    subsets in ascending order, and a (count, t) array of their members,
+    each row the mask's set bits in ascending order, ready to gather the
+    sub-vectors and sub-Grams of many subsets at once.
     """
-    out = []
-    for mask in range(1, 2 ** size):
-        picked = [i for i in range(size) if mask >> i & 1]
-        idx = np.array(picked)
-        out.append((idx, np.ix_(idx, idx), picked))
-    return tuple(out)
+    masks = np.arange(1, 2**size)
+    bits = masks[:, None] >> np.arange(size) & 1
+    counts = bits.sum(axis=1)
+    return tuple((masks[counts == t].tolist(), np.nonzero(bits[counts == t])[1].reshape(-1, t))
+                 for t in range(1, size + 1))
 
 
 def solve_weighted_lasso(
@@ -186,15 +194,17 @@ def solve_weighted_lasso(
 
     Stops once the stationarity violation drops to ``tol`` (default:
     :func:`default_tolerance`) or after ``max_iters`` full sweeps
-    (default 10 n).  Coordinates whose design column is zero are forced
-    to 0.  F is non-increasing across sweeps by exact per-coordinate
-    minimization.
+    (default 10 n).  When a sweep leaves an unconverged support unchanged
+    and it has at most 9 columns, an exact refinement solves each of its
+    signed sub-supports; a larger stalled support gets none, so coordinate
+    descent runs on to ``max_iters`` unless it converges.  Coordinates
+    whose design column is zero are forced to 0.  F is non-increasing
+    across sweeps by exact per-coordinate minimization.
     """
     beta = np.array(beta_init, dtype=float)
     if beta.shape != (problem.n,):
-        raise ValueError("beta_init must have shape (n,)")
-    if not np.isfinite(beta).all():
-        raise ValueError("beta_init contains non-finite entries")
+        raise ValueError(f"beta_init must have shape ({problem.n},), got {beta.shape}")
+    as_finite_array(beta, "beta_init")
 
     D = problem.design
     lam = problem.lam
@@ -221,7 +231,7 @@ def solve_weighted_lasso(
     # never changes.  The key gives column j two bits at 4^j: 1 for a
     # positive sign, 2 for a negative one, 3 for any other (NaN).  An
     # entry is () for a rejected candidate, else [cand, its KKT
-    # residual, its objective once needed].
+    # residual, its objective once needed, gram @ cand].
     candidates = {}
 
     def refine(b, gb_b, current_residual):
@@ -233,50 +243,64 @@ def solve_weighted_lasso(
         # 2^|S| - 1 non-empty sub-supports (S contains the optimal one: a
         # needed outside column would be a KKT violation coordinate
         # descent would have activated), one lstsq each, for |S| <= 9.
-        # sign(b_S), the right-hand side q_S - (lam/c) sign(b_S) and
-        # G[S, S] are gathered once per call, and each candidate takes
-        # its entries from them; a signed sub-support already solved in
-        # this solve reuses its cached candidate instead of a new lstsq.
-        # Every step that decides the result (lstsq, the full gram @ cand,
-        # the KKT residual, the objective test and the strict first-best
-        # rule in bitmask order) runs as in the plain solver, whose output
-        # tests/test_lasso_reference.py pins bit for bit.  A candidate is
-        # accepted only with a consistent sign pattern, a full KKT
-        # residual better than the current iterate and no objective
-        # increase, which preserves the monotonicity contract.  The
-        # objective is evaluated only for a candidate that would become
-        # the best.
+        # sign(b_S) and the right-hand side q_S - (lam/c) sign(b_S) are
+        # gathered once per call, and the sub-Grams and right-hand sides
+        # of all unseen sub-supports of one size with one fancy index
+        # each; a signed sub-support already solved in this solve reuses
+        # its cached candidate instead of a new lstsq.  The new
+        # sign-consistent candidates share one array, each row with its
+        # own gram @ row, and one array expression gives their KKT
+        # residuals.  Every step that decides the result (lstsq, the full
+        # gram @ cand, the KKT residual, the objective test and the strict
+        # first-best rule in bitmask order) gives the bits of the plain
+        # solver, whose output tests/test_lasso_reference.py pins.  A
+        # candidate is accepted only with a consistent sign pattern, a
+        # full KKT residual better than the current iterate and no
+        # objective increase, which preserves the monotonicity contract.
+        # The objective is evaluated only for a candidate that would
+        # become the best.
         support = np.flatnonzero(b)
         if support.size == 0 or 2 ** support.size > 512:
             return None
         base_value = value(b, gb_b)
         signs = np.sign(b[support])
-        sign_list = signs.tolist()
-        codes = [(1 if s > 0 else 2 if s < 0 else 3) << 2 * j for j, s in zip(support.tolist(), sign_list)]
         rhs_all = q[support] - (lam / c) * signs
-        sub_all = gram[np.ix_(support, support)]
+        keys = [0]  # keys[mask], by doubling: a mask's key adds its top column's code to the rest's
+        for j, sign in zip(support.tolist(), signs.tolist()):
+            keys += [key + ((1 if sign > 0 else 2 if sign < 0 else 3) << 2 * j) for key in keys]
+        solved = []  # (key, columns, x) of each new sign-consistent candidate
+        for masks, members in _subsets(support.size):
+            new = [i for i, mask in enumerate(masks) if keys[mask] not in candidates]
+            if not new:
+                continue
+            m = members if len(new) == len(masks) else members[new]
+            columns = support[m]
+            for i, cols, sub, rhs, sgn in zip(new, columns, gram[columns[:, :, None], columns[:, None, :]],
+                                               rhs_all[m], signs[m].tolist()):
+                x, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+                candidates[keys[masks[i]]] = ()
+                if all(math.isfinite(v) and not v * s < 0 for v, s in zip(x.tolist(), sgn)):
+                    solved.append((keys[masks[i]], cols, x))
+        if solved:
+            cands = np.zeros((len(solved), b.size))
+            gbs = np.empty_like(cands)
+            for cand, gb_cand, (_, cols, x) in zip(cands, gbs, solved):
+                cand[cols] = x
+                gb_cand[:] = gram @ cand
+            residuals = _stationarity_violations(c * (gbs - q), cands, lam).tolist()
+            for cand, gb_cand, residual, (key, *_) in zip(cands, gbs, residuals, solved):
+                candidates[key] = [cand, residual, None, gb_cand]
         best = None
-        for idx, ix, picked in _subsets(support.size):
-            key = sum(map(codes.__getitem__, picked))
-            entry = candidates.get(key)
-            gb_cand = None
-            if entry is None:
-                x, *_ = np.linalg.lstsq(sub_all[ix], rhs_all[idx], rcond=None)
-                entry = ()
-                if all(math.isfinite(v) and not v * sign_list[i] < 0 for v, i in zip(x.tolist(), picked)):
-                    cand = np.zeros_like(b)
-                    cand[support[idx]] = x
-                    gb_cand = gram @ cand
-                    entry = [cand, _stationarity_violation(c * (gb_cand - q), cand.tolist(), lam), None]
-                candidates[key] = entry
+        for key in keys[1:]:
+            entry = candidates[key]
             if not entry or not (entry[1] < current_residual and (best is None or entry[1] < best[1])):
                 continue
             if entry[2] is None:
-                entry[2] = value(entry[0], gram @ entry[0] if gb_cand is None else gb_cand)
+                entry[2] = value(entry[0], entry[3])
             if entry[2] <= base_value + 1e-12 * (1.0 + abs(base_value)):
                 best = entry
-        # a fresh gram @ cand: the sweep updates gb in place
-        return None if best is None else (best[0], gram @ best[0], best[1])
+        # a copy of gram @ cand: the sweep updates gb in place
+        return None if best is None else (best[0], best[3].copy(), best[1])
 
     sweeps = 0
     b = beta.tolist()

@@ -61,9 +61,11 @@ class NumericalError(RuntimeError):
 
 
 def as_finite_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array, or a ValueError naming its first non-finite entry and where it sits."""
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        at = np.unravel_index(np.flatnonzero(~np.isfinite(arr))[0], arr.shape)
+        raise ValueError(f"{name} contains non-finite entries, got {float(arr[at])!r} at {tuple(map(int, at))}")
     return arr
 
 

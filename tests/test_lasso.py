@@ -6,13 +6,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sparsemix.lasso import (
     LassoSolution,
     WeightedLassoProblem,
     _stationarity_violation,
+    _stationarity_violations,
+    _subsets,
     kkt_residual,
     objective,
     soft_threshold,
@@ -231,6 +233,38 @@ class TestSolveWeightedLasso:
         with pytest.raises(ValueError):
             solve_weighted_lasso(problem, np.array([np.inf, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("lam", -0.5, ValueError, "lam must be >= 0, got -0.5"),
+        ("lam", True, ValueError, "lam takes numbers, not bools, got True"),
+        ("total_weight", True, ValueError, "total_weight takes numbers, not bools, got True"),
+        ("sigma2", True, ValueError, "sigma2 takes numbers, not bools, got True"),
+        ("total_weight", math.inf, ValueError, "total_weight must be finite, got inf"),
+        ("total_weight", -1.0, EmptyClusterError, "total_weight must be positive, got -1.0"),
+        ("sigma2", -1.0, ValueError, "sigma2 must be positive and finite, got -1.0"),
+        ("sigma2", math.nan, ValueError, "sigma2 must be positive and finite, got nan"),
+        ("design", np.zeros(50), ValueError, r"design must be a 2-d array \(d, n\), got shape \(50,\)"),
+        ("target", np.zeros(49), ValueError, r"target must have shape \(50,\), got \(49,\)"),
+        ("design", np.where(np.arange(500).reshape(50, 10) == 12, np.nan, 1.0), ValueError,
+         r"design contains non-finite entries, got nan at \(1, 2\)"),
+        ("target", np.where(np.arange(50) == 3, -np.inf, 0.5), ValueError,
+         r"target contains non-finite entries, got -inf at \(3,\)"),
+        ("gram", Gram.of(np.ones((50, 11))), ValueError, r"gram must have shape \(10, 10\), got \(11, 11\)"),
+    ])
+    def test_input_errors_name_the_value(self, field, value, error, message):
+        args = dict(design=np.ones((50, 10)), target=np.zeros(50), total_weight=1.0, sigma2=1.0, lam=0.5)
+        with pytest.raises(error, match=f"^{message}$"):
+            WeightedLassoProblem(**{**args, field: value})
+
+    @pytest.mark.parametrize("beta_init, message", [
+        (np.zeros(9), r"beta_init must have shape \(10,\), got \(9,\)"),
+        (np.where(np.arange(10) == 4, np.nan, 0.0), r"beta_init contains non-finite entries, got nan at \(4,\)"),
+    ])
+    def test_beta_init_errors_name_the_value(self, beta_init, message):
+        problem = WeightedLassoProblem(design=np.ones((50, 10)), target=np.zeros(50), total_weight=1.0, sigma2=1.0,
+                                       lam=0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_weighted_lasso(problem, beta_init)
+
     def test_trusted_problem_matches_validated(self):
         rng = np.random.default_rng(46)
         Y = SampleSet(rng.normal(size=(10, 2)) * 30.0)
@@ -248,6 +282,27 @@ class TestSolveWeightedLasso:
         for sigma2 in (math.inf, 0.0, math.nan):
             with pytest.raises(ValueError, match="sigma2"):
                 WeightedLassoProblem._trusted(D, m, 3.0, sigma2, 0.5, Y.gram)
+
+
+class TestRefineCandidateCache:
+    @pytest.mark.parametrize("seed, d, fraction", [(11, 50, 0.2), (21, 2, 0.01), (34, 5, 0.05)])
+    def test_reaccepted_candidate_matches_reference(self, seed, d, fraction):
+        # With tol = 0 refine accepts some cached candidate more than once
+        # in a solve.  The sweep updates the gram @ cand it was handed in
+        # place, so the cache must hand out a copy: a shared row would
+        # give the second acceptance a stale product.
+        from test_lasso_reference import outcome, reference_solve_weighted_lasso
+
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(10, d))
+        points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, d)) * 1e-6
+        D = SampleSet(points).design
+        weights = rng.random(10)
+        target = D @ weights / weights.sum()
+        lam = fraction * 3.0 * float(np.max(np.abs(D.T @ target)))
+        problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
+        assert outcome(solve_weighted_lasso, problem, np.zeros(10), tol=0.0) == outcome(
+            reference_solve_weighted_lasso, problem, np.zeros(10), tol=0.0)
 
 
 def numpy_stationarity_violation(grad, beta, lam):
@@ -273,6 +328,43 @@ class TestStationarityViolation:
         assert type(got) is float
         assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+def as_bytes(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestStationarityViolations:
+    # refine scores all its new candidates at once; each row must give the
+    # bytes of the per-vector rule, which the coordinate sweep uses
+    @given(rows=st.integers(1, 12).flatmap(lambda n: st.lists(
+               st.tuples(st.lists(coordinates, min_size=n, max_size=n), st.lists(coordinates, min_size=n, max_size=n)),
+               min_size=1, max_size=6)),
+           lam=st.sampled_from([0.0, -0.0, 0.5, 3, 1e300]))
+    # the first row's violations are all negative, so it must read +0.0
+    @example(rows=[([0.25, -0.5, -0.0], [0.0, -0.0, 0.0]), ([4.0, 0.1, 0.2], [0.0, 0.0, 0.0])], lam=3)
+    def test_rows_match_the_vector_rule(self, rows, lam):
+        grads = np.array([g for g, _ in rows])
+        betas = np.array([b for _, b in rows])
+        got = _stationarity_violations(grads, betas, lam)
+        assert got.shape == (len(rows),)
+        for row, (g, b) in zip(got.tolist(), rows):
+            assert as_bytes(row) == as_bytes(_stationarity_violation(np.array(g), b, lam))
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_groups_list_every_mask_once_with_its_members(self, size):
+        groups = _subsets(size)
+        assert len(groups) == size
+        seen = []
+        for t, (masks, members) in enumerate(groups, start=1):
+            assert masks == sorted(masks)
+            assert members.shape == (len(masks), t)
+            for mask, row in zip(masks, members.tolist()):
+                assert row == [i for i in range(size) if mask >> i & 1]
+            seen += masks
+        assert sorted(seen) == list(range(1, 2**size))
 
 
 class TestKktResidual:
