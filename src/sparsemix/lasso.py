@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import EmptyClusterError, Gram, NumericalError, as_finite_array, no_bool
 
 _SCALE_EPS = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,26 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(sub, r, rcond=None)[0]`` of each pair of rows, bit for bit.
+
+    ``subs`` is a (count, t, t) stack of systems and ``rhs`` the (count, t)
+    right-hand sides.  One call of the LAPACK gufunc that
+    ``np.linalg.lstsq`` wraps solves them all, with that function's
+    default cutoff eps * t and its error rule: a failed SVD in any row
+    raises ``LinAlgError``.  The gufunc is looked up at call time, as
+    ``np.linalg.lstsq`` does.
+    """
+    rcond = _EPS * subs.shape[-1]
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(subs, rhs[..., None], rcond, signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 @functools.cache
 def _subsets(size: int) -> tuple:
     """The non-empty subsets of range(size), one group per member count t = 1 .. size.
@@ -196,7 +218,8 @@ def solve_weighted_lasso(
     :func:`default_tolerance`) or after ``max_iters`` full sweeps
     (default 10 n).  When a sweep leaves an unconverged support unchanged
     and it has at most 9 columns, an exact refinement solves each of its
-    signed sub-supports; a larger stalled support gets none, so coordinate
+    signed sub-supports, with one stacked LAPACK least-squares call per
+    subset size; a larger stalled support gets none, so coordinate
     descent runs on to ``max_iters`` unless it converges.  Coordinates
     whose design column is zero are forced to 0.  F is non-increasing
     across sweeps by exact per-coordinate minimization.
@@ -242,15 +265,17 @@ def solve_weighted_lasso(
         # stalled, solve the stationarity system exactly on each of its
         # 2^|S| - 1 non-empty sub-supports (S contains the optimal one: a
         # needed outside column would be a KKT violation coordinate
-        # descent would have activated), one lstsq each, for |S| <= 9.
-        # sign(b_S) and the right-hand side q_S - (lam/c) sign(b_S) are
-        # gathered once per call, and the sub-Grams and right-hand sides
-        # of all unseen sub-supports of one size with one fancy index
-        # each; a signed sub-support already solved in this solve reuses
-        # its cached candidate instead of a new lstsq.  The new
-        # sign-consistent candidates share one array, each row with its
-        # own gram @ row, and one array expression gives their KKT
-        # residuals.  Every step that decides the result (lstsq, the full
+        # descent would have activated), for |S| <= 9.  sign(b_S) and the
+        # right-hand side q_S - (lam/c) sign(b_S) are gathered once per
+        # call; the sub-Grams and right-hand sides of all unseen
+        # sub-supports of one size with one fancy index each, which one
+        # stacked LAPACK call (_lstsq_stack) solves and one array
+        # expression tests for finite, sign-consistent solutions.  A
+        # signed sub-support already solved in this solve reuses its
+        # cached candidate instead.  The new sign-consistent candidates
+        # share one array, each row with its own gram @ row, and one
+        # array expression gives their KKT residuals.  Every step that
+        # decides the result (each row's least-squares solution, the full
         # gram @ cand, the KKT residual, the objective test and the strict
         # first-best rule in bitmask order) gives the bits of the plain
         # solver, whose output tests/test_lasso_reference.py pins.  A
@@ -275,11 +300,11 @@ def solve_weighted_lasso(
                 continue
             m = members if len(new) == len(masks) else members[new]
             columns = support[m]
-            for i, cols, sub, rhs, sgn in zip(new, columns, gram[columns[:, :, None], columns[:, None, :]],
-                                               rhs_all[m], signs[m].tolist()):
-                x, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+            xs = _lstsq_stack(gram[columns[:, :, None], columns[:, None, :]], rhs_all[m])
+            consistent = np.isfinite(xs).all(axis=1) & ~(xs * signs[m] < 0).any(axis=1)
+            for i, cols, x, ok in zip(new, columns, xs, consistent.tolist()):
                 candidates[keys[masks[i]]] = ()
-                if all(math.isfinite(v) and not v * s < 0 for v, s in zip(x.tolist(), sgn)):
+                if ok:
                     solved.append((keys[masks[i]], cols, x))
         if solved:
             cands = np.zeros((len(solved), b.size))

@@ -9,6 +9,7 @@ the two must return the same bytes, signed zeros included, the same
 KKT residual, sweep count and flag, or raise the same error.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from sparsemix import sparse_em
-from sparsemix.lasso import WeightedLassoProblem, solve_weighted_lasso
+from sparsemix.lasso import WeightedLassoProblem, _lstsq_stack, solve_weighted_lasso
 from sparsemix.model import EmptyClusterError, Hyperparams, NumericalError, SampleSet
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 
@@ -253,6 +255,24 @@ class TestSolverMatchesReference:
             solve_weighted_lasso(problem, beta0)
 
 
+@contextlib.contextmanager
+def count_lstsq_systems():
+    """Count the least-squares systems LAPACK solves, one per matrix of each stack.
+
+    Patches the gufunc that both ``np.linalg.lstsq`` and the solver's
+    stacked call look up by attribute, so one counter covers both.
+    """
+    gufunc = _umath_linalg.lstsq
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(math.prod(np.shape(a)[:-2]))
+        return gufunc(a, *args, **kwargs)
+
+    with mock.patch.object(_umath_linalg, "lstsq", counting):
+        yield sizes
+
+
 class TestRefineCache:
     def test_repeated_signed_sets_skip_lstsq(self):
         # d=50, n=10 near-duplicate points: refine stalls on nested supports
@@ -269,11 +289,78 @@ class TestRefineCache:
         counts = []
         outcomes = []
         for solve in (solve_weighted_lasso, reference_solve_weighted_lasso):
-            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            with count_lstsq_systems() as sizes:
                 outcomes.append(outcome(solve, problem, np.zeros(10)))
-            counts.append(lstsq.call_count)
+            counts.append(sum(sizes))
         assert outcomes[0] == outcomes[1]
         assert 0 < counts[0] < counts[1]
+
+
+@st.composite
+def lstsq_stacks(draw):
+    """(count, t, t) sub-Gram stacks with their (count, t) right-hand sides.
+
+    Each row is a full-rank Gram, one with two equal or near-equal
+    columns, a rank-deficient or an all-zero one, or one whose smallest
+    singular value lies between eps / 2 and 2t eps, around the cutoff
+    eps * t; each is scaled by 1e-150, 1 or 1e150.  Or it is a NaN row:
+    a NaN in the right-hand side or an all-NaN sub-Gram.  A lone NaN or
+    inf entry in a sub-Gram is left out: on some LAPACK builds its SVD
+    never returns, stacked or not.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(["full", "duplicate", "near_duplicate", "singular", "zero",
+                                           "cutoff", "nan_rhs", "nan_gram"]), min_size=1, max_size=40))
+    subs = np.empty((len(kinds), t, t))
+    rhs = np.empty((len(kinds), t))
+    for sub, r, kind in zip(subs, rhs, kinds):
+        points = rng.normal(size=(int(rng.integers(0, t)) if kind == "singular" else t + 1, t))
+        if kind in ("duplicate", "near_duplicate") and t > 1:
+            i, j = rng.choice(t, size=2, replace=False)
+            points[:, j] = points[:, i] + (rng.normal(size=len(points)) * 1e-6 if kind == "near_duplicate" else 0.0)
+        if kind == "cutoff":
+            q = np.linalg.qr(points[:t])[0]
+            values = np.ones(t)
+            values[-1] = np.finfo(float).eps * rng.uniform(0.5, 2 * t)
+            points = values[:, None] ** 0.5 * q.T  # points.T @ points = q diag(values) q^T
+        sub[:] = points.T @ points * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+        r[:] = rng.normal(size=t) * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+        if kind == "zero":
+            sub[:] = 0.0
+        elif kind == "nan_rhs":
+            r[rng.integers(0, t)] = np.nan
+        elif kind == "nan_gram":
+            sub[:] = np.nan
+    # a sub-Gram repeated across rows, as when two sign patterns share a column set
+    if len(kinds) > 1 and draw(st.booleans()):
+        subs[-1] = subs[0]
+    return subs, rhs
+
+
+def lstsq_outcome(solve):
+    """Each row's solution bytes, or the error message."""
+    try:
+        return [x.tobytes() for x in solve()]
+    except np.linalg.LinAlgError as err:
+        return str(err)
+
+
+class TestLstsqStack:
+    @settings(max_examples=300, deadline=None)
+    @given(case=lstsq_stacks())
+    def test_matches_lstsq_per_matrix_bit_for_bit(self, case):
+        subs, rhs = case
+        expected = lstsq_outcome(lambda: [np.linalg.lstsq(sub, r, rcond=None)[0] for sub, r in zip(subs, rhs)])
+        got = lstsq_outcome(lambda: _lstsq_stack(subs, rhs))
+        assert got == expected
+
+    def test_one_lapack_call_per_stack(self):
+        subs = np.broadcast_to(np.eye(3), (5, 3, 3))
+        with count_lstsq_systems() as sizes:
+            x = _lstsq_stack(subs, np.ones((5, 3)))
+        assert sizes == [5]
+        assert x.shape == (5, 3) and x.dtype == np.float64
 
 
 # Benchmark-style replicates (n=10, K=3) at a few points along a fit.

@@ -11,12 +11,17 @@ one fixed seed, so every run solves the same problems.
 
 For each cell the table gives µs per solve (the mean over the cell's
 problems of each one's fastest of seven timed solves, which discounts
-interference from other processes) and ``np.linalg.lstsq`` calls per
-solve (counted in an untimed pass).  Given another checkout's ``src``,
-both packages are loaded side by side, the timed solves alternate
-between them problem by problem, and the last column says whether every
-solution (β bytes, KKT residual, sweep count and flag, or the error
-raised) is identical.  BLAS runs single-threaded, as in ``perfbench``.
+interference from other processes), and, counted in an untimed pass,
+the least-squares systems LAPACK solves per solve and the LAPACK calls
+that solve them.  Both counts patch numpy's private ``lstsq`` gufunc,
+which ``np.linalg.lstsq`` and a stacked call alike look up by
+attribute, so the counts compare across checkouts that call either
+one; a call on a stack of k systems counts k systems and one call.
+Given another checkout's ``src``, both packages are loaded side by
+side, the timed solves alternate between them problem by problem, and
+the last column says whether every solution (β bytes, KKT residual,
+sweep count and flag, or the error raised) is identical.  BLAS runs
+single-threaded, as in ``perfbench``.
 
 Usage, from the root of a checkout:
 
@@ -27,6 +32,8 @@ Usage, from the root of a checkout:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import sys
 import time
@@ -37,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+from numpy.linalg import _umath_linalg  # noqa: E402
 
 SIZES = (10, 50, 200)
 DIMS = (2, 50)
@@ -76,6 +84,20 @@ def problem_inputs(n: int, d: int, rng: np.random.Generator) -> list[tuple]:
     return out
 
 
+@contextlib.contextmanager
+def count_lstsq_systems():
+    """Yield a list that gets the stack size of each LAPACK least-squares call."""
+    gufunc = _umath_linalg.lstsq
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(math.prod(np.shape(a)[:-2]))
+        return gufunc(a, *args, **kwargs)
+
+    with mock.patch.object(_umath_linalg, "lstsq", counting):
+        yield sizes
+
+
 def outcome(lasso, problem, beta0):
     try:
         sol = lasso.solve_weighted_lasso(problem, beta0)
@@ -95,7 +117,8 @@ def main(argv=None) -> int:
     for label, lasso in versions.items():
         print(f"{label}: sparsemix from {Path(lasso.__file__).parent}")
 
-    header = "| n | d | " + " | ".join(f"{label} µs/solve | {label} lstsq/solve" for label in versions)
+    header = "| n | d | " + " | ".join(f"{label} µs/solve | {label} systems/solve | {label} calls/solve"
+                                       for label in versions)
     print(header + (" | this/other | identical |" if args.other else " |"))
     print("|" + "---|" * (header.count("|") + (2 if args.other else 0)))
     rng = np.random.default_rng(SEED)
@@ -105,11 +128,11 @@ def main(argv=None) -> int:
             problems = {label: [(lasso.WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=v, lam=lam), b0)
                                 for D, m, s, v, lam, b0 in inputs]
                         for label, lasso in versions.items()}
-            outcomes, calls = {}, {}
+            outcomes, systems, calls = {}, {}, {}
             for label, lasso in versions.items():
-                with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+                with count_lstsq_systems() as sizes:
                     outcomes[label] = [outcome(lasso, p, b0) for p, b0 in problems[label]]
-                calls[label] = lstsq.call_count / PROBLEMS
+                systems[label], calls[label] = sum(sizes) / PROBLEMS, len(sizes) / PROBLEMS
             best = {label: [float("inf")] * PROBLEMS for label in versions}
             order = list(versions)
             for _ in range(ROUNDS):
@@ -121,7 +144,8 @@ def main(argv=None) -> int:
                         best[label][i] = min(best[label][i], time.perf_counter() - start)
                     order.reverse()
             us = {label: sum(t) / PROBLEMS * 1e6 for label, t in best.items()}
-            row = f"| {n} | {d} | " + " | ".join(f"{us[label]:.1f} | {calls[label]:.1f}" for label in versions)
+            row = f"| {n} | {d} | " + " | ".join(f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f}"
+                                                 for label in versions)
             if args.other:
                 same = outcomes["this"] == outcomes["other"]
                 row += f" | {us['this'] / us['other']:.3f} | {'yes' if same else 'NO'}"
