@@ -216,12 +216,13 @@ def solve_weighted_lasso(
 
     Stops once the stationarity violation drops to ``tol`` (default:
     :func:`default_tolerance`) or after ``max_iters`` full sweeps
-    (default 10 n).  When a sweep leaves an unconverged support unchanged
-    and it has at most 9 columns, an exact refinement solves each of its
-    signed sub-supports, with one stacked LAPACK least-squares call per
-    subset size; a larger stalled support gets none, so coordinate
-    descent runs on to ``max_iters`` unless it converges.  Coordinates
-    whose design column is zero are forced to 0.  F is non-increasing
+    (default 10 n).  Each time a sweep leaves an unconverged support of
+    at most 9 columns unchanged, an exact refinement solves the
+    stationarity system on every non-empty sub-support under the
+    support's signs, one stacked LAPACK least-squares call per subset
+    size; a larger stalled support gets none, so coordinate descent
+    runs on to ``max_iters`` unless it converges.  Coordinates whose
+    design column is zero are forced to 0.  F is non-increasing
     across sweeps by exact per-coordinate minimization.
     """
     beta = np.array(beta_init, dtype=float)
@@ -249,14 +250,6 @@ def solve_weighted_lasso(
         # objective up to the constant (c/2) ||m||^2
         return 0.5 * c * (b @ gb_b) - c * (q @ b) + lam * np.sum(np.abs(b))
 
-    # refine's candidates of this call, by signed column set (T, sign b_T):
-    # q, lam, c and the Gram are fixed within one solve, so a candidate
-    # never changes.  The key gives column j two bits at 4^j: 1 for a
-    # positive sign, 2 for a negative one, 3 for any other (NaN).  An
-    # entry is () for a rejected candidate, else [cand, its KKT
-    # residual, its objective once needed, gram @ cand].
-    candidates = {}
-
     def refine(b, gb_b, current_residual):
         # Near-duplicate design columns make plain coordinate descent
         # shuttle mass between them at a slow, sometimes non-geometric
@@ -265,67 +258,37 @@ def solve_weighted_lasso(
         # stalled, solve the stationarity system exactly on each of its
         # 2^|S| - 1 non-empty sub-supports (S contains the optimal one: a
         # needed outside column would be a KKT violation coordinate
-        # descent would have activated), for |S| <= 9.  sign(b_S) and the
-        # right-hand side q_S - (lam/c) sign(b_S) are gathered once per
-        # call; the sub-Grams and right-hand sides of all unseen
-        # sub-supports of one size with one fancy index each, which one
-        # stacked LAPACK call (_lstsq_stack) solves and one array
-        # expression tests for finite, sign-consistent solutions.  A
-        # signed sub-support already solved in this solve reuses its
-        # cached candidate instead.  The new sign-consistent candidates
-        # share one array, each row with its own gram @ row, and one
-        # array expression gives their KKT residuals.  Every step that
-        # decides the result (each row's least-squares solution, the full
-        # gram @ cand, the KKT residual, the objective test and the strict
-        # first-best rule in bitmask order) gives the bits of the plain
-        # solver, whose output tests/test_lasso_reference.py pins.  A
-        # candidate is accepted only with a consistent sign pattern, a
-        # full KKT residual better than the current iterate and no
-        # objective increase, which preserves the monotonicity contract.
-        # The objective is evaluated only for a candidate that would
-        # become the best.
+        # descent would have activated), for |S| <= 9, one stacked LAPACK
+        # call per subset size.  A finite, sign-consistent candidate is
+        # accepted if its full KKT residual beats the current one without
+        # raising the objective, which keeps F monotone.  The lowest
+        # residual wins, ties to the lowest mask: the first-best rule in
+        # bitmask order of the plain solver, gemv per candidate included,
+        # that tests/test_lasso_reference.py pins byte for byte.
         support = np.flatnonzero(b)
         if support.size == 0 or 2 ** support.size > 512:
             return None
-        base_value = value(b, gb_b)
         signs = np.sign(b[support])
         rhs_all = q[support] - (lam / c) * signs
-        keys = [0]  # keys[mask], by doubling: a mask's key adds its top column's code to the rest's
-        for j, sign in zip(support.tolist(), signs.tolist()):
-            keys += [key + ((1 if sign > 0 else 2 if sign < 0 else 3) << 2 * j) for key in keys]
-        solved = []  # (key, columns, x) of each new sign-consistent candidate
+        cands = np.zeros((2 ** support.size - 1, b.size))  # row mask - 1: that sub-support's solution
+        consistent = np.zeros(len(cands), dtype=bool)
         for masks, members in _subsets(support.size):
-            new = [i for i, mask in enumerate(masks) if keys[mask] not in candidates]
-            if not new:
-                continue
-            m = members if len(new) == len(masks) else members[new]
-            columns = support[m]
-            xs = _lstsq_stack(gram[columns[:, :, None], columns[:, None, :]], rhs_all[m])
-            consistent = np.isfinite(xs).all(axis=1) & ~(xs * signs[m] < 0).any(axis=1)
-            for i, cols, x, ok in zip(new, columns, xs, consistent.tolist()):
-                candidates[keys[masks[i]]] = ()
-                if ok:
-                    solved.append((keys[masks[i]], cols, x))
-        if solved:
-            cands = np.zeros((len(solved), b.size))
-            gbs = np.empty_like(cands)
-            for cand, gb_cand, (_, cols, x) in zip(cands, gbs, solved):
-                cand[cols] = x
-                gb_cand[:] = gram @ cand
-            residuals = _stationarity_violations(c * (gbs - q), cands, lam).tolist()
-            for cand, gb_cand, residual, (key, *_) in zip(cands, gbs, residuals, solved):
-                candidates[key] = [cand, residual, None, gb_cand]
-        best = None
-        for key in keys[1:]:
-            entry = candidates[key]
-            if not entry or not (entry[1] < current_residual and (best is None or entry[1] < best[1])):
-                continue
-            if entry[2] is None:
-                entry[2] = value(entry[0], entry[3])
-            if entry[2] <= base_value + 1e-12 * (1.0 + abs(base_value)):
-                best = entry
-        # a copy of gram @ cand: the sweep updates gb in place
-        return None if best is None else (best[0], best[3].copy(), best[1])
+            columns = support[members]
+            xs = _lstsq_stack(gram[columns[:, :, None], columns[:, None, :]], rhs_all[members])
+            rows = np.subtract(masks, 1)
+            cands[rows[:, None], columns] = xs
+            consistent[rows] = np.isfinite(xs).all(axis=1) & ~(xs * signs[members] < 0).any(axis=1)
+        cands = cands[consistent]
+        gbs = np.empty_like(cands)
+        for cand, gb_cand in zip(cands, gbs):
+            np.matmul(gram, cand, out=gb_cand)
+        residuals = _stationarity_violations(c * (gbs - q), cands, lam)
+        (better,) = np.nonzero(residuals < current_residual)  # a NaN residual compares false
+        base_value = value(b, gb_b)
+        for i in better[np.argsort(residuals[better], kind="stable")].tolist():
+            if value(cands[i], gbs[i]) <= base_value + 1e-12 * (1.0 + abs(base_value)):
+                return cands[i], gbs[i], residuals.item(i)
+        return None
 
     sweeps = 0
     b = beta.tolist()

@@ -92,25 +92,28 @@ class FitReport:
 def penalty_weight(Y: SampleSet, sigma2: float, total_weight: float, target: np.ndarray) -> float:
     """Adaptive l1 weight for one component's mean update.
 
-    :func:`effective_lams` uses it when ``hp.lam`` is None.  It keys the
-    weight to the noise level of the subproblem gradient: the weighted
-    cluster mean carries noise of standard deviation sigma / sqrt(s) per
-    coordinate, so the gradient coordinate (s / sigma^2) D_j^t m
-    fluctuates with scale sqrt(s) ||D_j|| / sigma; the usual
-    sqrt(2 log n) union bound over the n coordinates then prunes
-    pure-noise coefficients while leaving genuinely aligned data points
-    active, uniformly across dilations.
+    :func:`effective_lams` uses it when ``hp.lam`` is None.  The weight
+    is the smaller of two terms.  The noise term keys it to the noise
+    level of the subproblem gradient: the weighted cluster mean carries
+    noise of standard deviation sigma / sqrt(s) per coordinate, so the
+    gradient coordinate (s / sigma^2) D_j^t m fluctuates with scale
+    sqrt(s) ||D_j|| / sigma, and the sqrt(2 log n) union bound over the
+    n coordinates is set to prune pure-noise coefficients.  The clamp
+    is a fraction of the critical value (s / sigma^2) ||D^t m||_inf
+    beyond which the whole block zeroes out: MAX_PENALTY_FRACTION, or
+    the tighter LINE_PENALTY_FRACTION at d = 1, where the origin lies
+    between the groups and a mean drawn onto it keeps claiming points.
 
-    The weight is clamped relative to the critical value
-    (s / sigma^2) ||D^t m||_inf beyond which the whole block zeroes out.
-    Weights near the critical value shrink the fitted mean by a constant
-    factor per pass, and while a component's variance estimate is still
-    inflated by between-cluster spread this compounds into a drift of
-    the mean onto the origin.  For d >= 2 that drift is self-healing:
-    the origin is typically unclaimed territory, so a dominated
-    component starves and the driver re-seeds it somewhere useful.  On a
-    line the origin lies between the groups and keeps claiming points,
-    so the drift is a trap and the clamp must be much tighter.
+    Which term binds depends on the dimension.  At the final parameters
+    of acceptance-configuration fits (scenario seed 0, dilations 10 to
+    100), the clamp binds on 10 of 525 non-empty components at d = 50,
+    where the noise term sets the weight.  At d = 2 the noise term
+    exceeds the clamp on 491 of 588, so the weight there is half the
+    critical value.  Each beta step then shrinks the fitted mean by a
+    near-constant factor, and a d = 2 fit draws its means toward the
+    sample centroid: their median norm ends at 0.11 of the largest
+    point norm, against 0.63 for classic EM, and most components keep
+    a one-column support.
     """
     fraction = LINE_PENALTY_FRACTION if Y.d == 1 else MAX_PENALTY_FRACTION
     noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)

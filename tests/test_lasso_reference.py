@@ -191,9 +191,10 @@ def problems(draw):
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
     points = rng.normal(size=(n, d)) * scale
     if n > 1 and draw(st.booleans()):
-        # near-duplicate observations: the stalls refine exists for
+        # near-duplicate observations, the stalls refine exists for, or
+        # exact duplicates, whose sub-supports can tie on the KKT residual
         dup = rng.integers(0, n, size=n)
-        points = points[dup] + rng.normal(size=(n, d)) * scale * 1e-6
+        points = points[dup] + rng.normal(size=(n, d)) * scale * draw(st.sampled_from([1e-6, 0.0]))
     D = SampleSet(points).design.copy()
     zero = draw(st.lists(st.integers(0, n - 1), max_size=2))
     D[:, zero] = 0.0
@@ -273,11 +274,12 @@ def count_lstsq_systems():
         yield sizes
 
 
-class TestRefineCache:
-    def test_repeated_signed_sets_skip_lstsq(self):
+class TestRefineSystems:
+    def test_solves_exactly_the_reference_systems(self):
         # d=50, n=10 near-duplicate points: refine stalls on nested supports
         # of one sign pattern, so later calls meet signed sub-supports that
-        # the first one solved; each must be solved only once per solve
+        # earlier ones solved; the solver solves each of them again, as the
+        # reference does, only stacked
         rng = np.random.default_rng(3)
         points = rng.normal(size=(10, 50))
         points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, 50)) * 1e-6
@@ -293,7 +295,21 @@ class TestRefineCache:
                 outcomes.append(outcome(solve, problem, np.zeros(10)))
             counts.append(sum(sizes))
         assert outcomes[0] == outcomes[1]
-        assert 0 < counts[0] < counts[1]
+        assert counts[0] == counts[1]
+
+    def test_tied_residuals_go_to_the_lowest_mask(self):
+        # columns 0 and 1 are equal, so the sub-supports {0, 2} (mask 5) and
+        # {1, 2} (mask 6) give mirrored candidates with the same KKT
+        # residual, the lowest of the stalled support's; mask 5 must win
+        D = np.array([[1.1, 1.1, -2.6], [-0.1, -0.1, 1.4]])
+        problem = WeightedLassoProblem(design=D, target=np.array([0.7, 1.5]), total_weight=1.0, sigma2=1.0, lam=0.19)
+        beta0 = np.array([0.3, 0.6, 0.2])
+        with count_lstsq_systems() as sizes:
+            got = outcome(solve_weighted_lasso, problem, beta0)
+        assert sum(sizes) > 0
+        assert got == outcome(reference_solve_weighted_lasso, problem, beta0)
+        beta = np.frombuffer(got[0])
+        assert beta[0] != 0 and beta[1] == 0 and beta[2] != 0
 
 
 @st.composite

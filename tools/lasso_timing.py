@@ -26,7 +26,7 @@ single-threaded, as in ``perfbench``.
 Usage, from the root of a checkout:
 
     python tools/lasso_timing.py            # times ./src
-    python tools/lasso_timing.py OTHER/src  # times OTHER/src against ./src
+    python tools/lasso_timing.py OTHER/src  # times ./src against OTHER/src
 """
 
 from __future__ import annotations
