@@ -20,14 +20,8 @@ The log-joint matrix ``logp[i, k] = log pi_k + log N(y_i; Y beta_k,
 sigma_k^2 I)`` and its row log-normalizers ``lse`` carry everything a
 partial step needs: ``sum(lse)`` is the mixture log likelihood and
 ``exp(logp - lse[:, None])`` the responsibilities.  :class:`Blocks` is
-the one evaluator of that pair for a :class:`MixtureParams`.  It
-composes the log densities from blocks (:func:`squared_distances`,
-:func:`log_normalizers`, :func:`log_densities`, and :func:`log_weights`
-for the joint) that depend on one parameter array each, so the EM loop
-that both estimators share (:func:`sparsemix.sparse_em.em_loop`)
-carries one instance across its partial steps and recomputes only the
-blocks a step changed; the objectives below and
-:func:`sparsemix.sparse_em.e_step` evaluate through a fresh one.
+the one evaluator of that pair, and its docstring tells which blocks
+the EM loop carries across partial steps and when each is recomputed.
 Inside the loop's steps parameters are rebuilt through
 :meth:`MixtureParams._trusted`, unvalidated by construction; parameters
 built outside them (user input, initialization, re-seeding) are
@@ -376,13 +370,14 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
     Same arithmetic, step for step, as ``scipy.special.logsumexp(a,
     axis=1)`` on real input, so results agree bit for bit: the terms tied
-    at the row max are counted instead of exponentiated, and rows whose
-    shifted result is not finite (all -inf, or an inf/nan entry) fall
-    back to the direct formula.  When every row max is attained once and
-    is below 2^970 in magnitude, the tie count is 1, so dividing by it
-    and adding its log (0) change nothing and are skipped, and no
-    operation can warn: a finite a - a_max then rounds to at least
-    -1.8e308 instead of overflowing.  Larger maxima take the general path.
+    at the row max are counted instead of exponentiated, masked to -inf
+    after the shift, which also gives scipy's direct-formula results for
+    an all -inf row (-inf), a +inf entry (+inf) and a NaN entry (NaN).
+    When every row max is attained once and is below 2^970 in magnitude,
+    the tie count is 1, so dividing by it and adding its log (0) change
+    nothing and are skipped, and no operation can warn: a finite
+    a - a_max then rounds to at least -1.8e308 instead of overflowing.
+    Larger maxima take the general path.
     """
     a_max = a.max(axis=1, keepdims=True)
     tie = a == a_max
@@ -391,14 +386,10 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
         np.copyto(shifted, -np.inf, where=tie)
         return np.log1p(np.exp(shifted).sum(axis=1)) + a_max[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = tie.sum(axis=1, keepdims=True, dtype=a.dtype)
-        s = np.exp(np.where(tie, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
-    return out
+        m = tie.sum(axis=1, dtype=a.dtype)
+        shifted = a - a_max
+        np.copyto(shifted, -np.inf, where=tie)
+        return np.log1p(np.exp(shifted).sum(axis=1) / m) + np.log(m) + a_max[:, 0]
 
 
 def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,20 +25,8 @@ its own report type once, for the winning restart.
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
-matrix, evaluated only by :class:`sparsemix.model.Blocks`.  Each restart
-carries one instance across its steps and computes each block once per
-step that changes it: after a beta step the evaluation recomputes the
-means, squared distances and l1 norms, after a sigma step the log
-normalizers, after either the log densities, and after the weights step
-only the log weights.  Classic EM's M-step installs the means, squared
-distances and l1 norms of its new betas itself, since its variances need
-the squared distances, so the evaluation after it recomputes only the
-other blocks.  The penalty in each trace entry is ``lams @ l1`` on the
-blocks just evaluated.  :func:`e_step` evaluates through a fresh
-instance.
-Parameters inside the loop are built by :meth:`MixtureParams._trusted`
-and so are unvalidated by construction; the initial parameters and
-re-seeded ones are validated, and every block is recomputed from them.
+matrix, evaluated by the :class:`~sparsemix.model.Blocks` instance each
+restart carries, whose docstring tells which blocks a step recomputes.
 """
 
 from __future__ import annotations

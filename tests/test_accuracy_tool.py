@@ -1,7 +1,15 @@
-"""tools/accuracy.py paired against its own src: no replicate may move."""
+"""The tools under tools/ run on this checkout's own src.
+
+tools/accuracy.py paired against its own src moves no replicate, and
+the loader that tools/fit_timing.py shares with tools/lasso_timing.py
+imports a copy of the package without disturbing the session's.
+"""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +37,21 @@ def test_same_src_moves_nothing(capsys):
         assert moved == "0"
         assert delta == "+0.00 ± 0.00"
     assert lines[-1].startswith("| 50 | 100 | ")
+
+
+def is_sparsemix(name):
+    return name == "sparsemix" or name.startswith("sparsemix.")
+
+
+def test_timing_loader_leaves_sys_modules_as_found(monkeypatch):
+    import sparsemix.lasso as session_lasso
+
+    session = {name: module for name, module in sys.modules.items() if is_sparsemix(name)}
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    # fit_timing pins BLAS threads through the environment and imports fit_digest
+    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules):
+        fit_timing = importlib.import_module("fit_timing")
+    first, second = (fit_timing.load_package(str(ROOT / "src")) for _ in range(2))
+    assert len({id(first.lasso), id(second.lasso), id(session_lasso)}) == 3
+    assert {name: module for name, module in sys.modules.items() if is_sparsemix(name)} == session

@@ -284,13 +284,14 @@ class TestSolveWeightedLasso:
                 WeightedLassoProblem._trusted(D, m, 3.0, sigma2, 0.5, Y.gram)
 
 
-class TestRefineCandidateCache:
+class TestRefineReacceptance:
     @pytest.mark.parametrize("seed, d, fraction", [(11, 50, 0.2), (21, 2, 0.01), (34, 5, 0.05)])
     def test_reaccepted_candidate_matches_reference(self, seed, d, fraction):
-        # With tol = 0 refine accepts some cached candidate more than once
-        # in a solve.  The sweep updates the gram @ cand it was handed in
-        # place, so the cache must hand out a copy: a shared row would
-        # give the second acceptance a stale product.
+        # With tol = 0 refine accepts the same candidate again and again in
+        # one solve (97 or 98 times here), and the sweep updates the
+        # gram @ cand row it was handed in place, so every acceptance must
+        # hand out a row of its own: a row shared across refine calls
+        # would give a later acceptance a stale product.
         from test_lasso_reference import outcome, reference_solve_weighted_lasso
 
         rng = np.random.default_rng(seed)

@@ -351,9 +351,27 @@ class TestLogLikelihood:
         assert logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
         assert lse.tobytes() == logsumexp(logp, axis=1).tobytes()
 
-    # One row per path: the first takes the fast path (finite max attained
-    # once; a -inf entry from a zero weight does not leave it), the rest
-    # each fall back to the tie-counting or the direct formula.
+    @given(st.data())
+    def test_logsumexp_rows_non_finite_entries_match_scipy(self, data):
+        a = data.draw(hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=8),
+            elements=st.floats(allow_nan=True, allow_infinity=True),
+        ))
+        K = a.shape[1]
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, K - 1)), max_size=3)):
+            a[:, j] = a[:, i]  # exact ties at the row max, infinite ones included
+        with np.errstate(all="ignore"):
+            expected = logsumexp(a, axis=1)
+        got = logsumexp_rows(a)
+        nan = np.isnan(expected)  # compared only as NaN: hypothesis draws NaN payloads
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    # One row per case: the first two take the fast path (finite max
+    # attained once; a -inf entry from a zero weight does not leave it),
+    # the rest the general path, where the tied terms are counted and the
+    # -inf mask gives the all -inf, +inf and NaN rows scipy's results.
     PINNED_ROWS = {
         "unique max": [0.5, -1.0, 2.0],
         "unique max, zero weight": [-np.inf, 0.3, -2.0],

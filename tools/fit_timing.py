@@ -1,12 +1,13 @@
 """Time ``run`` and ``baseline_fit`` per fit on a fixed set of acceptance-configuration inputs.
 
-The fit-level twin of ``tools/lasso_timing.py``.  The inputs are the
-cells of the benchmark's two workloads: d = 2 at dilations 10, 30, 50,
-70 and 100 (12 replicates each) and d = 50 at dilations 60 and 100 (40
-replicates each), drawn from one fixed scenario seed and fitted with the
-acceptance configuration (restarts 1, max_cycles 60, tol 1e-7, adaptive
-lambda).  Each fit is timed ROUNDS times and keeps its fastest, which
-discounts interference from other processes.
+The fit-level twin of ``tools/lasso_timing.py``, which imports its
+loader, command line, timer and table header from here.  The inputs
+are the cells of the benchmark's two workloads: d = 2 at dilations 10,
+30, 50, 70 and 100 (12 replicates each) and d = 50 at dilations 60 and
+100 (40 replicates each), drawn from one fixed scenario seed and fitted
+with the acceptance configuration (restarts 1, max_cycles 60, tol 1e-7,
+adaptive lambda).  Each fit is timed ROUNDS times and keeps its
+fastest, which discounts interference from other processes.
 
 For each (estimator, d) the table gives the fits' ms p50 and p90.  Given
 another checkout's ``src``, both packages are loaded side by side, the
@@ -25,6 +26,7 @@ Usage, from the root of a checkout:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -46,17 +48,58 @@ SEED = 20090127
 
 
 def load_package(src: str) -> SimpleNamespace:
-    """Import ``sparsemix`` from ``src`` and unregister it, so another copy can load next."""
+    """Import ``sparsemix`` from ``src`` beside any other copy, leaving ``sys.modules`` as it was."""
+    found = {m: sys.modules.pop(m) for m in list(sys.modules) if m == "sparsemix" or m.startswith("sparsemix.")}
     sys.path.insert(0, str(Path(src).resolve()))
     try:
         import sparsemix
-        from sparsemix import baseline, model, simulate, sparse_em
+        from sparsemix import baseline, lasso, model, simulate, sparse_em
     finally:
         sys.path.pop(0)
         for name in [m for m in sys.modules if m == "sparsemix" or m.startswith("sparsemix.")]:
             del sys.modules[name]
-    return SimpleNamespace(path=Path(sparsemix.__file__).parent, model=model, simulate=simulate,
+        sys.modules.update(found)
+    return SimpleNamespace(path=Path(sparsemix.__file__).parent, lasso=lasso, model=model, simulate=simulate,
                            fits={"sparse": sparse_em.run, "baseline": baseline.baseline_fit})
+
+
+def load_versions(doc: str, argv=None) -> dict:
+    """Parse ``[OTHER/src]`` and load {"this": ./src} plus {"other": OTHER/src} if given."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("other", nargs="?", help="another checkout's src to time and compare against ./src")
+    args = parser.parse_args(argv)
+    versions = {"this": load_package(str(Path(__file__).resolve().parents[1] / "src"))}
+    if args.other:
+        versions["other"] = load_package(args.other)
+    for label, version in versions.items():
+        print(f"{label}: sparsemix from {version.path}")
+    return versions
+
+
+def print_header(versions: dict, leading: str, columns: list[str]) -> None:
+    """Print the table head: ``leading``, each of ``columns`` per version, then this/other | identical for two."""
+    header = leading + " | ".join(f"{label} {column}" for label in versions for column in columns)
+    header += " | this/other | identical |" if len(versions) > 1 else " |"
+    print(header, "|" + "---|" * (header.count("|") - 1), sep="\n")
+
+
+def fastest(versions: dict, count: int, rounds: int, call) -> dict:
+    """{label: [the fastest of ``rounds`` timed ``call(label, i)`` for i < count]} in seconds.
+
+    The versions alternate in an order that reverses after each i.  A
+    call that raises is timed like any other; the identity check sees it.
+    """
+    best = {label: [float("inf")] * count for label in versions}
+    order = list(versions)
+    for _ in range(rounds):
+        for i in range(count):
+            for label in order:
+                start = time.perf_counter()
+                with contextlib.suppress(Exception):
+                    call(label, i)
+                best[label][i] = min(best[label][i], time.perf_counter() - start)
+            order.reverse()
+    return best
 
 
 def fit_digest(fit, Y, K, hp, seed) -> str:
@@ -68,30 +111,10 @@ def fit_digest(fit, Y, K, hp, seed) -> str:
     return h.hexdigest()
 
 
-def timed(fit, Y, K, hp, seed) -> float:
-    start = time.perf_counter()
-    try:
-        fit(Y, K, hp, seed=seed)
-    except Exception:  # timed like any other fit; its digest records the error
-        pass
-    return time.perf_counter() - start
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("other", nargs="?", help="another checkout's src to time and compare against ./src")
-    args = parser.parse_args(argv)
-    here = str(Path(__file__).resolve().parents[1] / "src")
-    versions = {"this": load_package(here)}
-    if args.other:
-        versions["other"] = load_package(args.other)
-    for label, version in versions.items():
-        print(f"{label}: sparsemix from {version.path}")
-
+    versions = load_versions(__doc__, argv)
     simulate = versions["this"].simulate
-    header = "| estimator | d | fits | " + " | ".join(f"{label} ms p50 | {label} ms p90" for label in versions)
-    print(header + (" | this/other | identical |" if args.other else " |"))
-    print("|" + "---|" * (header.count("|") + (2 if args.other else 0)))
+    print_header(versions, "| estimator | d | fits | ", ["ms p50", "ms p90"])
     for dim, (dilations, replicates) in CELLS.items():
         inputs = []  # (points, K, fit seed) per fit
         for dilation in dilations:
@@ -104,18 +127,12 @@ def main(argv=None) -> int:
                    for label, v in versions.items()}
         for method in ("sparse", "baseline"):
             digests = {label: [fit_digest(v.fits[method], *a) for a in args_of[label]] for label, v in versions.items()}
-            best = {label: [float("inf")] * len(inputs) for label in versions}
-            order = list(versions)
-            for _ in range(ROUNDS):
-                for i in range(len(inputs)):
-                    for label in order:
-                        seconds = timed(versions[label].fits[method], *args_of[label][i])
-                        best[label][i] = min(best[label][i], seconds)
-                    order.reverse()
+            best = fastest(versions, len(inputs), ROUNDS,
+                           lambda label, i: versions[label].fits[method](*args_of[label][i]))
             ms = {label: np.array(t) * 1e3 for label, t in best.items()}
             row = f"| {method} | {dim} | {len(inputs)} | " + " | ".join(
                 f"{np.percentile(t, 50):.3f} | {np.percentile(t, 90):.3f}" for t in ms.values())
-            if args.other:
+            if "other" in versions:
                 ratio = float(np.median(ms["this"] / ms["other"]))
                 same = digests["this"] == digests["other"]
                 row += f" | {ratio:.3f} | {'yes' if same else 'NO'}"

@@ -21,7 +21,7 @@ Given another checkout's ``src``, both packages are loaded side by
 side, the timed solves alternate between them problem by problem, and
 the last column says whether every solution (β bytes, KKT residual,
 sweep count and flag, or the error raised) is identical.  BLAS runs
-single-threaded, as in ``perfbench``.
+single-threaded; the harness is ``tools/fit_timing.py``'s.
 
 Usage, from the root of a checkout:
 
@@ -31,38 +31,21 @@ Usage, from the root of a checkout:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
-import os
 import sys
-import time
-from pathlib import Path
 from unittest import mock
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from fit_timing import fastest, load_versions, print_header  # first: it pins BLAS to one thread
 
-import numpy as np  # noqa: E402
-from numpy.linalg import _umath_linalg  # noqa: E402
+import numpy as np
+from numpy.linalg import _umath_linalg
 
 SIZES = (10, 50, 200)
 DIMS = (2, 50)
 PROBLEMS = 12
 ROUNDS = 7
 SEED = 20090127
-
-
-def load_lasso(src: str):
-    """Import ``sparsemix.lasso`` from ``src`` and unregister it, so another copy can load next."""
-    sys.path.insert(0, str(Path(src).resolve()))
-    try:
-        from sparsemix import lasso
-    finally:
-        sys.path.pop(0)
-        for name in [m for m in sys.modules if m == "sparsemix" or m.startswith("sparsemix.")]:
-            del sys.modules[name]
-    return lasso
 
 
 def problem_inputs(n: int, d: int, rng: np.random.Generator) -> list[tuple]:
@@ -107,46 +90,26 @@ def outcome(lasso, problem, beta0):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("other", nargs="?", help="another checkout's src to time and compare against ./src")
-    args = parser.parse_args(argv)
-    here = str(Path(__file__).resolve().parents[1] / "src")
-    versions = {"this": load_lasso(here)}
-    if args.other:
-        versions["other"] = load_lasso(args.other)
-    for label, lasso in versions.items():
-        print(f"{label}: sparsemix from {Path(lasso.__file__).parent}")
-
-    header = "| n | d | " + " | ".join(f"{label} µs/solve | {label} systems/solve | {label} calls/solve"
-                                       for label in versions)
-    print(header + (" | this/other | identical |" if args.other else " |"))
-    print("|" + "---|" * (header.count("|") + (2 if args.other else 0)))
+    versions = load_versions(__doc__, argv)
+    lassos = {label: v.lasso for label, v in versions.items()}
+    print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve"])
     rng = np.random.default_rng(SEED)
     for n in SIZES:
         for d in DIMS:
             inputs = problem_inputs(n, d, rng)
             problems = {label: [(lasso.WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=v, lam=lam), b0)
                                 for D, m, s, v, lam, b0 in inputs]
-                        for label, lasso in versions.items()}
+                        for label, lasso in lassos.items()}
             outcomes, systems, calls = {}, {}, {}
-            for label, lasso in versions.items():
+            for label, lasso in lassos.items():
                 with count_lstsq_systems() as sizes:
                     outcomes[label] = [outcome(lasso, p, b0) for p, b0 in problems[label]]
                 systems[label], calls[label] = sum(sizes) / PROBLEMS, len(sizes) / PROBLEMS
-            best = {label: [float("inf")] * PROBLEMS for label in versions}
-            order = list(versions)
-            for _ in range(ROUNDS):
-                for i in range(PROBLEMS):
-                    for label in order:
-                        p, b0 = problems[label][i]
-                        start = time.perf_counter()
-                        outcome(versions[label], p, b0)
-                        best[label][i] = min(best[label][i], time.perf_counter() - start)
-                    order.reverse()
+            best = fastest(versions, PROBLEMS, ROUNDS, lambda label, i: outcome(lassos[label], *problems[label][i]))
             us = {label: sum(t) / PROBLEMS * 1e6 for label, t in best.items()}
             row = f"| {n} | {d} | " + " | ".join(f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f}"
                                                  for label in versions)
-            if args.other:
+            if "other" in versions:
                 same = outcomes["this"] == outcomes["other"]
                 row += f" | {us['this'] / us['other']:.3f} | {'yes' if same else 'NO'}"
             print(row + " |")
