@@ -8,8 +8,8 @@ lambda = 0.  The fit runs on :class:`~sparsemix.model.MixtureParams`
 through the sparse estimator's restart driver
 (:func:`~sparsemix.sparse_em.best_restart`) with a one-step cycle, the
 full M-step, and lambda held at 0: the initialization, the evaluation
-of the carried model blocks, the variance floor, re-seeding, the
-stopping rule and the ranking of restarts are the same code, so
+of the carried model blocks, the weight and variance formulas, re-seeding,
+the stopping rule and the ranking of restarts are the same code, so
 benchmark gaps isolate the estimator difference.  The M-step computes
 the means, squared distances and l1 norms of its new betas once, in the
 carried :class:`~sparsemix.model.Blocks`; the loop's evaluation then
@@ -27,7 +27,6 @@ import numpy as np
 
 from .model import (
     Blocks,
-    EmptyClusterError,
     Hyperparams,
     MixtureParams,
     SampleSet,
@@ -36,7 +35,7 @@ from .model import (
     spherical_log_density_matrix,
     weights_and_variances,
 )
-from .sparse_em import EMPTY_FRACTION, best_restart, on_simplex
+from .sparse_em import best_restart, floored_variances, mass_weights, masses, nonempty_mass
 
 
 @dataclass(frozen=True)
@@ -96,20 +95,18 @@ def _m_step(blocks: Blocks, tau: np.ndarray, floor: float) -> MixtureParams:
     """Closed-form full update on the sample ``blocks.Y``; raises on empty components.
 
     Weights s / n, betas (tau / s)^T, so that each mean is its weighted
-    data mean, and the floored variances about those means.  The new
-    betas' means, squared distances and l1 norms are computed once, by
-    ``blocks.set_betas``, and stay in ``blocks`` for the evaluation that
-    follows the step; an empty component raises before ``blocks`` changes.
+    data mean, and the floored variances about those means: the sparse
+    weight and sigma steps' formulas, for every component at once.  The
+    new betas' blocks are computed once, by ``blocks.set_betas``, and
+    stay in ``blocks`` for the evaluation that follows the step; an
+    empty component raises before ``blocks`` changes.
     """
     n, d = blocks.Y.data.shape
-    s = tau.sum(axis=0)
-    if (s <= EMPTY_FRACTION * n).any():
-        k = int(np.argmin(s))
-        raise EmptyClusterError(f"component {k} has responsibility mass {s[k]:.3e}", component=k)
+    s = masses(tau)
+    nonempty_mass(int(np.argmin(s)), s, n)  # the lightest component is empty if any is
     betas = (tau / s).T
     blocks.set_betas(betas)
-    variances = np.maximum(floor, (tau * blocks.sq).sum(axis=0) / (d * s))
-    return MixtureParams._trusted(on_simplex(s / n), betas, variances)
+    return MixtureParams._trusted(mass_weights(s, n), betas, floored_variances(tau, blocks.sq, s, d, floor))
 
 
 def _step(blocks: Blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:

@@ -362,34 +362,20 @@ def log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
-_SHIFT_LIMIT = 2.0**970  # half an ulp of the largest double: |a_max| below it keeps a - a_max finite
-
-
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a), axis=1))`` for a real 2-d array, stably.
+    """``log(sum(exp(a), axis=1))`` for a real 2-d array, shifted by each row's max.
 
-    Same arithmetic, step for step, as ``scipy.special.logsumexp(a,
-    axis=1)`` on real input, so results agree bit for bit: the terms tied
-    at the row max are counted instead of exponentiated, masked to -inf
-    after the shift, which also gives scipy's direct-formula results for
-    an all -inf row (-inf), a +inf entry (+inf) and a NaN entry (NaN).
-    When every row max is attained once and is below 2^970 in magnitude,
-    the tie count is 1, so dividing by it and adding its log (0) change
-    nothing and are skipped, and no operation can warn: a finite
-    a - a_max then rounds to at least -1.8e308 instead of overflowing.
-    Larger maxima take the general path.
+    An infinite max shifts by 0 instead, so an all -inf row gives -inf
+    (log 0) and a +inf entry +inf; a NaN entry gives NaN.  No operation
+    warns: a shift past the float range rounds to -inf and its term to 0,
+    and so does an underflowing term.  Finite rows agree with
+    ``scipy.special.logsumexp(a, axis=1)``, which counts the tied maxima
+    and adds ``log1p`` of the rest, to a few ulp of max(1, |row max|).
     """
     a_max = a.max(axis=1, keepdims=True)
-    tie = a == a_max
-    if abs(a_max).max() < _SHIFT_LIMIT and np.count_nonzero(tie) == a.shape[0]:  # a NaN max fails the test
-        shifted = a - a_max
-        np.copyto(shifted, -np.inf, where=tie)
-        return np.log1p(np.exp(shifted).sum(axis=1)) + a_max[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = tie.sum(axis=1, dtype=a.dtype)
-        shifted = a - a_max
-        np.copyto(shifted, -np.inf, where=tie)
-        return np.log1p(np.exp(shifted).sum(axis=1) / m) + np.log(m) + a_max[:, 0]
+    shift = np.where(np.isinf(a_max), 0.0, a_max)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        return np.log(np.exp(a - shift).sum(axis=1)) + shift[:, 0]
 
 
 def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,8 +409,9 @@ class Blocks:
     distances of its new betas for its variances, so it installs the
     beta blocks itself through :meth:`set_betas`, and :meth:`sync` then
     recomputes only the variance, density and weight blocks.  The EM
-    loop carries one instance per restart and reads the cycle's penalty
-    ``lams @ l1`` from it, ``lams`` being the penalty weights of its
+    loop carries one instance per restart: the sparse sigma step reads
+    its squared distances ``sq`` from it, and the loop the cycle's
+    penalty ``lams @ l1``, ``lams`` being the penalty weights of its
     current cycle; everything else evaluates through a fresh instance,
     ``Blocks(Y).evaluate(params)``.
     """

@@ -47,6 +47,7 @@ from .model import (
     NumericalError,
     SampleSet,
     as_int,
+    squared_distances,
 )
 from .model import log_density_matrix, penalized_value  # noqa: F401  (bound here by perfbench/tracing.py)
 
@@ -110,14 +111,15 @@ def penalty_weight(Y: SampleSet, sigma2: float, total_weight: float, target: np.
 
 
 def effective_lams(params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams) -> np.ndarray:
-    """Per-component penalty weights at the current parameters; 0 for an empty cluster."""
+    """Per-component penalty weights: a fixed ``hp.lam`` for every component, an empty one included,
+    else :func:`penalty_weight` at the current parameters, and 0 for an empty cluster."""
     if hp.lam is not None:
         return np.full(params.K, float(hp.lam))
+    s = masses(tau)
     out = np.zeros(params.K)
-    for k, sigma2 in enumerate(params.variances.tolist()):
-        s = float(tau[:, k].sum())
-        if s > EMPTY_FRACTION * Y.n:
-            out[k] = penalty_weight(Y, sigma2, s, (tau[:, k] @ Y.data) / s)
+    for k in np.flatnonzero(~is_empty(s, Y.n)).tolist():
+        s_k = float(s[k])
+        out[k] = penalty_weight(Y, float(params.variances[k]), s_k, target(k, tau, Y, s_k))
     return out
 
 
@@ -137,28 +139,49 @@ def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
     return _responsibilities(*Blocks(Y).evaluate(params))
 
 
-def update_weights(tau: np.ndarray) -> np.ndarray:
-    """Component weights as mean responsibility mass per column."""
-    return on_simplex(tau.sum(axis=0) / tau.shape[0])
+def masses(tau: np.ndarray) -> np.ndarray:
+    """Each component's responsibility mass s_k, a column sum of ``tau``."""
+    return tau.sum(axis=0)
 
 
-def on_simplex(weights: np.ndarray) -> np.ndarray:
-    """``weights`` divided by their sum when it misses 1 by more than ``WEIGHT_SUM_TOL``.
+def is_empty(s: float | np.ndarray, n: int) -> bool | np.ndarray:
+    """Whether a mass (or each of an array of masses) on n points counts as an empty cluster."""
+    return s <= EMPTY_FRACTION * n
+
+
+def nonempty_mass(k: int, s: np.ndarray, n: int) -> float:
+    """s_k as a float; raises EmptyClusterError when component k is empty."""
+    s_k = float(s[k])
+    if is_empty(s_k, n):
+        raise EmptyClusterError(f"component {k} has responsibility mass {s_k:.3e}", component=k)
+    return s_k
+
+
+def target(k: int, tau: np.ndarray, Y: SampleSet, s_k: float) -> np.ndarray:
+    """Component k's responsibility-weighted data mean, the target of its lasso subproblem."""
+    return (tau[:, k] @ Y.data) / s_k
+
+
+def mass_weights(s: np.ndarray, n: int) -> np.ndarray:
+    """The weights s / n, divided by their sum when it misses 1 by more than ``WEIGHT_SUM_TOL``.
 
     Responsibility rows sum to 1 only to within the absolute rounding of
     their log-normalizer, about 1e-11 at log densities near 1e5 (d = 200
-    with variances near 1e-300), and the weights inherit that error.
+    with variances near 1e-300), and the masses inherit that error.
     """
+    weights = s / n
     total = weights.sum()
     return weights / total if abs(total - 1.0) > WEIGHT_SUM_TOL else weights
 
 
-def _mass(k: int, tau: np.ndarray, Y: SampleSet) -> float:
-    """Column k's responsibility mass; raises when the cluster is empty."""
-    s = float(tau[:, k].sum())
-    if s <= EMPTY_FRACTION * Y.n:
-        raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
-    return s
+def floored_variances(tau: np.ndarray, sq: np.ndarray, s: np.ndarray, d: int, floor: float) -> np.ndarray:
+    """Every component's floored variance: the mean per coordinate of ``sq`` (``Blocks.sq``) under its ``tau``."""
+    return np.maximum(floor, (tau * sq).sum(axis=0) / (d * s))
+
+
+def update_weights(tau: np.ndarray) -> np.ndarray:
+    """Component weights as mean responsibility mass per column."""
+    return mass_weights(masses(tau), tau.shape[0])
 
 
 def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
@@ -168,25 +191,21 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
     The sparse loop passes the weight it fixed for the cycle
     (:func:`effective_lams`).
     """
-    s = _mass(k, tau, Y)
-    mean = (tau[:, k] @ Y.data) / s
-    sigma2 = float(params.variances[k])
-    problem = WeightedLassoProblem._trusted(Y.design, mean, s, sigma2, lam, Y.gram)
+    s_k = nonempty_mass(k, masses(tau), Y.n)
+    problem = WeightedLassoProblem._trusted(Y.design, target(k, tau, Y, s_k), s_k, float(params.variances[k]),
+                                            lam, Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
     tol = default_tolerance(problem) * min(1.0, hp.tol / 1e-8)
     return solve_weighted_lasso(problem, beta_init=params.betas[k], tol=tol).beta
 
 
-def update_sigma(k: int, tau: np.ndarray, Y: SampleSet, hp: Hyperparams, means: np.ndarray) -> float:
-    """Floored responsibility-weighted mean squared deviation per coordinate about ``means[k]``.
-
-    ``means`` is ``params.means(Y)``, the means the step holds.
-    """
-    s = _mass(k, tau, Y)
-    resid = Y.data - means[k][None, :]
-    sq = float(tau[:, k] @ (resid**2).sum(axis=1))
-    return max(hp.resolve_floor(Y), sq / (Y.d * s))
+def update_sigma(k: int, tau: np.ndarray, Y: SampleSet, hp: Hyperparams, sq: np.ndarray) -> float:
+    """Component k's :func:`floored_variances` entry, ``sq`` (n, K) being the squared distances to the means."""
+    s = masses(tau)
+    nonempty_mass(k, s, Y.n)
+    with np.errstate(divide="ignore", invalid="ignore"):  # another component may have mass 0
+        return float(floored_variances(tau, sq, s, Y.d, hp.resolve_floor(Y))[k])
 
 
 def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
@@ -201,7 +220,7 @@ def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str
         return MixtureParams._trusted(params.weights, betas, params.variances)
     blocks.sync(params)  # a no-op in em_loop, which evaluated params last
     variances = params.variances.copy()
-    variances[k] = update_sigma(k, tau, Y, hp, blocks.means)
+    variances[k] = update_sigma(k, tau, Y, hp, blocks.sq)
     return MixtureParams._trusted(params.weights, params.betas, variances)
 
 
@@ -400,7 +419,7 @@ def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
 def beta_gradient(params: MixtureParams, Y: SampleSet, k: int) -> np.ndarray:
     """Gradient of the unpenalized log likelihood in the beta_k block."""
     tau = e_step(params, Y)
-    weighted_resid = Y.data.T @ tau[:, k] - float(tau[:, k].sum()) * params.means(Y)[k]
+    weighted_resid = Y.data.T @ tau[:, k] - float(masses(tau)[k]) * params.means(Y)[k]
     return (Y.data @ weighted_resid) / float(params.variances[k])
 
 
@@ -408,24 +427,19 @@ def _kkt_certificate(params: MixtureParams, tau: np.ndarray, lams: np.ndarray,
                      Y: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     """``(residuals, scales)`` of each beta block's lasso subproblem at ``tau`` under ``lams``.
 
-    See :func:`stationarity_report`; blocks with responsibility mass at
-    most ``EMPTY_FRACTION * n`` read NaN in both.
+    See :func:`stationarity_report`; the blocks of empty clusters
+    (:func:`is_empty`) read NaN in both.
     """
-    mu = params.means(Y)
+    s = masses(tau)
+    empty = is_empty(s, Y.n)
+    resid_mass = (tau * np.sqrt(squared_distances(Y.data, params.means(Y)))).sum(axis=0)
+    scales = np.where(empty, np.nan, Y.max_row_norm * resid_mass / params.variances + lams)
     residuals = np.full(params.K, np.nan)
-    scales = np.full(params.K, np.nan)
-    for k, sigma2 in enumerate(params.variances.tolist()):
-        s = float(tau[:, k].sum())
-        if s <= EMPTY_FRACTION * Y.n:
-            continue
-        lam = float(lams[k])
-        problem = WeightedLassoProblem(
-            design=Y.design, target=(tau[:, k] @ Y.data) / s, total_weight=s, sigma2=sigma2,
-            lam=lam, gram=Y.gram,
-        )
+    for k in np.flatnonzero(~empty).tolist():
+        s_k = float(s[k])
+        problem = WeightedLassoProblem(design=Y.design, target=target(k, tau, Y, s_k), total_weight=s_k,
+                                       sigma2=float(params.variances[k]), lam=float(lams[k]), gram=Y.gram)
         residuals[k] = kkt_residual(problem, params.betas[k])
-        resid_mass = float(tau[:, k] @ np.linalg.norm(Y.data - mu[k][None, :], axis=1))
-        scales[k] = Y.max_row_norm * resid_mass / sigma2 + lam
     return residuals, scales
 
 
@@ -441,11 +455,10 @@ def stationarity_report(report: FitReport, Y: SampleSet) -> tuple[np.ndarray, np
     so the residual is the distance from 0 to the beta_k subdifferential
     of the penalized objective :func:`sparsemix.model.penalized_value`
     under ``report.lams``.  scales[k] is a crude upper bound on the
-    gradient magnitude, suitable for relative comparisons.  Blocks whose
-    responsibility mass is at most ``EMPTY_FRACTION * n``, the driver's
-    own test for an empty cluster, sit at an active boundary constraint
-    where this certificate does not apply; they read NaN.  For a report
-    of :func:`run`, ``residuals`` is bit for bit
-    ``report.beta_kkt_residuals``.
+    gradient magnitude, suitable for relative comparisons.  The blocks
+    of clusters that the driver's own test (:func:`is_empty`) counts as
+    empty sit at an active boundary constraint where this certificate
+    does not apply; they read NaN.  For a report of :func:`run`,
+    ``residuals`` is bit for bit ``report.beta_kkt_residuals``.
     """
     return _kkt_certificate(report.params, e_step(report.params, Y), report.lams, Y)

@@ -142,25 +142,26 @@ def reference_penalty_weight(hp, Y, sigma2, total_weight, target):
     return min(noise, fraction * critical)
 
 
+# The partial-step references take the mass, the empty test and the
+# target from sparse_em's helpers, which every block update shares, and
+# pin what each step does with them: the penalty weight and the solve.
 def reference_effective_lams(params, tau, Y, hp):
     if hp.lam is not None:
         return np.full(params.K, float(hp.lam))
+    s = sparse_em.masses(tau)
     out = np.empty(params.K)
     for k in range(params.K):
-        s = float(tau[:, k].sum())
-        if s <= sparse_em.EMPTY_FRACTION * Y.n:
+        if sparse_em.is_empty(s[k], Y.n):
             out[k] = 0.0
             continue
-        m = (tau[:, k] @ Y.data) / s
-        out[k] = reference_penalty_weight(hp, Y, float(params.variances[k]), s, m)
+        m = sparse_em.target(k, tau, Y, float(s[k]))
+        out[k] = reference_penalty_weight(hp, Y, float(params.variances[k]), float(s[k]), m)
     return out
 
 
 def reference_update_beta(k, params, tau, Y, hp):
-    s = float(tau[:, k].sum())
-    if s <= sparse_em.EMPTY_FRACTION * Y.n:
-        raise EmptyClusterError(f"component {k} has responsibility mass {s:.3e}", component=k)
-    m = (tau[:, k] @ Y.data) / s
+    s = sparse_em.nonempty_mass(k, sparse_em.masses(tau), Y.n)
+    m = sparse_em.target(k, tau, Y, s)
     lam = reference_penalty_weight(hp, Y, float(params.variances[k]), s, m)
     problem = WeightedLassoProblem(
         design=Y.design, target=m, total_weight=s, sigma2=float(params.variances[k]), lam=lam

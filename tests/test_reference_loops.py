@@ -16,7 +16,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsemix import baseline, sparse_em
-from sparsemix.model import Blocks, EmptyClusterError, Hyperparams, SampleSet, self_regression_log_likelihood
+from sparsemix.model import (
+    Blocks,
+    EmptyClusterError,
+    Hyperparams,
+    SampleSet,
+    self_regression_log_likelihood,
+    squared_distances,
+)
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 
 
@@ -53,7 +60,8 @@ def reference_loop(Y, params, hp, order, _step):
                     params = replace(params, betas=betas)
                 else:
                     variances = params.variances.copy()
-                    variances[k] = sparse_em.update_sigma(k, tau, Y, hp, params.means(Y))
+                    sq = squared_distances(Y.data, params.means(Y))
+                    variances[k] = sparse_em.update_sigma(k, tau, Y, hp, sq)
                     params = replace(params, variances=variances)
             except EmptyClusterError:
                 reseed_counts[k] += 1

@@ -14,6 +14,7 @@ from test_reference_loops import fit_inputs
 from sparsemix import baseline, sparse_em
 from sparsemix.evaluate import best_permutation_correct
 from sparsemix.model import (
+    Blocks,
     EmptyClusterError,
     Hyperparams,
     MixtureParams,
@@ -21,6 +22,7 @@ from sparsemix.model import (
     penalized_value,
     q_function,
     self_regression_log_likelihood,
+    squared_distances,
 )
 from sparsemix.sparse_em import (
     beta_gradient,
@@ -181,14 +183,15 @@ class TestUpdateSigma:
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 2)), variances=np.array([5.0]))
         tau = np.ones((2, 1))
         hp = Hyperparams(variance_floor=1e-8)
-        assert update_sigma(0, tau, Y, hp, params.means(Y)) == pytest.approx(1.0, rel=1e-12)
+        sq = squared_distances(Y.data, params.means(Y))
+        assert update_sigma(0, tau, Y, hp, sq) == pytest.approx(1.0, rel=1e-12)
 
     def test_floor_engagement_on_zero_residuals(self):
         Y = SampleSet(np.zeros((3, 1)))
         params = MixtureParams(weights=np.array([1.0]), betas=np.zeros((1, 3)), variances=np.array([1.0]))
         tau = np.ones((3, 1))
         hp = Hyperparams(variance_floor=0.5)
-        assert update_sigma(0, tau, Y, hp, params.means(Y)) == 0.5
+        assert update_sigma(0, tau, Y, hp, squared_distances(Y.data, params.means(Y))) == 0.5
 
     def test_surrogate_never_decreases(self):
         rng = np.random.default_rng(57)
@@ -196,11 +199,29 @@ class TestUpdateSigma:
         params = random_params(rng, K=2, n=7)
         tau = e_step(params, Y)
         hp = Hyperparams(variance_floor=1e-10)
-        new_sigma = update_sigma(1, tau, Y, hp, params.means(Y))
+        new_sigma = update_sigma(1, tau, Y, hp, squared_distances(Y.data, params.means(Y)))
         variances = params.variances.copy()
         variances[1] = new_sigma
         new = replace(params, variances=variances)
         assert q_function(new, tau, Y) >= q_function(params, tau, Y) - 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), d=st.sampled_from([1, 2, 5, 50]),
+           K=st.integers(1, 4))
+    def test_classic_em_variance_bit_for_bit(self, seed, n, d, K):
+        # the sigma_k step and classic EM's M-step share one formula, so at
+        # the same tau and betas they give the same bits
+        rng = np.random.default_rng(seed)
+        Y = random_sample_set(rng, n=n, d=d)
+        tau = e_step(random_params(rng, K=K, n=n), Y)
+        hp = Hyperparams()
+        try:
+            m_step = baseline._m_step(Blocks(Y), tau, hp.resolve_floor(Y))
+        except EmptyClusterError:
+            return
+        sq = squared_distances(Y.data, m_step.means(Y))
+        got = [update_sigma(k, tau, Y, hp, sq) for k in range(K)]
+        assert np.array(got).tobytes() == m_step.variances.tobytes()
 
 
 class TestRun:
@@ -524,7 +545,10 @@ class TestPenaltyWeight:
         rng = np.random.default_rng(67)
         Y = random_sample_set(rng)
         params = random_params(rng, K=3, n=Y.n)
-        lams = sparse_em.effective_lams(params, e_step(params, Y), Y, Hyperparams(lam=2.5))
+        tau = e_step(params, Y)
+        tau[:, 0] += tau[:, 2]
+        tau[:, 2] = 0.0  # an empty cluster gets the fixed weight too
+        lams = sparse_em.effective_lams(params, tau, Y, Hyperparams(lam=2.5))
         assert lams.tolist() == [2.5, 2.5, 2.5]
 
     def test_heuristic_positive_and_dilation_invariant(self):
