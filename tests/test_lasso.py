@@ -15,12 +15,14 @@ from sparsemix.lasso import (
     _stationarity_violation,
     _stationarity_violations,
     _subsets,
+    default_tolerance,
     kkt_residual,
     objective,
     soft_threshold,
     solve_weighted_lasso,
 )
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
+from test_lasso_reference import near_duplicate_pairs_case, reference_skips
 
 
 def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=None):
@@ -282,6 +284,41 @@ class TestSolveWeightedLasso:
         for sigma2 in (math.inf, 0.0, math.nan):
             with pytest.raises(ValueError, match="sigma2"):
                 WeightedLassoProblem._trusted(D, m, 3.0, sigma2, 0.5, Y.gram)
+
+
+class TestStalledLargeSupport:
+    """Stalls on more than 9 columns, which refine's enumeration leaves to a feature-sign search."""
+
+    def test_near_duplicate_pairs_match_enumeration(self):
+        # d=50, n=10 points in near-duplicate pairs: coordinate descent
+        # stalls on the full support, and without the search ran to its
+        # 100-sweep cap unconverged
+        problem, beta0, _ = near_duplicate_pairs_case()
+        sol = solve_weighted_lasso(problem, beta0)
+        assert sol.converged and sol.kkt_residual <= default_tolerance(problem)
+        value = objective(problem, sol.beta)
+        assert abs(value - enumerate_sign_patterns(problem)) <= 1e-9 * (1.0 + abs(value))
+
+    def test_rank_deficient_duplicates(self):
+        # d=2, n=12: six points, each twice, from a dense random start; the
+        # support stalls at 10 or more columns of a rank-2 design, so the
+        # search steps along null vectors before it solves a system.  Without
+        # the search, the 0.01 problem ended unconverged after 120 sweeps.
+        for fraction in (0.01, 0.1, 1.01, 1.5):
+            rng = np.random.default_rng(7)
+            D = SampleSet(rng.normal(size=(6, 2))[np.arange(12) // 2]).design
+            weights = rng.random(12)
+            target = D @ weights / weights.sum()
+            critical = 3.0 * float(np.max(np.abs(D.T @ target)))
+            problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0,
+                                           lam=fraction * critical)
+            beta0 = rng.normal(size=12)
+            assert max(reference_skips((problem, beta0, {}))) >= 10
+            with np.errstate(all="raise"):
+                sol = solve_weighted_lasso(problem, beta0)
+            assert sol.converged
+            if fraction > 1:
+                assert np.all(sol.beta == 0.0)
 
 
 class TestRefineReacceptance:

@@ -24,6 +24,7 @@ from sparsemix.model import (
     self_regression_log_likelihood,
     squared_distances,
 )
+from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
 from sparsemix.sparse_em import (
     beta_gradient,
     e_step,
@@ -166,6 +167,27 @@ class TestUpdateBeta:
             before = q_function(params, tau, Y) - lam * params.l1_norms().sum()
             after = q_function(new, tau, Y) - lam * new.l1_norms().sum()
             assert after >= before - 1e-9 * (1 + abs(before))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dilation=st.sampled_from([60.0, 100.0]), data_seed=st.integers(0, 2**32 - 1),
+           replicate=st.integers(0, 999))
+    @example(dilation=60.0, data_seed=0, replicate=1)
+    def test_every_benchmark_d50_solve_converges(self, dilation, data_seed, replicate):
+        # benchmark-style d=50 fits (n=10, K=3, acceptance hyperparameters):
+        # every weighted lasso of every beta step reaches its tolerance, the
+        # full 10-column stalls of the centered design included
+        config = ScenarioConfig(dim=50, dilation=dilation, seed=data_seed)
+        Y = SampleSet(gen_replicate(config, replicate).points)
+        solve = sparse_em.solve_weighted_lasso
+        solutions = []
+
+        def recording(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        with mock.patch.object(sparse_em, "solve_weighted_lasso", recording):
+            run(Y, 3, Hyperparams(restarts=1, max_cycles=60, tol=1e-7), seed=fit_seed_seq(config, replicate))
+        assert solutions and all(sol.converged for sol in solutions)
 
     def test_empty_cluster_raises(self):
         rng = np.random.default_rng(56)

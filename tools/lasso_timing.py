@@ -17,6 +17,9 @@ that solve them.  Both counts patch numpy's private ``lstsq`` gufunc,
 which ``np.linalg.lstsq`` and a stacked call alike look up by
 attribute, so the counts compare across checkouts that call either
 one; a call on a stack of k systems counts k systems and one call.
+The feature-sign search solves its systems by SVD, which these counts
+leave out.  The converged column counts the cell's solves that return
+converged.
 Given another checkout's ``src``, both packages are loaded side by
 side, the timed solves alternate between them problem by problem, and
 the last column says whether every solution (β bytes, KKT residual,
@@ -92,7 +95,7 @@ def outcome(lasso, problem, beta0):
 def main(argv=None) -> int:
     versions = load_versions(__doc__, argv)
     lassos = {label: v.lasso for label, v in versions.items()}
-    print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve"])
+    print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve", "converged"])
     rng = np.random.default_rng(SEED)
     for n in SIZES:
         for d in DIMS:
@@ -107,8 +110,9 @@ def main(argv=None) -> int:
                 systems[label], calls[label] = sum(sizes) / PROBLEMS, len(sizes) / PROBLEMS
             best = fastest(versions, PROBLEMS, ROUNDS, lambda label, i: outcome(lassos[label], *problems[label][i]))
             us = {label: sum(t) / PROBLEMS * 1e6 for label, t in best.items()}
-            row = f"| {n} | {d} | " + " | ".join(f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f}"
-                                                 for label in versions)
+            row = f"| {n} | {d} | " + " | ".join(
+                f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f} | "
+                f"{sum(len(o) == 4 and bool(o[3]) for o in outcomes[label])}/{PROBLEMS}" for label in versions)
             if "other" in versions:
                 same = outcomes["this"] == outcomes["other"]
                 row += f" | {us['this'] / us['other']:.3f} | {'yes' if same else 'NO'}"
