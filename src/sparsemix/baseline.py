@@ -71,7 +71,7 @@ class BaselineReport:
     converged: bool
     assignments: np.ndarray
     restart_index: int
-    reseed_events: list
+    reseed_events: list     # (cycle, step index, component); the step index is always 0
     diagnostic: str | None = None
 
 
@@ -94,7 +94,7 @@ def spherical_e_step(params: SphericalParams, Y: SampleSet) -> np.ndarray:
 def _m_step(blocks: Blocks, tau: np.ndarray, floor: float) -> MixtureParams:
     """Closed-form full update on the sample ``blocks.Y``; raises on empty components.
 
-    Weights s / n, betas (tau / s)^T, so that each mean is its weighted
+    Weights s / sum(s), betas (tau / s)^T, so that each mean is its weighted
     data mean, and the floored variances about those means: the sparse
     weight and sigma steps' formulas, for every component at once.  The
     new betas' blocks are computed once, by ``blocks.set_betas``, and
@@ -106,7 +106,7 @@ def _m_step(blocks: Blocks, tau: np.ndarray, floor: float) -> MixtureParams:
     nonempty_mass(int(np.argmin(s)), s, n)  # the lightest component is empty if any is
     betas = (tau / s).T
     blocks.set_betas(betas)
-    return MixtureParams._trusted(mass_weights(s, n), betas, floored_variances(tau, blocks.sq, s, d, floor))
+    return MixtureParams._trusted(mass_weights(s), betas, floored_variances(tau, blocks.sq, s, d, floor))
 
 
 def _step(blocks: Blocks, _params, tau: np.ndarray, _tag, Y: SampleSet, hp: Hyperparams) -> MixtureParams:
@@ -131,6 +131,6 @@ def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineRe
         converged=out.converged,
         assignments=np.argmax(out.tau, axis=1),
         restart_index=r,
-        reseed_events=[(it, k) for it, _, k in out.reseed_events],
+        reseed_events=out.reseed_events,
         diagnostic=out.diagnostic,
     )

@@ -39,7 +39,6 @@ import numpy as np
 
 from .lasso import WeightedLassoProblem, default_tolerance, kkt_residual, solve_weighted_lasso
 from .model import (
-    WEIGHT_SUM_TOL,
     Blocks,
     EmptyClusterError,
     Hyperparams,
@@ -162,16 +161,9 @@ def target(k: int, tau: np.ndarray, Y: SampleSet, s_k: float) -> np.ndarray:
     return (tau[:, k] @ Y.data) / s_k
 
 
-def mass_weights(s: np.ndarray, n: int) -> np.ndarray:
-    """The weights s / n, divided by their sum when it misses 1 by more than ``WEIGHT_SUM_TOL``.
-
-    Responsibility rows sum to 1 only to within the absolute rounding of
-    their log-normalizer, about 1e-11 at log densities near 1e5 (d = 200
-    with variances near 1e-300), and the masses inherit that error.
-    """
-    weights = s / n
-    total = weights.sum()
-    return weights / total if abs(total - 1.0) > WEIGHT_SUM_TOL else weights
+def mass_weights(s: np.ndarray) -> np.ndarray:
+    """The weights s / sum(s): each component's share of the responsibility mass."""
+    return s / s.sum()
 
 
 def floored_variances(tau: np.ndarray, sq: np.ndarray, s: np.ndarray, d: int, floor: float) -> np.ndarray:
@@ -180,8 +172,8 @@ def floored_variances(tau: np.ndarray, sq: np.ndarray, s: np.ndarray, d: int, fl
 
 
 def update_weights(tau: np.ndarray) -> np.ndarray:
-    """Component weights as mean responsibility mass per column."""
-    return mass_weights(masses(tau), tau.shape[0])
+    """Component weights, each column's share of the responsibility mass."""
+    return mass_weights(masses(tau))
 
 
 def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp: Hyperparams,
@@ -271,13 +263,12 @@ def _reseed(params: MixtureParams, tau: np.ndarray, k: int, Y: SampleSet, sigma2
     j = int(np.argmin(tau.max(axis=1)))
     weights = params.weights.copy()
     weights[k] = max(weights[k], 1.0 / (2 * params.K))
-    weights /= weights.sum()
     betas = params.betas.copy()
     betas[k] = 0.0
     betas[k, j] = 1.0
     variances = params.variances.copy()
     variances[k] = sigma2_default
-    return MixtureParams(weights=weights, betas=betas, variances=variances)
+    return MixtureParams(weights=mass_weights(weights), betas=betas, variances=variances)
 
 
 class LoopOutcome(NamedTuple):

@@ -11,7 +11,7 @@ import pytest
 from sparsemix import cli
 from sparsemix.cli import SweepSpec, main, read_sample
 from sparsemix.model import MixtureParams, NumericalError, SampleSet, penalized_value
-from sparsemix.simulate import LabeledSample, write_sample
+from sparsemix.simulate import LabeledSample, ScenarioConfig, gen_replicate, write_sample
 
 
 @pytest.fixture
@@ -61,6 +61,16 @@ class TestFit:
         report = json.loads(out.read_text())
         assert report["method"] == "baseline"
         assert "betas" not in report and "lams" not in report
+
+    def test_baseline_reseed_events_are_loop_triples(self, tmp_path):
+        # a d=50 benchmark draw on which seed 16's winning baseline restart
+        # re-seeds a component: its events have the sparse report's
+        # (cycle, step, component) shape, step 0 being the M-step
+        path = tmp_path / "reseeds.txt"
+        np.savetxt(path, gen_replicate(ScenarioConfig(dim=50, dilation=60.0, seed=0), 29).points)
+        out = tmp_path / "base.json"
+        assert main(["fit", str(path), "-K", "3", "--method", "baseline", "--seed", "16", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["reseed_events"] == [[1, 0, 1]]
 
     @pytest.mark.parametrize("lam_flags", [[], ["--lambda", "0.3"]])
     def test_lams_are_the_weights_behind_the_last_trace_entry(self, two_cluster_file, tmp_path, lam_flags):

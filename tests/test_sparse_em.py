@@ -133,6 +133,10 @@ class TestUpdateWeights:
         assert update_weights(tau).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+# (d, dilation) of the benchmark's mc_d2 and mc_d50 cells
+BENCHMARK_CELLS = [(2, 10.0), (2, 30.0), (2, 50.0), (2, 70.0), (2, 100.0), (50, 60.0), (50, 100.0)]
+
+
 class TestUpdateBeta:
     def test_single_point_cluster_interpolates(self):
         # n <= d, full column rank, zero penalty: fitted mean hits the point
@@ -169,14 +173,16 @@ class TestUpdateBeta:
             assert after >= before - 1e-9 * (1 + abs(before))
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(dilation=st.sampled_from([60.0, 100.0]), data_seed=st.integers(0, 2**32 - 1),
+    @given(cell=st.sampled_from(BENCHMARK_CELLS), data_seed=st.integers(0, 2**32 - 1),
            replicate=st.integers(0, 999))
-    @example(dilation=60.0, data_seed=0, replicate=1)
-    def test_every_benchmark_d50_solve_converges(self, dilation, data_seed, replicate):
-        # benchmark-style d=50 fits (n=10, K=3, acceptance hyperparameters):
+    @example(cell=(50, 60.0), data_seed=0, replicate=1)
+    @example(cell=(2, 30.0), data_seed=0, replicate=1)
+    def test_every_benchmark_solve_converges(self, cell, data_seed, replicate):
+        # fits of the benchmark's cells (n=10, K=3, acceptance hyperparameters):
         # every weighted lasso of every beta step reaches its tolerance, the
-        # full 10-column stalls of the centered design included
-        config = ScenarioConfig(dim=50, dilation=dilation, seed=data_seed)
+        # full 10-column stalls of the centered d=50 design included
+        dim, dilation = cell
+        config = ScenarioConfig(dim=dim, dilation=dilation, seed=data_seed)
         Y = SampleSet(gen_replicate(config, replicate).points)
         solve = sparse_em.solve_weighted_lasso
         solutions = []

@@ -12,14 +12,14 @@ one fixed seed, so every run solves the same problems.
 For each cell the table gives µs per solve (the mean over the cell's
 problems of each one's fastest of seven timed solves, which discounts
 interference from other processes), and, counted in an untimed pass,
-the least-squares systems LAPACK solves per solve and the LAPACK calls
-that solve them.  Both counts patch numpy's private ``lstsq`` gufunc,
-which ``np.linalg.lstsq`` and a stacked call alike look up by
-attribute, so the counts compare across checkouts that call either
-one; a call on a stack of k systems counts k systems and one call.
-The feature-sign search solves its systems by SVD, which these counts
-leave out.  The converged column counts the cell's solves that return
-converged.
+the least-squares systems LAPACK solves per solve, the LAPACK calls
+that solve them and the SVD steps of the feature-sign search.  The
+first two counts patch numpy's private ``lstsq`` gufunc, which
+``np.linalg.lstsq`` and a stacked call alike look up by attribute, so
+the counts compare across checkouts that call either one; a call on a
+stack of k systems counts k systems and one call.  The SVD count
+patches ``np.linalg.svd`` the same way, one call per search step.  The
+converged column counts the cell's solves that return converged.
 Given another checkout's ``src``, both packages are loaded side by
 side, the timed solves alternate between them problem by problem, and
 the last column says whether every solution (β bytes, KKT residual,
@@ -71,16 +71,16 @@ def problem_inputs(n: int, d: int, rng: np.random.Generator) -> list[tuple]:
 
 
 @contextlib.contextmanager
-def count_lstsq_systems():
-    """Yield a list that gets the stack size of each LAPACK least-squares call."""
-    gufunc = _umath_linalg.lstsq
+def count_calls(owner, name: str, size=lambda a: 1):
+    """Yield a list that gets ``size(a)`` of each call of ``owner.name`` on an array ``a``."""
+    fn = getattr(owner, name)
     sizes = []
 
     def counting(a, *args, **kwargs):
-        sizes.append(math.prod(np.shape(a)[:-2]))
-        return gufunc(a, *args, **kwargs)
+        sizes.append(size(a))
+        return fn(a, *args, **kwargs)
 
-    with mock.patch.object(_umath_linalg, "lstsq", counting):
+    with mock.patch.object(owner, name, counting):
         yield sizes
 
 
@@ -95,7 +95,7 @@ def outcome(lasso, problem, beta0):
 def main(argv=None) -> int:
     versions = load_versions(__doc__, argv)
     lassos = {label: v.lasso for label, v in versions.items()}
-    print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve", "converged"])
+    print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve", "SVD steps/solve", "converged"])
     rng = np.random.default_rng(SEED)
     for n in SIZES:
         for d in DIMS:
@@ -103,15 +103,17 @@ def main(argv=None) -> int:
             problems = {label: [(lasso.WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=v, lam=lam), b0)
                                 for D, m, s, v, lam, b0 in inputs]
                         for label, lasso in lassos.items()}
-            outcomes, systems, calls = {}, {}, {}
+            outcomes, systems, calls, svds = {}, {}, {}, {}
             for label, lasso in lassos.items():
-                with count_lstsq_systems() as sizes:
+                with (count_calls(_umath_linalg, "lstsq", lambda a: math.prod(np.shape(a)[:-2])) as sizes,
+                      count_calls(np.linalg, "svd") as steps):
                     outcomes[label] = [outcome(lasso, p, b0) for p, b0 in problems[label]]
                 systems[label], calls[label] = sum(sizes) / PROBLEMS, len(sizes) / PROBLEMS
+                svds[label] = len(steps) / PROBLEMS
             best = fastest(versions, PROBLEMS, ROUNDS, lambda label, i: outcome(lassos[label], *problems[label][i]))
             us = {label: sum(t) / PROBLEMS * 1e6 for label, t in best.items()}
             row = f"| {n} | {d} | " + " | ".join(
-                f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f} | "
+                f"{us[label]:.1f} | {systems[label]:.1f} | {calls[label]:.1f} | {svds[label]:.1f} | "
                 f"{sum(len(o) == 4 and bool(o[3]) for o in outcomes[label])}/{PROBLEMS}" for label in versions)
             if "other" in versions:
                 same = outcomes["this"] == outcomes["other"]
