@@ -1,6 +1,6 @@
 """Acceptance gate: benchmark reproductions and exact property suites.
 
-Quantitative criteria (1-4) rerun the benchmark protocol at 200
+Quantitative criteria (1-4 and 11) rerun the benchmark protocol at 200
 replicates per cell with the recorded configuration below; property
 criteria (5-10) are exact.  Each test prints one pass/fail line; run
 
@@ -61,9 +61,22 @@ def cell(dim, dilation, method, replicates=REPLICATES):
     return run_mc_cell(cfg, method, BENCH_HP, jobs=JOBS)
 
 
+def paired_comparison(sparse, baseline):
+    """Sparse - baseline ANCRCI, whether both cells fitted identical
+    datasets, and the one-sided paired t-test p-value of the gap."""
+    paired = [a.data_hash for a in sparse.records] == [b.data_hash for b in baseline.records]
+    test = stats.ttest_rel(sparse.correct_counts, baseline.correct_counts, alternative="greater")
+    return sparse.ancrci - baseline.ancrci, paired, test.pvalue
+
+
 @pytest.fixture(scope="module")
 def d2_sparse_cells():
     return {dil: cell(2, dil, "sparse") for dil in D2_DILATIONS}
+
+
+@pytest.fixture(scope="module")
+def d2_baseline_cells():
+    return {dil: cell(2, dil, "baseline") for dil in D2_DILATIONS}
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +106,11 @@ class TestQuantitative:
 
     def test_c03_high_dimension_comparison(self, d50_comparison):
         sparse, baseline = d50_comparison
-        paired = [a.data_hash for a in sparse.records] == [b.data_hash for b in baseline.records]
-        gap = sparse.ancrci - baseline.ancrci
-        test = stats.ttest_rel(sparse.correct_counts, baseline.correct_counts, alternative="greater")
-        ok = paired and gap >= 0.5 and test.pvalue < 0.05
+        gap, paired, pvalue = paired_comparison(sparse, baseline)
+        ok = paired and gap >= 0.5 and pvalue < 0.05
         detail = (
             f"sparse={sparse.ancrci:.3f} baseline={baseline.ancrci:.3f} "
-            f"gap={gap:+.3f} paired_p={test.pvalue:.2e} identical_datasets={paired}"
+            f"gap={gap:+.3f} paired_p={pvalue:.2e} identical_datasets={paired}"
         )
         verdict(3, "d=50 paired advantage >= 0.5", ok, detail)
 
@@ -111,6 +122,14 @@ class TestQuantitative:
             result.ancrci >= 7.0,
             f"ancrci={result.ancrci:.3f}",
         )
+
+    def test_c11_two_dimensional_paired_advantage(self, d2_sparse_cells, d2_baseline_cells):
+        ok, details = True, []
+        for dil in D2_DILATIONS:
+            gap, paired, pvalue = paired_comparison(d2_sparse_cells[dil], d2_baseline_cells[dil])
+            ok = ok and paired and gap > 0 and pvalue < 0.05
+            details.append(f"dil={dil:g} gap={gap:+.3f} paired_p={pvalue:.2e} identical_datasets={paired}")
+        verdict(11, "d=2 paired advantage > 0 at every dilation", ok, "; ".join(details))
 
 
 class TestMonotonicity:

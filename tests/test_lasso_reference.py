@@ -158,8 +158,7 @@ def reference_penalty_weight(hp, Y, sigma2, total_weight, target):
         return hp.lam
     noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
     critical = (total_weight / sigma2) * float(np.max(np.abs(Y.data @ target), initial=0.0))
-    fraction = sparse_em.LINE_PENALTY_FRACTION if Y.d == 1 else sparse_em.MAX_PENALTY_FRACTION
-    return min(noise, fraction * critical)
+    return min(noise, sparse_em.MAX_PENALTY_FRACTION * critical)
 
 
 # The partial-step references take the mass, the empty test and the

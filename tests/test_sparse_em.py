@@ -556,16 +556,21 @@ class TestStationarity:
         assert np.isnan(scales).tolist() == np.isnan(residuals).tolist()
 
     def test_certifies_the_weights_the_fit_held(self):
-        # component 0 ends with responsibility mass 2.2e-6; the l1 weight at
-        # the final responsibilities is 2.19e-6 against the 6.17e-6 its last
-        # cycle held, and under the former the block reads residual/scale 0.32
-        case = {"dim": 2, "dilation": 60.0, "data_seed": 3, "replicate": 14, "restarts": 1, "lam": None}
+        # component 2 ends with responsibility mass 3.6e-7; the l1 weight at
+        # the final responsibilities is 9.4e-8 against the 5.1e-7 its last
+        # cycle held, and under the former the block reads residual/scale 0.40
+        case = {"dim": 2, "dilation": 60.0, "data_seed": 3, "replicate": 18, "restarts": 1, "lam": None}
         Y, hp, seed = fit_inputs(case)
         rep = run(Y, 3, hp, seed=seed)
         assert rep.converged
         residuals, scales = stationarity_report(rep, Y)
         assert np.isfinite(residuals).all()
         assert np.all(residuals <= 1e-3 * scales)
+        # the draw's premise: under the weights at the final
+        # responsibilities the same fit fails the certificate
+        final_lams = sparse_em.effective_lams(rep.params, e_step(rep.params, Y), Y, hp)
+        final_residuals, final_scales = stationarity_report(replace(rep, lams=final_lams), Y)
+        assert np.any(final_residuals > 1e-3 * final_scales)
 
 
 class TestPenaltyWeight:
@@ -593,12 +598,14 @@ class TestPenaltyWeight:
         assert w1 > 0
         assert w2 == pytest.approx(w1, rel=1e-9)
 
-    def test_capped_below_critical_value(self):
-        # the weight never reaches the value that zeroes the whole block
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    def test_capped_below_critical_value(self, d):
+        # one clamp in every dimension keeps the weight below the value
+        # that zeroes the whole block
         rng = np.random.default_rng(69)
-        Y = random_sample_set(rng, n=6, d=2)
+        Y = random_sample_set(rng, n=6, d=d)
         m = Y.data[:2].mean(axis=0)
         s, sigma2 = 3.0, 1e6  # absurdly inflated variance estimate
         lam = penalty_weight(Y, sigma2, s, m)
         critical = (s / sigma2) * np.max(np.abs(Y.data @ m))
-        assert 0 < lam < critical
+        assert 0 < lam <= sparse_em.MAX_PENALTY_FRACTION * critical
