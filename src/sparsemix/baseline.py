@@ -35,7 +35,7 @@ from .model import (
     spherical_log_density_matrix,
     weights_and_variances,
 )
-from .sparse_em import best_restart, floored_variances, mass_weights, masses, nonempty_mass
+from .sparse_em import best_restart, floored_variances, mass_weights, masses, nonempty_mass, report_fields
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,5 @@ def baseline_fit(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> BaselineRe
         params=SphericalParams(weights=out.params.weights, means=out.params.means(Y), variances=out.params.variances),
         loglik_trace=out.trace,
         iterations=out.cycles_run,
-        converged=out.converged,
-        assignments=np.argmax(out.tau, axis=1),
-        restart_index=r,
-        reseed_events=out.reseed_events,
-        diagnostic=out.diagnostic,
+        **report_fields(r, out),
     )

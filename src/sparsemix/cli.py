@@ -9,7 +9,7 @@ Subcommands:
 Sweep outputs are deterministic byte for byte given the same
 configuration and seed: per-replicate wall times go to a JSONL sidecar
 (timings.txt), never into the CSVs.  The default output directory can
-be set with the SPARSEMIX_OUT environment variable.
+be set with the SPARSEMIX_OUT environment variable; empty, it counts as unset.
 """
 
 from __future__ import annotations
@@ -190,10 +190,15 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def env_out(fallback: str) -> str:
+    """The output directory ``SPARSEMIX_OUT`` names, or ``fallback`` when it is unset or empty."""
+    return os.environ.get(OUT_ENV_VAR) or fallback
+
+
 def default_report_path(input_path: str) -> str:
     base = os.path.basename(str(input_path))
     stem = base.rsplit(".", 1)[0] if "." in base else base
-    out_dir = os.environ.get(OUT_ENV_VAR, os.path.dirname(str(input_path)) or ".")
+    out_dir = env_out(os.path.dirname(str(input_path)) or ".")
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, stem + ".report.json")
 
@@ -203,7 +208,7 @@ def default_report_path(input_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    out_dir = resolve_out(args.out)
+    out_dir = args.out or env_out(".")
     try:
         cfg = ScenarioConfig(**{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)})
     except ValueError as err:
@@ -216,10 +221,6 @@ def cmd_simulate(args) -> int:
         write_sample(os.path.join(out_dir, name), sample)
     print(f"simulate wrote {cfg.replicates} replicate files to {out_dir}")
     return EXIT_OK
-
-
-def resolve_out(out_flag) -> str:
-    return str(out_flag) if out_flag else os.environ.get(OUT_ENV_VAR, ".")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def build_sweep_spec(args) -> SweepSpec:
         if flag is not None:
             settings[f.name] = flag
     if settings.get("out") in (None, ""):  # any other value, false and 0 included, is checked by SweepSpec
-        settings["out"] = os.environ.get(OUT_ENV_VAR) or SweepSpec.out
+        settings["out"] = env_out(SweepSpec.out)
     settings["hyperparams"] = hyperparams_from_args(args, settings)
     return SweepSpec(**settings)
 

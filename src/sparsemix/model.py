@@ -293,8 +293,9 @@ class Hyperparams:
     stops after ``max_cycles`` cycles, or earlier once one cycle moves
     its objective by at most ``tol``, relative.  ``variance_floor`` is
     finite and positive; ``None`` derives it from the data via
-    :func:`default_variance_floor`.  The best of ``restarts`` random
-    starts is kept; ``seed`` (>= 0) seeds their streams.
+    :func:`default_variance_floor`.  Of ``restarts`` random starts, the
+    one of highest final log likelihood is kept; ``seed`` (>= 0) seeds
+    their streams.
     """
 
     lam: float | None = None

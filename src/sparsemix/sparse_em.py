@@ -17,11 +17,11 @@ aborts the fit as non-converged.  The restart driver
 (:func:`best_restart`) is shared with the classic-EM baseline: for each
 restart it draws the initialization (:func:`indicator_init`), runs the
 loop (:func:`em_loop`) with its evaluation (:class:`~sparsemix.model.Blocks`)
-and re-seed (:func:`_reseed`), and it keeps the restart whose trace ends
-highest.  Classic EM is the same model with beta_k = tau_k / s_k, so
-the mean Y beta_k is the weighted data mean; it runs as the one-step
+and re-seed (:func:`_reseed`), and it keeps the restart of highest final
+log likelihood.  Classic EM is the same model with beta_k = tau_k / s_k,
+so the mean Y beta_k is the weighted data mean; it runs as the one-step
 cycle of the full M-step with lambda held at 0.  Each estimator builds
-its own report type once, for the winning restart.
+its own report type once, for the winning restart (:func:`report_fields`).
 
 The model is evaluated once per partial step: the trace entry of step t
 and the responsibilities of step t + 1 are two views of one log-joint
@@ -224,11 +224,10 @@ def restart_seed_seq(seed, restart_index: int) -> np.random.SeedSequence:
     ``SeedSequence.spawn`` advances internal state, so two drivers handed
     the same sequence would otherwise see different children depending on
     call order; reconstructing the child by spawn key keeps fits pure
-    functions of (seed, restart).
+    functions of (seed, restart).  An int seed is ``SeedSequence(seed)``.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (restart_index,))
-    return np.random.SeedSequence(entropy=seed, spawn_key=(restart_index,))
+    seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (restart_index,))
 
 
 def default_sigma2(Y: SampleSet, K: int, floor: float) -> float:
@@ -280,6 +279,7 @@ class LoopOutcome(NamedTuple):
     reseed_events: list     # (cycle, step index, component)
     diagnostic: str | None
     lams: np.ndarray        # the l1 weights of the last cycle, behind trace[-1]
+    loglik: float           # the log likelihood sum(lse) at params, by which restarts are ranked
 
 
 def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, step) -> LoopOutcome:
@@ -305,7 +305,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     within ``hp.tol``, relative, of its start value: the ``sum(lse)`` of
     the evaluation before the cycle, summed once, less the penalty under
     the cycle's weights.  Under weights that do not move that is, bit for
-    bit, the previous cycle's last entry.
+    bit, the previous cycle's last entry.  ``loglik`` is the final sum(lse).
     """
     blocks = Blocks(Y)
     sigma2_init = default_sigma2(Y, params.K, hp.resolve_floor(Y))
@@ -347,7 +347,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
             break
 
     return LoopOutcome(params, np.asarray(trace), cycles_run, converged, _responsibilities(logp, lse),
-                       reseed_events, diagnostic, blocks.lams)
+                       reseed_events, diagnostic, blocks.lams, loglik)
 
 
 def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step) -> tuple[int, LoopOutcome]:
@@ -356,8 +356,8 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     Restart r starts from :func:`indicator_init`, drawn on the child
     stream r of ``seed`` (``hp.seed`` when None), and runs
     ``em_loop(Y, params, hp, order, step)``.  Restarts are ranked by
-    the last entry of their own trace: a later restart replaces the best
-    only when it is strictly larger, so a tie keeps the earlier one.
+    their final log likelihood ``loglik``, not by their penalized traces:
+    a later one wins only when strictly larger, so ties keep the earlier.
     """
     as_int("K", K, 1)
     if Y.n < K:
@@ -369,21 +369,26 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     for r in range(hp.restarts):
         params = indicator_init(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
         outcome = em_loop(Y, params, hp, order, step)
-        if best is None or outcome.trace[-1] > best[1].trace[-1]:
+        if best is None or outcome.loglik > best[1].loglik:
             best = r, outcome
     return best
 
 
-def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
-    """Fit a K-component model; returns the best restart by final objective.
+def report_fields(r: int, out: LoopOutcome) -> dict:
+    """The report fields both estimators take from the winning restart ``r`` and its outcome."""
+    return dict(converged=out.converged, assignments=np.argmax(out.tau, axis=1), restart_index=r,
+                reseed_events=out.reseed_events, diagnostic=out.diagnostic)
 
-    ``seed`` overrides ``hp.seed`` and may be an int or a
-    ``numpy.random.SeedSequence``; restart r draws its initialization
-    from an independent child stream, so fits are reproducible bit for
-    bit.  Each cycle runs the fixed order ``("weights", -1)``,
-    ``("beta", k)`` for each k, then ``("sigma", k)`` for each k.  The
-    report, its KKT certificate included, is built once, for the
-    winning restart.
+
+def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
+    """Fit a K-component model; returns the restart of highest final log likelihood.
+
+    A tie keeps the earlier restart.  ``seed`` overrides ``hp.seed`` and
+    may be an int or a ``numpy.random.SeedSequence``; restart r draws its
+    initialization from an independent child stream, so fits are
+    reproducible bit for bit.  Each cycle runs the fixed order
+    ``("weights", -1)``, ``("beta", k)`` for each k, then ``("sigma", k)``
+    for each k.  The report, its KKT certificate included, is built once.
     """
     order = (("weights", -1),) + tuple(("beta", k) for k in range(K)) + tuple(("sigma", k) for k in range(K))
     r, out = best_restart(Y, K, hp, seed, order, _step)
@@ -392,12 +397,8 @@ def run(Y: SampleSet, K: int, hp: Hyperparams, seed=None) -> FitReport:
         objective_trace=out.trace,
         beta_kkt_residuals=_kkt_certificate(out.params, out.tau, out.lams, Y)[0],
         cycles_run=out.cycles_run,
-        converged=out.converged,
-        assignments=np.argmax(out.tau, axis=1),
-        restart_index=r,
-        reseed_events=out.reseed_events,
         lams=out.lams,
-        diagnostic=out.diagnostic,
+        **report_fields(r, out),
     )
 
 

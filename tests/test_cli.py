@@ -372,6 +372,29 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+class TestOutputEnvVar:
+    @pytest.mark.parametrize("argv, written", [
+        (["fit", "{sample}", "-K", "2", "--restarts", "1"], "two_clusters.report.json"),
+        (["simulate", "--dim", "2", "--dilation", "10"], "sample_dim2_dilation10_rep0.txt"),
+    ])
+    def test_empty_value_counts_as_unset(self, argv, written, two_cluster_file, tmp_path, monkeypatch):
+        # fit writes its report beside the input, simulate into the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        where = (two_cluster_file.parent if argv[0] == "fit" else work) / written
+        contents = []
+        for value in (None, ""):
+            if value is None:
+                monkeypatch.delenv("SPARSEMIX_OUT", raising=False)
+            else:
+                monkeypatch.setenv("SPARSEMIX_OUT", value)
+            assert main([a.format(sample=two_cluster_file) for a in argv]) == 0
+            contents.append(where.read_bytes())
+            where.unlink()
+        assert contents[0] == contents[1]
+
+
 class TestUsageErrors:
     """Invalid input exits 2 with an error line before any work starts."""
 

@@ -189,16 +189,36 @@ def reference_beta_problem(k, params, tau, Y, hp):
     return problem, reference_default_tolerance(problem) * min(1.0, hp.tol / 1e-8)
 
 
+def kkt_roundoff(problem, beta):
+    """A bound on the round-off of recomputing ``kkt_residual(problem, beta)``.
+
+    With u = eps / 2 and gamma_k = k u / (1 - k u) (Higham 2002, ch. 3),
+    the computed r = m - D beta is off by at most gamma_{n+1} (|m| + |D||beta|)
+    per entry, whatever the summation order, and the gradient c D^T r adds
+    gamma_d |D|^T |r| and one rounding for c, so each gradient entry is
+    off by at most about (n + d + 2) u c (|D|^T (|m| + |D||beta|))_j.
+    Adding lam sign(beta_j), or subtracting lam, and taking |.| add
+    u (|g_j| + lam), and a max over coordinates is off by at most its
+    worst term.  (d + n + 2) eps (c max_j (|D|^T (|m| + |D||beta|))_j + lam)
+    covers the sum.  Unlike a fixed fraction of the gradient scale at the
+    origin it grows with |beta|, as the recomputation's round-off does.
+    """
+    D = np.abs(problem.design)
+    d, n = D.shape
+    scale = float(np.max(D.T @ (np.abs(problem.target) + D @ np.abs(beta)), initial=0.0))
+    return (d + n + 2) * np.finfo(float).eps * (problem.smooth_scale * scale + problem.lam)
+
+
 def assert_no_worse(problem, beta, reference_beta, tol):
     """``beta`` solves ``problem`` at least as well as the reference's ``reference_beta``.
 
     Both KKT residuals are recomputed from the problem: ``beta``'s is at
     most the reference's, or within ``tol`` (both converged, where the
-    two residuals are round-off and either may be the lower), plus
-    1e-12 of the gradient scale for the round-off of recomputing them;
-    the objective is at most the reference's plus 1e-12 (1 + |F|).
+    two residuals are round-off and either may be the lower), plus the
+    round-off of the two recomputations (:func:`kkt_roundoff`); the
+    objective is at most the reference's plus 1e-12 (1 + |F|).
     """
-    slack = 1e-4 * default_tolerance(problem)  # default_tolerance is 1e-8 of the gradient scale
+    slack = kkt_roundoff(problem, beta) + kkt_roundoff(problem, reference_beta)
     assert kkt_residual(problem, beta) <= max(kkt_residual(problem, reference_beta), tol) + slack
     value = objective(problem, reference_beta)
     assert objective(problem, beta) <= value + 1e-12 * (1.0 + abs(value))
@@ -292,6 +312,21 @@ def reference_skips(case):
     with contextlib.suppress(NumericalError):
         reference_solve_weighted_lasso(problem, beta0, skipped=skipped, **stop)
     return skipped
+
+
+class TestNoWorseSlack:
+    def test_one_ulp_apart_at_a_large_norm_point_is_no_worse(self):
+        # far from the optimum the recomputed residual, about 7.6e5, moves by
+        # 2.3e-10 when beta moves one ulp: 80 times the old slack, 1e-12 of
+        # the gradient scale at the origin, and within the round-off bound
+        problem = WeightedLassoProblem(design=np.array([[1.0, 0.5], [0.3, 2.0]]), target=np.array([1.0, 1.0]),
+                                       total_weight=1.0, sigma2=1.0, lam=0.3)
+        beta = np.array([1e6, -3e5])
+        nudged = np.nextafter(beta, np.inf)
+        assert kkt_residual(problem, nudged) > kkt_residual(problem, beta) + 1e-4 * default_tolerance(problem)
+        assert_no_worse(problem, nudged, beta, tol=0.0)
+        with pytest.raises(AssertionError):  # a real step away is still worse
+            assert_no_worse(problem, beta * (1.0 + 1e-8), beta, tol=0.0)
 
 
 class TestSolverMatchesReference:

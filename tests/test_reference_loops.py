@@ -85,7 +85,8 @@ def reference_loop(Y, params, hp, order, _step):
         cycles_run = cycle + 1
 
     return sparse_em.LoopOutcome(params, np.asarray(trace), cycles_run, converged and not aborted,
-                                 sparse_em.e_step(params, Y), reseed_events, diagnostic, lams)
+                                 sparse_em.e_step(params, Y), reseed_events, diagnostic, lams,
+                                 self_regression_log_likelihood(params, Y))
 
 
 def reference_baseline_loop(Y, params, hp, _order, _step):
@@ -119,7 +120,8 @@ def reference_baseline_loop(Y, params, hp, _order, _step):
             break
 
     return sparse_em.LoopOutcome(params, np.asarray(trace), iterations, converged, sparse_em.e_step(params, Y),
-                                 reseed_events, diagnostic, np.zeros(params.K))
+                                 reseed_events, diagnostic, np.zeros(params.K),
+                                 self_regression_log_likelihood(params, Y))
 
 
 def assert_reports_identical(fast, ref):

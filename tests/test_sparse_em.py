@@ -423,17 +423,37 @@ class TestRun:
         assert np.all(rep.beta_kkt_residuals < 1e-6)
 
 
+def restart_outcomes(fit, Y, K, hp, seed):
+    """``fit(Y, K, hp, seed=seed)`` and the outcome of each of its restarts, in order."""
+    loop = sparse_em.em_loop
+    outcomes = []
+
+    def recording_loop(*args):
+        outcomes.append(loop(*args))
+        return outcomes[-1]
+
+    with mock.patch.object(sparse_em, "em_loop", recording_loop):
+        return fit(Y, K, hp, seed=seed), outcomes
+
+
+# Two adaptive-lambda restarts whose rankings disagree: restart 1 ends at
+# the higher log likelihood, restart 0 at the higher penalized trace value.
+TWO_RESTARTS = {"dim": 2, "dilation": 50.0, "data_seed": 0, "replicate": 0, "restarts": 2, "lam": None}
+
+
 class TestBestRestart:
-    def test_strictly_larger_last_entry_wins_and_ties_keep_the_earlier(self):
-        # the three restarts' traces end at 1, 2 and 2: restart 1 beats
-        # restart 0, and restart 2 only ties it
+    def test_strictly_larger_log_likelihood_wins_and_ties_keep_the_earlier(self):
+        # the three restarts end at log likelihoods 1, 2 and 2: restart 1
+        # beats restart 0, restart 2 only ties it, and the traces, which
+        # end the other way round, play no part
         Y = random_sample_set(np.random.default_rng(64), n=8, d=2)
         hp = Hyperparams(restarts=3, max_cycles=5)
         loop = sparse_em.em_loop
         outcomes = []
 
         def ranked_loop(*args):
-            outcomes.append(loop(*args)._replace(trace=np.array([(1.0, 2.0, 2.0)[len(outcomes) % 3]])))
+            i = len(outcomes) % 3
+            outcomes.append(loop(*args)._replace(loglik=(1.0, 2.0, 2.0)[i], trace=np.array([(3.0, 1.0, 1.0)[i]])))
             return outcomes[-1]
 
         with mock.patch.object(sparse_em, "em_loop", ranked_loop):
@@ -442,6 +462,37 @@ class TestBestRestart:
             assert run(Y, 2, hp).restart_index == 1
             assert baseline.baseline_fit(Y, 2, hp).restart_index == 1
         assert len(outcomes) == 9
+
+    def test_adaptive_restarts_ranked_by_log_likelihood_not_penalized_trace(self):
+        Y, hp, seed = fit_inputs(TWO_RESTARTS)
+        rep, (first, second) = restart_outcomes(run, Y, 3, hp, seed)
+        assert first.loglik == pytest.approx(-56.28337, abs=1e-5)
+        assert second.loglik == pytest.approx(-56.28304, abs=1e-5)
+        assert first.trace[-1] > second.trace[-1]  # -74.41845 against -74.41881
+        assert rep.restart_index == 1
+        assert rep.objective_trace.tobytes() == second.trace.tobytes()
+
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.fixed_dictionaries({
+        "dim": st.sampled_from([2, 50]),
+        "dilation": st.sampled_from([10.0, 60.0, 100.0]),
+        "data_seed": st.integers(0, 2**32 - 1),
+        "replicate": st.integers(0, 999),
+        "restarts": st.integers(2, 3),
+        "lam": st.sampled_from([None, 0.5]),
+    }))
+    @example(case=TWO_RESTARTS)
+    def test_fits_keep_the_restart_of_highest_log_likelihood(self, case):
+        Y, hp, seed = fit_inputs(case)
+        rep, outcomes = restart_outcomes(run, Y, 3, hp, seed)
+        logliks = [o.loglik for o in outcomes]
+        assert self_regression_log_likelihood(rep.params, Y) == max(logliks)
+        assert rep.restart_index == logliks.index(max(logliks))
+        # classic EM's trace ends at its log likelihood, so ranking by
+        # either picks the same restart and its report keeps its bytes
+        rep, outcomes = restart_outcomes(baseline.baseline_fit, Y, 3, hp, seed)
+        assert all(o.trace[-1] == o.loglik for o in outcomes)
+        assert rep.restart_index == int(np.argmax([o.trace[-1] for o in outcomes]))
 
 
 class TestStationarity:
