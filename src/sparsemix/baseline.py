@@ -16,7 +16,9 @@ carried :class:`~sparsemix.model.Blocks`; the loop's evaluation then
 adds the log normalizers, log densities and log weights.  Only the
 report types differ: :class:`BaselineReport` carries
 :class:`SphericalParams`, whose means are realized once per fit, for
-the winning restart.
+the winning restart.  Its fields are checked by MixtureParams' rule, and
+:func:`spherical_e_step`, like ``e_step``, raises NumericalError on
+non-finite responsibilities.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from .model import (
     Hyperparams,
     MixtureParams,
     SampleSet,
-    as_finite_array,
+    freeze_mixture_fields,
     log_joint,
     spherical_log_density_matrix,
-    weights_and_variances,
 )
-from .sparse_em import best_restart, floored_variances, mass_weights, masses, nonempty_mass, report_fields
+from .sparse_em import (_responsibilities, best_restart, floored_variances, mass_weights, masses, nonempty_mass,
+                        report_fields)
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,7 @@ class SphericalParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        w, v = weights_and_variances(self.weights, self.variances)
-        m = as_finite_array(self.means, "means")
-        if m.ndim != 2 or m.shape[0] != w.size:
-            raise ValueError(f"means must have shape (K={w.size}, d), got {m.shape}")
-        for name, arr in (("weights", w), ("means", m), ("variances", v)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_mixture_fields(self, "means", "d")
 
     @property
     def K(self) -> int:
@@ -87,8 +82,8 @@ def spherical_log_likelihood(params: SphericalParams, Y: SampleSet) -> float:
 
 
 def spherical_e_step(params: SphericalParams, Y: SampleSet) -> np.ndarray:
-    logp, lse = _evaluate(params, Y)
-    return np.exp(logp - lse[:, None])
+    """Responsibilities at ``params``; raises NumericalError where one is non-finite, as ``e_step`` does."""
+    return _responsibilities(*_evaluate(params, Y))
 
 
 def _m_step(blocks: Blocks, tau: np.ndarray, floor: float) -> MixtureParams:

@@ -102,6 +102,31 @@ def weights_and_variances(weights, variances) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def freeze_mixture_fields(params, locations: str, width: str) -> None:
+    """Check the ``weights``, ``variances`` and (K, ``width``) ``locations`` of ``params``; store read-only copies.
+
+    For the frozen parameter dataclasses' ``__post_init__``; a ValueError names the field that fails.
+    """
+    w, v = weights_and_variances(params.weights, params.variances)
+    a = as_finite_array(getattr(params, locations), locations)
+    if a.ndim != 2 or a.shape[0] != w.size:
+        raise ValueError(f"{locations} must have shape (K={w.size}, {width}), got {a.shape}")
+    for name, arr in (("weights", w), (locations, a), ("variances", v)):
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(params, name, arr)
+
+
+def child_seed_seq(seed, index: int) -> np.random.SeedSequence:
+    """Child ``index`` of ``seed``, equal to ``spawn(index + 1)[index]`` of a fresh ``seed``.
+
+    Built from the spawn key, because ``spawn`` advances the parent's state and would make a
+    child depend on call order.  An int seed is ``SeedSequence(seed)``.
+    """
+    seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (index,), pool_size=seed.pool_size)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Centered observations with the centering offset retained.
@@ -232,14 +257,7 @@ class MixtureParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        w, v = weights_and_variances(self.weights, self.variances)
-        b = as_finite_array(self.betas, "betas")
-        if b.ndim != 2 or b.shape[0] != w.size:
-            raise ValueError(f"betas must have shape (K={w.size}, n), got {b.shape}")
-        for name, arr in (("weights", w), ("betas", b), ("variances", v)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_mixture_fields(self, "betas", "n")
 
     @classmethod
     def _trusted(cls, weights: np.ndarray, betas: np.ndarray, variances: np.ndarray) -> "MixtureParams":

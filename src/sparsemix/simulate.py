@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_int, no_bool, weights_and_variances
+from .model import as_finite_array, as_int, child_seed_seq, no_bool, weights_and_variances
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,6 @@ class ScenarioConfig:
             raise ValueError(f"weights and variances need K={self.K} entries, got {self.weights!r}, {self.variances!r}")
         weights_and_variances(no_bool("weights", self.weights), no_bool("variances", self.variances))
 
-    @property
-    def cube_bounds(self) -> tuple:
-        """Half-open description of the center cube, (-dilation/2, dilation/2)."""
-        half = self.dilation / 2.0
-        return (-half, half)
-
 
 @dataclass(frozen=True)
 class LabeledSample:
@@ -56,8 +50,7 @@ class LabeledSample:
     centers: np.ndarray  # (K, d)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("points contain non-finite entries")
+        as_finite_array(self.points, "points")
         K = self.centers.shape[0]
         if np.any(self.labels < 0) or np.any(self.labels >= K):
             raise ValueError("labels out of range")
@@ -92,7 +85,7 @@ def gen_sample(config: ScenarioConfig, centers: np.ndarray, rng: np.random.Gener
 def gen_replicate(config: ScenarioConfig, replicate: int) -> LabeledSample:
     """Centers plus sample for one replicate, from its private stream."""
     seq = replicate_seed_seq(config.seed, config.dim, config.dilation, replicate)
-    rng = np.random.default_rng(seq.spawn(2)[0])
+    rng = np.random.default_rng(child_seed_seq(seq, 0))
     centers = gen_centers(config, rng)
     return gen_sample(config, centers, rng)
 
@@ -100,7 +93,7 @@ def gen_replicate(config: ScenarioConfig, replicate: int) -> LabeledSample:
 def fit_seed_seq(config: ScenarioConfig, replicate: int) -> np.random.SeedSequence:
     """Seed stream for the estimator on one replicate (distinct from data)."""
     seq = replicate_seed_seq(config.seed, config.dim, config.dilation, replicate)
-    return seq.spawn(2)[1]
+    return child_seed_seq(seq, 1)
 
 
 def data_hash(sample: LabeledSample) -> str:

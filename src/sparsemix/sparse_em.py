@@ -46,6 +46,7 @@ from .model import (
     NumericalError,
     SampleSet,
     as_int,
+    child_seed_seq,
     squared_distances,
 )
 from .model import log_density_matrix, penalized_value  # noqa: F401  (bound here by perfbench/tracing.py)
@@ -218,18 +219,6 @@ def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str
 # Initialization
 # ---------------------------------------------------------------------------
 
-def restart_seed_seq(seed, restart_index: int) -> np.random.SeedSequence:
-    """Child stream for one restart, derived without mutating ``seed``.
-
-    ``SeedSequence.spawn`` advances internal state, so two drivers handed
-    the same sequence would otherwise see different children depending on
-    call order; reconstructing the child by spawn key keeps fits pure
-    functions of (seed, restart).  An int seed is ``SeedSequence(seed)``.
-    """
-    seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (restart_index,))
-
-
 def default_sigma2(Y: SampleSet, K: int, floor: float) -> float:
     return max(floor, Y.total_variance() / (Y.d * K))
 
@@ -354,7 +343,8 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     """``(r, outcome)`` of the best of ``hp.restarts`` runs of :func:`em_loop`.
 
     Restart r starts from :func:`indicator_init`, drawn on the child
-    stream r of ``seed`` (``hp.seed`` when None), and runs
+    stream r of ``seed`` (``hp.seed`` when None;
+    :func:`~sparsemix.model.child_seed_seq`), and runs
     ``em_loop(Y, params, hp, order, step)``.  Restarts are ranked by
     their final log likelihood ``loglik``, not by their penalized traces:
     a later one wins only when strictly larger, so ties keep the earlier.
@@ -367,7 +357,7 @@ def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step
     floor = hp.resolve_floor(Y)
     best = None
     for r in range(hp.restarts):
-        params = indicator_init(Y, K, floor, np.random.default_rng(restart_seed_seq(seed, r)))
+        params = indicator_init(Y, K, floor, np.random.default_rng(child_seed_seq(seed, r)))
         outcome = em_loop(Y, params, hp, order, step)
         if best is None or outcome.loglik > best[1].loglik:
             best = r, outcome

@@ -31,6 +31,7 @@ from sparsemix.model import (
 )
 from sparsemix.simulate import ScenarioConfig
 from sparsemix.sparse_em import beta_gradient, e_step, run, stationarity_report
+from oracles import enumerate_sign_patterns, random_params
 
 pytestmark = pytest.mark.acceptance
 
@@ -167,40 +168,11 @@ class TestProximalIdentity:
             n, d = int(rng.integers(5, 11)), int(rng.choice([2, 3]))
             K = int(rng.choice([2, 3]))
             Y = SampleSet(rng.normal(size=(n, d)))
-            def rand_params():
-                w = rng.uniform(0.2, 1.0, size=K)
-                return MixtureParams(
-                    weights=w / w.sum(),
-                    betas=0.5 * rng.normal(size=(K, n)),
-                    variances=rng.uniform(0.5, 2.0, size=K),
-                )
-            theta, theta_bar = rand_params(), rand_params()
+            theta, theta_bar = random_params(rng, K, n), random_params(rng, K, n)
             lhs = q_function(theta, e_step(theta_bar, Y), Y) + kullback_penalty(theta, theta_bar, Y)
             rhs = self_regression_log_likelihood(theta, Y)
             worst = max(worst, abs(lhs - rhs))
         verdict(6, "q + kullback = loglik within 1e-8", worst <= 1e-8, f"worst |error|={worst:.2e}")
-
-
-def enumerate_sign_patterns(problem):
-    """Exhaustive restricted-stationarity oracle over all zero/sign patterns."""
-    D, m = problem.design, problem.target
-    c, lam, n = problem.smooth_scale, problem.lam, problem.n
-    best = objective(problem, np.zeros(n))
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        support = [j for j, s in enumerate(pattern) if s != 0]
-        if not support:
-            continue
-        Ds = D[:, support]
-        signs = np.array([pattern[j] for j in support], dtype=float)
-        A = c * (Ds.T @ Ds)
-        rhs = c * (Ds.T @ m) - lam * signs
-        b, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        beta = np.zeros(n)
-        beta[support] = b
-        val = objective(problem, beta)
-        if np.isfinite(val) and val < best:
-            best = val
-    return best
 
 
 class TestLassoOracle:

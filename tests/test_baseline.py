@@ -5,6 +5,8 @@ from unittest import mock
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_reference_loops import assert_reports_identical, reference_baseline_loop
 
 from sparsemix import baseline, sparse_em
@@ -15,8 +17,8 @@ from sparsemix.baseline import (
     spherical_e_step,
     spherical_log_likelihood,
 )
-from sparsemix.model import Blocks, EmptyClusterError, Hyperparams, SampleSet
-from sparsemix.sparse_em import MAX_RESEEDS
+from sparsemix.model import Blocks, EmptyClusterError, Hyperparams, MixtureParams, NumericalError, SampleSet
+from sparsemix.sparse_em import MAX_RESEEDS, e_step
 from sparsemix.sparse_em import run as sparse_run
 
 
@@ -141,18 +143,35 @@ class TestBaselineFit:
         base_means = np.sort(base.params.means, axis=0)
         npt.assert_allclose(sparse_means, base_means, atol=1e-4)
 
-    def test_shares_espep_with_basis_betas(self):
-        from sparsemix.model import MixtureParams
-        from sparsemix.sparse_em import e_step
+    @given(data=st.data(), d=st.sampled_from([1, 2, 5, 50]), seed=st.integers(0, 2**32 - 1))
+    def test_shares_espep_with_basis_betas(self, data, d, seed):
+        # indicator betas realize the means Y.data[idx] exactly, so the two
+        # E-steps evaluate the same numbers and must give the same bytes
+        n = data.draw(st.integers(1, 12), label="n")
+        K = data.draw(st.integers(1, n), label="K")
+        rng = np.random.default_rng(seed)
+        Y = random_sample_set(rng, n=n, d=d)
+        idx = rng.choice(n, size=K, replace=False)
+        betas = np.zeros((K, n))
+        betas[np.arange(K), idx] = 1.0
+        w = rng.uniform(0.2, 1.0, size=K)
+        mp = MixtureParams(weights=w / w.sum(), betas=betas, variances=rng.uniform(0.5, 2.0, size=K))
+        sp = SphericalParams(weights=mp.weights, means=Y.data[idx], variances=mp.variances)
+        assert spherical_e_step(sp, Y).tobytes() == e_step(mp, Y).tobytes()
 
-        rng = np.random.default_rng(78)
-        Y = random_sample_set(rng, n=6, d=2)
-        betas = np.zeros((2, 6))
-        betas[0, 0] = 1.0
-        betas[1, 3] = 1.0
-        mp = MixtureParams(weights=np.array([0.4, 0.6]), betas=betas, variances=np.array([1.0, 2.0]))
-        sp = SphericalParams(weights=mp.weights, means=Y.data[[0, 3]], variances=mp.variances)
-        npt.assert_allclose(e_step(mp, Y), spherical_e_step(sp, Y), rtol=1e-12)
+    def test_non_finite_responsibilities_raise_like_e_step(self):
+        # every squared distance overflows, so each point's log density is
+        # -inf under both components and its responsibilities are NaN
+        Y = SampleSet(np.array([[0.0], [1.0]]))
+        betas = np.array([[1e200, 0.0], [0.0, 1e200]])
+        mp = MixtureParams(weights=np.array([0.5, 0.5]), betas=betas, variances=np.ones(2))
+        sp = SphericalParams(weights=mp.weights, means=mp.means(Y), variances=mp.variances)
+        message = "^responsibilities contain non-finite entries$"
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                e_step(mp, Y)
+            with pytest.raises(NumericalError, match=message):
+                spherical_e_step(sp, Y)
 
     def test_loglik_matches_model_core(self):
         rng = np.random.default_rng(79)

@@ -1,6 +1,5 @@
 """Weighted lasso solver: closed-form cases, independent oracles, KKT."""
 
-import itertools
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from sparsemix.lasso import (
     solve_weighted_lasso,
 )
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
+from oracles import enumerate_sign_patterns, numpy_stationarity_violation
 from test_lasso_reference import near_duplicate_pairs_case, reference_skips
 
 
@@ -29,36 +29,6 @@ def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=
     D = rng.normal(size=(d, n)) if design is None else design
     m = rng.normal(size=d) if target is None else target
     return WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=sigma2, lam=lam)
-
-
-def enumerate_sign_patterns(problem):
-    """Exhaustive minimization over zero/sign patterns.
-
-    For each pattern, the coordinates marked zero are fixed at 0 and the
-    rest solve the smooth stationarity system with the penalty replaced
-    by its linear form lam * sign; every candidate is scored with the
-    true objective and the best value wins.  Independent of the
-    coordinate-descent path.
-    """
-    D, m = problem.design, problem.target
-    c, lam, n = problem.smooth_scale, problem.lam, problem.n
-    best = objective(problem, np.zeros(n))
-    for pattern in itertools.product((-1, 0, 1), repeat=n):
-        support = [j for j, s in enumerate(pattern) if s != 0]
-        if not support:
-            continue
-        Ds = D[:, support]
-        signs = np.array([pattern[j] for j in support], dtype=float)
-        # stationarity: c * Ds^T Ds b = c * Ds^T m - lam * signs
-        A = c * (Ds.T @ Ds)
-        rhs = c * (Ds.T @ m) - lam * signs
-        b, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        beta = np.zeros(n)
-        beta[support] = b
-        val = objective(problem, beta)
-        if np.isfinite(val) and val < best:
-            best = val
-    return best
 
 
 class TestSoftThreshold:
@@ -341,12 +311,6 @@ class TestRefineReacceptance:
         problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
         assert outcome(solve_weighted_lasso, problem, np.zeros(10), tol=0.0) == outcome(
             reference_solve_weighted_lasso, problem, np.zeros(10), tol=0.0)
-
-
-def numpy_stationarity_violation(grad, beta, lam):
-    on = np.abs(grad + lam * np.sign(beta))
-    off = np.maximum(np.abs(grad) - lam, 0.0)
-    return float(np.where(beta != 0, on, off).max())
 
 
 coordinates = st.one_of(

@@ -4,7 +4,9 @@ The solver reads its Gram constants from the sample and runs its
 coordinate sweeps on Python floats.  The reference below is the plain
 numpy solver it replaced, kept verbatim together with the helpers it
 calls: the Gram built per call, the soft-threshold through numpy ufuncs
-and the objective evaluated for every refine candidate.  On every input
+and the objective evaluated for every refine candidate.  Its KKT
+violation is the numpy formula that ``test_lasso.py`` also checks the
+solver's against, ``oracles.numpy_stationarity_violation``.  On every input
 on which the reference's ``refine`` never gives up on a stalled support
 of more than 9 columns, the two must return the same bytes, signed
 zeros included, the same KKT residual, sweep count and flag, or raise
@@ -36,6 +38,7 @@ from sparsemix.lasso import (
 )
 from sparsemix.model import EmptyClusterError, Hyperparams, NumericalError, SampleSet
 from sparsemix.simulate import ScenarioConfig, fit_seed_seq, gen_replicate
+from oracles import numpy_stationarity_violation
 
 _SCALE_EPS = 1e-12
 
@@ -43,13 +46,6 @@ _SCALE_EPS = 1e-12
 def reference_soft_threshold(z, gamma):
     """sign(z) * max(|z| - gamma, 0); gamma must be >= 0."""
     return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
-
-
-def reference_stationarity_violation(grad, beta, lam):
-    """Max coordinate violation of 0 in grad + lam * subdiff(|.|)."""
-    on = np.abs(grad + lam * np.sign(beta))
-    off = np.maximum(np.abs(grad) - lam, 0.0)
-    return float(np.max(np.where(beta != 0, on, off)))
 
 
 def reference_default_tolerance(problem):
@@ -111,7 +107,7 @@ def reference_solve_weighted_lasso(problem, beta_init, max_iters=None, tol=None,
             cand = np.zeros_like(b)
             cand[sub_idx] = x
             gb_cand = gram @ cand
-            resid = reference_stationarity_violation(c * (gb_cand - q), cand, lam)
+            resid = numpy_stationarity_violation(c * (gb_cand - q), cand, lam)
             val = value(cand, gb_cand)
             if resid < current_residual and val <= base_value + 1e-12 * (1.0 + abs(base_value)):
                 if best is None or resid < best[2]:
@@ -120,7 +116,7 @@ def reference_solve_weighted_lasso(problem, beta_init, max_iters=None, tol=None,
 
     sweeps = 0
     grad = c * (gb - q)
-    residual = reference_stationarity_violation(grad, beta, lam)
+    residual = numpy_stationarity_violation(grad, beta, lam)
     converged = residual <= tol
     prev_support = np.flatnonzero(beta)
     while not converged and sweeps < max_iters:
@@ -138,7 +134,7 @@ def reference_solve_weighted_lasso(problem, beta_init, max_iters=None, tol=None,
         grad = c * (gb - q)
         if not np.all(np.isfinite(grad)):
             raise NumericalError("coordinate descent produced non-finite values")
-        residual = reference_stationarity_violation(grad, beta, lam)
+        residual = numpy_stationarity_violation(grad, beta, lam)
         converged = residual <= tol
         support = np.flatnonzero(beta)
         if not converged and np.array_equal(support, prev_support):

@@ -18,6 +18,7 @@ from sparsemix.model import (
     MixtureParams,
     SampleSet,
     as_finite_array,
+    child_seed_seq,
     default_variance_floor,
     kullback_penalty,
     log_density_matrix,
@@ -29,19 +30,11 @@ from sparsemix.model import (
 )
 from sparsemix.simulate import ScenarioConfig, gen_replicate
 from sparsemix.sparse_em import e_step, run
+from oracles import random_params
 
 
 def random_sample_set(rng, n=6, d=3, scale=1.0):
     return SampleSet(scale * rng.normal(size=(n, d)))
-
-
-def random_params(rng, K, n, beta_scale=0.5):
-    w = rng.uniform(0.2, 1.0, size=K)
-    return MixtureParams(
-        weights=w / w.sum(),
-        betas=beta_scale * rng.normal(size=(K, n)),
-        variances=rng.uniform(0.5, 2.0, size=K),
-    )
 
 
 def component_log_density(y, beta, sigma2: float, Y: SampleSet) -> float:
@@ -198,6 +191,22 @@ class TestSampleSet:
         # the caller's array is neither frozen nor shared
         raw[0, 0] = 1.0
         assert not np.shares_memory(Y.data, raw) and not np.shares_memory(Y.center_offset, raw)
+
+
+class TestChildSeedSeq:
+    # restarts, replicate data and replicate fits all draw their streams
+    # through this one rule, so it must give spawn's children for any seed
+    @given(entropy=st.integers(0, 2**128 - 1), spawn_key=st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
+           pool_size=st.sampled_from([4, 8]), index=st.integers(0, 20))
+    def test_equals_spawn(self, entropy, spawn_key, pool_size, index):
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        child = child_seed_seq(seq, index)
+        spawned = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size).spawn(index + 1)[index]
+        assert (child.entropy, child.spawn_key, child.pool_size) == (spawned.entropy, spawned.spawn_key, pool_size)
+        npt.assert_array_equal(child.generate_state(8), spawned.generate_state(8))
+        assert seq.n_children_spawned == 0  # the parent is not advanced
+        if not spawn_key and pool_size == 4:  # an int seed stands for SeedSequence(seed)
+            npt.assert_array_equal(child_seed_seq(entropy, index).generate_state(8), spawned.generate_state(8))
 
 
 class TestMixtureParams:

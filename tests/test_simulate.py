@@ -66,10 +66,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             config(seed=-1)
 
-    def test_cube_bounds(self):
-        assert config(dilation=10.0).cube_bounds == (-5.0, 5.0)
-        assert config(dilation=100.0).cube_bounds == (-50.0, 50.0)
-
 
 class TestGenCenters:
     def test_bounds_dilation_10(self):
@@ -134,6 +130,12 @@ class TestGenSample:
         rng = np.random.default_rng(6)
         sample = gen_sample(cfg, gen_centers(cfg, rng), rng)
         assert sample.labels.min() >= 0 and sample.labels.max() < 3
+
+    def test_rejects_non_finite_points(self):
+        points = np.zeros((3, 2))
+        points[1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^points contains non-finite entries, got inf at \(1, 0\)$"):
+            LabeledSample(points=points, labels=np.zeros(3, dtype=int), centers=np.zeros((1, 2)))
 
 
 class TestReplicateStreams:

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles import random_params
 from test_reference_loops import fit_inputs
 
 from sparsemix import baseline, sparse_em
@@ -40,15 +41,6 @@ from sparsemix.sparse_em import (
 
 def random_sample_set(rng, n=8, d=2, scale=1.0):
     return SampleSet(scale * rng.normal(size=(n, d)))
-
-
-def random_params(rng, K, n):
-    w = rng.uniform(0.2, 1.0, size=K)
-    return MixtureParams(
-        weights=w / w.sum(),
-        betas=0.5 * rng.normal(size=(K, n)),
-        variances=rng.uniform(0.5, 2.0, size=K),
-    )
 
 
 def two_cluster_line(gap=20.0):
