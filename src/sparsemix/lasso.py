@@ -145,7 +145,12 @@ def _stationarity_violation(grad: np.ndarray, beta: list, lam: float) -> float:
 def _stationarity_violations(grads: np.ndarray, betas: np.ndarray, lam: float) -> np.ndarray:
     """:func:`_stationarity_violation` of each row pair of ``grads`` and ``betas``, bit for bit."""
     on = np.abs(grads + lam * np.sign(betas))
-    return np.where(betas != 0, on, np.abs(grads) - lam).max(axis=1, initial=0.0)
+    return np.maximum.reduce(np.where(betas != 0, on, np.abs(grads) - lam), axis=1, initial=0.0)
+
+
+def _gram_products(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``gram @ row`` of each row of the (count, n) ``rows``, one stacked matmul with the bytes of a gemv per row."""
+    return np.matmul(gram, rows[:, :, None])[:, :, 0]
 
 
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
@@ -313,7 +318,7 @@ def solve_weighted_lasso(
 
     def value(b, gb_b):
         # objective up to the constant (c/2) ||m||^2
-        return 0.5 * c * (b @ gb_b) - c * (q @ b) + lam * np.sum(np.abs(b))
+        return 0.5 * c * (b @ gb_b) - c * (q @ b) + lam * np.add.reduce(np.abs(b))
 
     def refine(b, gb_b, current_residual):
         # Near-duplicate design columns make plain coordinate descent
@@ -331,30 +336,30 @@ def solve_weighted_lasso(
         # KKT residual beats the current one without raising the
         # objective, which keeps F monotone.  The lowest residual wins,
         # ties to the lowest mask: the first-best rule in bitmask order of
-        # the plain solver, gemv per candidate included, that
-        # tests/test_lasso_reference.py pins byte for byte.
+        # the plain solver, which tests/test_lasso_reference.py pins byte
+        # for byte.  One stacked matmul gives every candidate's gram @ cand
+        # (_gram_products), the bytes of a gemv per candidate as
+        # tests/test_lasso.py::TestGramProducts pins them.
         support = np.flatnonzero(b)
         if support.size == 0:
             return None
         if 2 ** support.size > 512:
             cands = _feature_sign(D, gram, q, c, lam, b, tol, max_iters)[None]
         else:
-            signs = np.sign(b[support])
-            rhs_all = q[support] - (lam / c) * signs
+            signs = np.sign(b)
+            rhs_all = q[support] - (lam / c) * signs[support]
             cands = np.zeros((2 ** support.size - 1, b.size))  # row mask - 1: that sub-support's solution
-            consistent = np.zeros(len(cands), dtype=bool)
             for masks, members in _subsets(support.size):
                 columns = support[members]
                 xs = _lstsq_stack(gram[columns[:, :, None], columns[:, None, :]], rhs_all[members])
-                rows = np.subtract(masks, 1)
-                cands[rows[:, None], columns] = xs
-                consistent[rows] = np.isfinite(xs).all(axis=1) & ~(xs * signs[members] < 0).any(axis=1)
-            cands = cands[consistent]
-        gbs = np.empty_like(cands)
-        for cand, gb_cand in zip(cands, gbs):
-            np.matmul(gram, cand, out=gb_cand)
+                cands[np.subtract(masks, 1)[:, None], columns] = xs
+            # a non-member entry is 0 and so is its sign, so whole rows test the members alone
+            cands = cands[np.isfinite(cands).all(axis=1) & ~(cands * signs < 0).any(axis=1)]
+        gbs = _gram_products(gram, cands)
         residuals = _stationarity_violations(c * (gbs - q), cands, lam)
         (better,) = np.nonzero(residuals < current_residual)  # a NaN residual compares false
+        if better.size == 0:
+            return None
         base_value = value(b, gb_b)
         for i in better[np.argsort(residuals[better], kind="stable")].tolist():
             if value(cands[i], gbs[i]) <= base_value + 1e-12 * (1.0 + abs(base_value)):

@@ -377,6 +377,8 @@ def log_density_matrix(params: MixtureParams, Y: SampleSet) -> np.ndarray:
 
 def log_weights(weights: np.ndarray) -> np.ndarray:
     """``log(weights)``, with log 0 = -inf and no warning."""
+    if min(weights.tolist()) > 0:  # no log 0 to hide; a NaN warns in neither path
+        return np.log(weights)
     with np.errstate(divide="ignore"):
         return np.log(weights)
 
@@ -391,10 +393,10 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     ``scipy.special.logsumexp(a, axis=1)``, which counts the tied maxima
     and adds ``log1p`` of the rest, to a few ulp of max(1, |row max|).
     """
-    a_max = a.max(axis=1, keepdims=True)
+    a_max = np.maximum.reduce(a, axis=1, keepdims=True)
     shift = np.where(np.isinf(a_max), 0.0, a_max)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        return np.log(np.exp(a - shift).sum(axis=1)) + shift[:, 0]
+        return np.log(np.add.reduce(np.exp(a - shift), axis=1)) + shift[:, 0]
 
 
 def log_joint(log_dens: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +446,7 @@ class Blocks:
         self.betas = betas
         self.means = betas @ self.Y.data
         self.sq = squared_distances(self.Y.data, self.means)
-        self.l1 = np.abs(betas).sum(axis=1)
+        self.l1 = np.add.reduce(np.abs(betas), axis=1)
         self.log_dens = None
 
     def sync(self, params: MixtureParams) -> None:

@@ -50,9 +50,17 @@ class LabeledSample:
     centers: np.ndarray  # (K, d)
 
     def __post_init__(self):
-        as_finite_array(self.points, "points")
-        K = self.centers.shape[0]
-        if np.any(self.labels < 0) or np.any(self.labels >= K):
+        shape = as_finite_array(self.points, "points").shape
+        if len(shape) != 2:
+            raise ValueError(f"points must have shape (n, d), got {shape}")
+        n, d = shape
+        labels = np.asarray(self.labels)
+        if labels.shape != (n,):
+            raise ValueError(f"labels must have shape ({n},), one per point, got {labels.shape}")
+        center_shape = np.shape(self.centers)
+        if len(center_shape) != 2 or center_shape[1] != d:
+            raise ValueError(f"centers must have shape (K, {d}), got {center_shape}")
+        if np.any(labels < 0) or np.any(labels >= center_shape[0]):
             raise ValueError("labels out of range")
 
 

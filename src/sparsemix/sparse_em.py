@@ -104,7 +104,7 @@ def penalty_weight(Y: SampleSet, sigma2: float, total_weight: float, target: np.
     +0.20 to +1.03 at d = 50.
     """
     noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
-    critical = (total_weight / sigma2) * float(np.abs(Y.data @ target).max())
+    critical = (total_weight / sigma2) * float(np.maximum.reduce(np.abs(Y.data @ target)))
     return min(noise, MAX_PENALTY_FRACTION * critical)
 
 
@@ -139,7 +139,7 @@ def e_step(params: MixtureParams, Y: SampleSet) -> np.ndarray:
 
 def masses(tau: np.ndarray) -> np.ndarray:
     """Each component's responsibility mass s_k, a column sum of ``tau``."""
-    return tau.sum(axis=0)
+    return np.add.reduce(tau, axis=0)
 
 
 def is_empty(s: float | np.ndarray, n: int) -> bool | np.ndarray:
@@ -162,7 +162,7 @@ def target(k: int, tau: np.ndarray, Y: SampleSet, s_k: float) -> np.ndarray:
 
 def mass_weights(s: np.ndarray) -> np.ndarray:
     """The weights s / sum(s): each component's share of the responsibility mass."""
-    return s / s.sum()
+    return s / np.add.reduce(s)
 
 
 def floored_variances(tau: np.ndarray, sq: np.ndarray, s: np.ndarray, d: int, floor: float) -> np.ndarray:
@@ -192,11 +192,18 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
 
 
 def update_sigma(k: int, tau: np.ndarray, Y: SampleSet, hp: Hyperparams, sq: np.ndarray) -> float:
-    """Component k's :func:`floored_variances` entry, ``sq`` (n, K) being the squared distances to the means."""
-    s = masses(tau)
-    nonempty_mass(k, s, Y.n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # another component may have mass 0
-        return float(floored_variances(tau, sq, s, Y.d, hp.resolve_floor(Y))[k])
+    """Component k's :func:`floored_variances` entry, ``sq`` (n, K) being the squared distances to the means.
+
+    Only entry k is divided and floored, as Python floats, so another
+    component's zero mass divides nothing.  The column sums stay one
+    reduction over the whole (n, K) product, whose order gives the bits
+    of ``floored_variances``; one column summed alone would sum pairwise
+    at K = 1.  ``max`` takes the mean first, so a NaN mean stays NaN, as
+    ``np.maximum`` keeps it.
+    """
+    s_k = nonempty_mass(k, masses(tau), Y.n)
+    mean = float(np.add.reduce(tau * sq, axis=0)[k]) / (Y.d * s_k)
+    return float(max(mean, hp.resolve_floor(Y)))
 
 
 def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str, int], Y: SampleSet,
@@ -277,7 +284,10 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     The restart carries its model blocks in a fresh :class:`Blocks`.
     Each step reads its responsibilities from the last
     ``blocks.evaluate(params) -> (logp, lse)`` and returns
-    ``step(blocks, params, tau, tag, Y, hp)``: the sparse cycle passes
+    ``step(blocks, params, tau, tag, Y, hp)``.  While ``sum(lse)`` is
+    finite, so is every lse, and tau is computed without the finiteness
+    check of :func:`_responsibilities`, which raises NumericalError
+    otherwise.  The sparse cycle passes
     :func:`_step`, classic EM the one-step cycle ``(None,)`` of
     its full M-step, which leaves the beta blocks of its result in
     ``blocks``.  The evaluation after the step computes the blocks the
@@ -289,7 +299,9 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     (:func:`effective_lams` at the cycle's starting ``tau``).  Each
     trace entry is ``sum(lse)`` less the l1 penalty under those
     weights, ``blocks.lams @ blocks.l1``, both read from the evaluation
-    just made; classic EM holds ``hp.lam`` at 0, so its entries are the
+    just made; the penalty is recomputed only when the cycle opens and
+    when a step leaves new betas, a new ``blocks.l1``.  Classic EM holds
+    ``hp.lam`` at 0, so its entries are the
     log likelihood.  Cycle 1 onward converges when its last entry lies
     within ``hp.tol``, relative, of its start value: the ``sum(lse)`` of
     the evaluation before the cycle, summed once, less the penalty under
@@ -305,14 +317,17 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
     converged = False
     cycles_run = 0
     logp, lse = blocks.evaluate(params)
-    loglik = float(lse.sum())
+    loglik = float(np.add.reduce(lse))
 
     for cycle in range(hp.max_cycles):
         for step_idx, tag in enumerate(order):
-            tau = _responsibilities(logp, lse)
+            # a finite sum(lse) leaves every lse finite, so every tau entry is
+            tau = np.exp(logp - lse[:, None]) if math.isfinite(loglik) else _responsibilities(logp, lse)
             if step_idx == 0:
                 blocks.lams = effective_lams(params, tau, Y, hp)
-                start = loglik - float(blocks.lams @ blocks.l1)
+                l1 = blocks.l1
+                penalty = float(blocks.lams @ l1)
+                start = loglik - penalty
             try:
                 params = step(blocks, params, tau, tag, Y, hp)
             except EmptyClusterError as err:
@@ -324,8 +339,11 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
                 else:
                     params = _reseed(params, tau, k, Y, sigma2_init)
             logp, lse = blocks.evaluate(params)
-            loglik = float(lse.sum())
-            trace.append(loglik - float(blocks.lams @ blocks.l1))
+            loglik = float(np.add.reduce(lse))
+            if blocks.l1 is not l1:  # new betas
+                l1 = blocks.l1
+                penalty = float(blocks.lams @ l1)
+            trace.append(loglik - penalty)
             if diagnostic is not None:
                 break
         if diagnostic is not None:

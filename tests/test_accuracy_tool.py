@@ -1,7 +1,7 @@
 """The tools under tools/ run on this checkout's own src.
 
-tools/accuracy.py paired against its own src moves no replicate, and
-the loader that tools/fit_timing.py shares with tools/lasso_timing.py
+tools/accuracy.py paired against its own src moves no replicate and
+passes its hyperparameter flags to the sweep, and the loader that tools/fit_timing.py shares with tools/lasso_timing.py
 imports a copy of the package without disturbing the session's.
 """
 
@@ -37,6 +37,16 @@ def test_same_src_moves_nothing(capsys):
         assert moved == "0"
         assert delta == "+0.00 ± 0.00"
     assert lines[-1].startswith("| 50 | 100 | ")
+
+
+def test_hyperparameter_flags_reach_the_sweep(capsys):
+    tool = load_tool()
+    with mock.patch.object(tool.subprocess, "run", wraps=tool.subprocess.run) as run:
+        assert tool.main(["--replicates", "1", "--restarts", "2", "--max-cycles", "3", "--tol", "1e-3"]) == 0
+    (command,), _ = run.call_args
+    assert command[command.index("sweep"):-2] == ["sweep", *tool.SWEEP, "--replicates", "1", "--restarts", "2",
+                                                   "--max-cycles", "3", "--tol", "0.001"]
+    assert "| 50 | 100 | sparse | " in capsys.readouterr().out
 
 
 def is_sparsemix(name):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsemix.lasso import (
     LassoSolution,
     WeightedLassoProblem,
+    _gram_products,
     _stationarity_violation,
     _stationarity_violations,
     _subsets,
@@ -352,6 +353,30 @@ class TestStationarityViolations:
         assert got.shape == (len(rows),)
         for row, (g, b) in zip(got.tolist(), rows):
             assert as_bytes(row) == as_bytes(_stationarity_violation(np.array(g), b, lam))
+
+
+class TestGramProducts:
+    # refine's gradients of up to 511 candidates come from one stacked
+    # matmul; each row must give the bytes of the per-candidate gemv it
+    # replaced, which tests/test_lasso_reference.py's plain solver makes
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), count=st.integers(1, 511),
+           d=st.sampled_from([1, 2, 50]), duplicates=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e4]))
+    def test_rows_match_one_gemv_each(self, seed, n, count, d, duplicates, scale):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, d)) * scale
+        if duplicates:  # near-duplicate design columns, the refine case
+            points = points[rng.integers(0, n, size=n)] + rng.normal(size=(n, d)) * 1e-6 * scale
+        gram = Gram.of((points - points.mean(axis=0)).T).matrix
+        # rows with at most 9 nonzeros, as refine's sub-support solutions, and dense ones
+        support = rng.choice(n, size=min(n, 9), replace=False)
+        rows = np.zeros((count, n))
+        rows[:, support] = rng.normal(size=(count, support.size)) * (rng.random((count, support.size)) < 0.7)
+        rows[::3] = rng.normal(size=rows[::3].shape)
+        got = _gram_products(gram, rows)
+        assert got.shape == (count, n)
+        for row, products in zip(rows, got):
+            assert (gram @ row).tobytes() == products.tobytes()
 
 
 class TestSubsets:

@@ -1,5 +1,7 @@
 """Scenario generators: bounds, moments, reproducibility, file format."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -136,6 +138,22 @@ class TestGenSample:
         points[1, 0] = np.inf
         with pytest.raises(ValueError, match=r"^points contains non-finite entries, got inf at \(1, 0\)$"):
             LabeledSample(points=points, labels=np.zeros(3, dtype=int), centers=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("labels, centers, message", [
+        # labels one short and centers of the wrong width: the labels are checked first
+        ([0, 1], np.zeros((2, 7)), "labels must have shape (3,), one per point, got (2,)"),
+        (np.zeros((3, 1), dtype=int), np.zeros((2, 2)), "labels must have shape (3,), one per point, got (3, 1)"),
+        ([0, 1, 1], np.zeros((2, 7)), "centers must have shape (K, 2), got (2, 7)"),
+        ([0, 1, 1], np.zeros(2), "centers must have shape (K, 2), got (2,)"),
+    ])
+    def test_rejects_inconsistent_shapes(self, labels, centers, message):
+        # once accepted: data_hash hashed such a sample and write_sample raised a bare IndexError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledSample(points=np.zeros((3, 2)), labels=labels, centers=centers)
+
+    def test_rejects_points_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^points must have shape \(n, d\), got \(3,\)$"):
+            LabeledSample(points=np.zeros(3), labels=np.zeros(3, dtype=int), centers=np.zeros((1, 1)))
 
 
 class TestReplicateStreams:

@@ -19,6 +19,7 @@ from sparsemix.model import (
     EmptyClusterError,
     Hyperparams,
     MixtureParams,
+    NumericalError,
     SampleSet,
     penalized_value,
     q_function,
@@ -413,6 +414,27 @@ class TestRun:
         rep = run(Y, 2, hp)
         assert rep.converged
         assert np.all(rep.beta_kkt_residuals < 1e-6)
+
+
+class TestEmLoop:
+    def test_non_finite_log_joint_mid_fit_raises(self):
+        # while sum(lse) is finite the loop skips the responsibilities'
+        # finiteness check; a step that leaves a NaN variance makes it NaN,
+        # so the next step's responsibilities must take the check and raise
+        rng = np.random.default_rng(58)
+        Y = random_sample_set(rng, n=6, d=2)
+        tags = []
+
+        def nan_variance_step(blocks, params, tau, tag, Y, hp):
+            tags.append(tag)
+            variances = params.variances.copy()
+            variances[1] = np.nan
+            return MixtureParams._trusted(params.weights, params.betas, variances)
+
+        with pytest.raises(NumericalError, match="^responsibilities contain non-finite entries$"):
+            sparse_em.em_loop(Y, random_params(rng, 2, 6), Hyperparams(lam=0.0), ("first", "second"),
+                              nan_variance_step)
+        assert tags == ["first"]
 
 
 def restart_outcomes(fit, Y, K, hp, seed):

@@ -2,10 +2,11 @@
 
 The sweep is the acceptance configuration: d in {2, 50}, dilations 10,
 30, 50, 60, 70 and 100, both estimators, data seed 0, one restart,
-max_cycles 60, tol 1e-7, adaptive lambda, two worker processes.  It
-runs as a ``python -m sparsemix.cli sweep`` subprocess on this
-checkout's ``src`` and, given another checkout's ``src``, once more on
-that, each into its own temporary directory.  Only the two
+max_cycles 60, tol 1e-7, adaptive lambda, two worker processes;
+``--restarts``, ``--max-cycles`` and ``--tol`` change those three on
+both sides.  It runs as a ``python -m sparsemix.cli sweep`` subprocess
+on this checkout's ``src`` and, given another checkout's ``src``, once
+more on that, each into its own temporary directory.  Only the two
 ``replicates.csv`` files are compared, so any commit whose sweep
 writes that file can stand on either side.
 
@@ -25,6 +26,7 @@ Usage, from the root of a checkout:
     python tools/accuracy.py                      # sweeps with ./src
     python tools/accuracy.py OTHER/src            # ./src against OTHER/src
     python tools/accuracy.py OTHER/src --replicates 20
+    python tools/accuracy.py OTHER/src --restarts 5 --max-cycles 200 --tol 1e-8  # the library defaults
 """
 
 from __future__ import annotations
@@ -41,17 +43,19 @@ from pathlib import Path
 import numpy as np
 
 SWEEP = ["--dims", "2", "50", "--dilations", "10", "30", "50", "60", "70", "100",
-         "--methods", "sparse", "baseline", "--seed", "0", "--restarts", "1",
-         "--max-cycles", "60", "--tol", "1e-7", "--jobs", "2"]
+         "--methods", "sparse", "baseline", "--seed", "0", "--jobs", "2"]
 METHODS = ("sparse", "baseline")
 
 
-def sweep(src: str, replicates: int, out: str) -> dict:
-    """Run the sweep with the package in ``src``; {(dim, dilation, method): [(correct, converged, hash), ...]}."""
+def sweep(src: str, flags: list[str], out: str) -> dict:
+    """Run the sweep with the package in ``src`` and the sweep ``flags`` after ``SWEEP``'s.
+
+    Returns {(dim, dilation, method): [(correct, converged, hash), ...]}.
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(src).resolve()),
                                                                       os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-m", "sparsemix.cli", "sweep", *SWEEP, "--replicates", str(replicates),
-                    "--out", out], env=env, check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-m", "sparsemix.cli", "sweep", *SWEEP, *flags, "--out", out], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
     cells: dict = {}
     with open(os.path.join(out, "replicates.csv"), newline="", encoding="ascii") as fh:
         for row in csv.DictReader(fh):
@@ -85,12 +89,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", nargs="?", help="another checkout's src to sweep and pair against ./src")
     parser.add_argument("--replicates", type=int, default=100, help="Monte Carlo replicates per cell (default 100)")
+    parser.add_argument("--restarts", type=int, default=1, help="restarts per fit (default 1)")
+    parser.add_argument("--max-cycles", type=int, default=60, help="cycle budget per restart (default 60)")
+    parser.add_argument("--tol", type=float, default=1e-7, help="relative stopping tolerance (default 1e-7)")
     args = parser.parse_args(argv)
+    flags = ["--replicates", str(args.replicates), "--restarts", str(args.restarts),
+             "--max-cycles", str(args.max_cycles), "--tol", repr(args.tol)]
     srcs = {"this": str(Path(__file__).resolve().parents[1] / "src")}
     if args.other:
         srcs["other"] = args.other
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {label: sweep(src, args.replicates, os.path.join(tmp, label)) for label, src in srcs.items()}
+        runs = {label: sweep(src, flags, os.path.join(tmp, label)) for label, src in srcs.items()}
     this = runs["this"]
     other = runs.get("other")
     if other is not None:

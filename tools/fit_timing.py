@@ -6,7 +6,8 @@ are the cells of the benchmark's two workloads: d = 2 at dilations 10,
 30, 50, 70 and 100 (12 replicates each) and d = 50 at dilations 60 and
 100 (40 replicates each), drawn from one fixed scenario seed and fitted
 with the acceptance configuration (restarts 1, max_cycles 60, tol 1e-7,
-adaptive lambda).  Each fit is timed ROUNDS times and keeps its
+adaptive lambda) unless ``--restarts``, ``--max-cycles`` or ``--tol``
+says otherwise.  Each fit is timed ROUNDS times and keeps its
 fastest, which discounts interference from other processes.
 
 For each (estimator, d) the table gives the fits' ms p50 and p90.  Given
@@ -21,6 +22,7 @@ Usage, from the root of a checkout:
 
     python tools/fit_timing.py            # times ./src
     python tools/fit_timing.py OTHER/src  # times ./src against OTHER/src
+    python tools/fit_timing.py OTHER/src --restarts 5 --max-cycles 200 --tol 1e-8  # the library defaults
 """
 
 from __future__ import annotations
@@ -63,14 +65,18 @@ def load_package(src: str) -> SimpleNamespace:
                            fits={"sparse": sparse_em.run, "baseline": baseline.baseline_fit})
 
 
-def load_versions(doc: str, argv=None) -> dict:
-    """Parse ``[OTHER/src]`` and load {"this": ./src} plus {"other": OTHER/src} if given."""
+def arg_parser(doc: str) -> argparse.ArgumentParser:
+    """The command line shared with ``tools/lasso_timing.py``: ``[OTHER/src]``."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("other", nargs="?", help="another checkout's src to time and compare against ./src")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def load_versions(other: str | None) -> dict:
+    """Load {"this": ./src} plus {"other": ``other``} if given."""
     versions = {"this": load_package(str(Path(__file__).resolve().parents[1] / "src"))}
-    if args.other:
-        versions["other"] = load_package(args.other)
+    if other:
+        versions["other"] = load_package(other)
     for label, version in versions.items():
         print(f"{label}: sparsemix from {version.path}")
     return versions
@@ -112,7 +118,16 @@ def fit_digest(fit, Y, K, hp, seed) -> str:
 
 
 def main(argv=None) -> int:
-    versions = load_versions(__doc__, argv)
+    parser = arg_parser(__doc__)
+    parser.add_argument("--restarts", type=int, default=HP["restarts"],
+                        help=f"restarts per fit (default {HP['restarts']})")
+    parser.add_argument("--max-cycles", type=int, default=HP["max_cycles"],
+                        help=f"cycle budget per restart (default {HP['max_cycles']})")
+    parser.add_argument("--tol", type=float, default=HP["tol"],
+                        help=f"relative stopping tolerance (default {HP['tol']:g})")
+    args = parser.parse_args(argv)
+    hp = {name: getattr(args, name) for name in HP}
+    versions = load_versions(args.other)
     simulate = versions["this"].simulate
     print_header(versions, "| estimator | d | fits | ", ["ms p50", "ms p90"])
     for dim, (dilations, replicates) in CELLS.items():
@@ -122,7 +137,7 @@ def main(argv=None) -> int:
             inputs += [(simulate.gen_replicate(config, r).points, config.K, simulate.fit_seed_seq(config, r))
                        for r in range(replicates)]
         # each version fits its own SampleSet and Hyperparams, built from the same points
-        args_of = {label: [(v.model.SampleSet(points), K, v.model.Hyperparams(**HP), seed)
+        args_of = {label: [(v.model.SampleSet(points), K, v.model.Hyperparams(**hp), seed)
                            for points, K, seed in inputs]
                    for label, v in versions.items()}
         for method in ("sparse", "baseline"):

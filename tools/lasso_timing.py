@@ -39,7 +39,7 @@ import math
 import sys
 from unittest import mock
 
-from fit_timing import fastest, load_versions, print_header  # first: it pins BLAS to one thread
+from fit_timing import arg_parser, fastest, load_versions, print_header  # first: it pins BLAS to one thread
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -93,7 +93,7 @@ def outcome(lasso, problem, beta0):
 
 
 def main(argv=None) -> int:
-    versions = load_versions(__doc__, argv)
+    versions = load_versions(arg_parser(__doc__).parse_args(argv).other)
     lassos = {label: v.lasso for label, v in versions.items()}
     print_header(versions, "| n | d | ", ["µs/solve", "systems/solve", "calls/solve", "SVD steps/solve", "converged"])
     rng = np.random.default_rng(SEED)
