@@ -13,7 +13,6 @@ from .lasso import (
     LassoSolution,
     WeightedLassoProblem,
     kkt_residual,
-    soft_threshold,
     solve_weighted_lasso,
 )
 from .model import (
@@ -70,7 +69,6 @@ __all__ = [
     "run",
     "run_mc_cell",
     "self_regression_log_likelihood",
-    "soft_threshold",
     "solve_weighted_lasso",
     "spherical_log_likelihood",
     "stationarity_report",

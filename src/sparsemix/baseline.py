@@ -51,10 +51,6 @@ class SphericalParams:
     def __post_init__(self):
         freeze_mixture_fields(self, "means", "d")
 
-    @property
-    def K(self) -> int:
-        return self.weights.size
-
 
 @dataclass
 class BaselineReport:

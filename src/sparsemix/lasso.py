@@ -108,11 +108,6 @@ class LassoSolution:
     converged: bool
 
 
-def soft_threshold(z, gamma):
-    """sign(z) * max(|z| - gamma, 0); gamma must be >= 0."""
-    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
-
-
 def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     """Value of F at ``beta``."""
     resid = problem.target - problem.design @ beta

@@ -286,19 +286,6 @@ class MixtureParams:
         """Realized component means, shape (K, d)."""
         return self.betas @ Y.data
 
-    def l1_norms(self) -> np.ndarray:
-        """Per-component l1 norm of the coefficient rows."""
-        return np.abs(self.betas).sum(axis=1)
-
-    def permuted(self, perm) -> "MixtureParams":
-        """Relabel components by ``perm`` (new index -> old index)."""
-        idx = np.asarray(perm, dtype=int)
-        return MixtureParams(
-            weights=self.weights[idx],
-            betas=self.betas[idx],
-            variances=self.variances[idx],
-        )
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -482,7 +469,9 @@ def penalized_value(params: MixtureParams, Y: SampleSet, lams) -> float:
         raise ValueError(f"lams must have shape ({params.K},), got {lams.shape}")
     if not (lams >= 0).all():
         raise ValueError(f"lams must be >= 0, got {lams.tolist()!r}")
-    return self_regression_log_likelihood(params, Y) - float(lams @ params.l1_norms())
+    blocks = Blocks(Y)
+    lse = blocks.evaluate(params)[1]
+    return float(np.sum(lse)) - float(lams @ blocks.l1)
 
 
 def q_function(params: MixtureParams, tau: np.ndarray, Y: SampleSet) -> float:

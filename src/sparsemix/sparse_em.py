@@ -216,7 +216,6 @@ def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str
         betas = params.betas.copy()
         betas[k] = update_beta(k, params, tau, Y, hp, float(blocks.lams[k]))
         return MixtureParams._trusted(params.weights, betas, params.variances)
-    blocks.sync(params)  # a no-op in em_loop, which evaluated params last
     variances = params.variances.copy()
     variances[k] = update_sigma(k, tau, Y, hp, blocks.sq)
     return MixtureParams._trusted(params.weights, params.betas, variances)

@@ -73,6 +73,9 @@ class CheckedLoop:
         m_step = baseline._step
 
         def checked_step(blocks, params, tau, tag, Y, hp):
+            # the loop has just evaluated params, so the sigma step reads its blocks as they stand
+            assert blocks.betas is params.betas and blocks.variances is params.variances, tag
+            assert blocks.weights is params.weights and blocks.log_dens is not None, tag
             self.last = tag[0]
             return step(blocks, params, tau, tag, Y, hp)
 

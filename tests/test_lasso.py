@@ -18,7 +18,6 @@ from sparsemix.lasso import (
     default_tolerance,
     kkt_residual,
     objective,
-    soft_threshold,
     solve_weighted_lasso,
 )
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
@@ -30,22 +29,6 @@ def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=
     D = rng.normal(size=(d, n)) if design is None else design
     m = rng.normal(size=d) if target is None else target
     return WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=sigma2, lam=lam)
-
-
-class TestSoftThreshold:
-    def test_positive_shrinkage(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-
-    def test_kill_zone(self):
-        assert soft_threshold(-0.5, 1.0) == 0.0
-
-    def test_identity_at_zero_threshold(self):
-        z = np.array([-2.0, 0.0, 0.7])
-        npt.assert_array_equal(soft_threshold(z, 0.0), z)
-
-    def test_odd_symmetry(self):
-        z = np.linspace(-3, 3, 13)
-        npt.assert_allclose(soft_threshold(-z, 0.4), -soft_threshold(z, 0.4))
 
 
 class TestSolveWeightedLasso:

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
 from sparsemix.model import (
+    Blocks,
     Gram,
     Hyperparams,
     MixtureParams,
@@ -471,7 +472,7 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(18)
         Y = random_sample_set(rng, n=5)
         params = random_params(rng, K=3, n=5)
-        shuffled = params.permuted([2, 0, 1])
+        shuffled = MixtureParams(params.weights[[2, 0, 1]], params.betas[[2, 0, 1]], params.variances[[2, 0, 1]])
         lams = np.array([0.8, 0.3, 1.5])
         assert penalized_value(params, Y, lams) == pytest.approx(
             penalized_value(shuffled, Y, lams[[2, 0, 1]]), rel=1e-12
@@ -492,6 +493,23 @@ class TestPenalizedObjective:
         params = random_params(rng, K=2, n=Y.n)
         with pytest.raises(ValueError, match=r"^lams must be >= 0, got \[0.5, -0.25\]$"):
             penalized_value(params, Y, [0.5, -0.25])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([1, 2, 5, 50]), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_one_evaluation_gives_likelihood_and_l1(self, data, d, n, seed):
+        # Blocks.set_betas holds the one l1 formula; it has the bytes of abs(betas).sum(axis=1)
+        K = data.draw(st.integers(1, n), label="K")
+        lams = np.array(data.draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=K, max_size=K),
+                                  label="lams"))
+        rng = np.random.default_rng(seed)
+        Y = random_sample_set(rng, n=n, d=d)
+        params = random_params(rng, K=K, n=n)
+        params = MixtureParams(params.weights, params.betas * (rng.random((K, n)) < 0.5), params.variances)
+        blocks = Blocks(Y)
+        lse = blocks.evaluate(params)[1]
+        want = float(np.sum(lse)) - float(lams @ blocks.l1)
+        assert penalized_value(params, Y, lams).hex() == want.hex()
+        assert blocks.l1.tobytes() == np.abs(params.betas).sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("lams", [0.5, [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
     def test_rejects_one_weight_per_component_mismatch(self, lams):
