@@ -136,17 +136,18 @@ class SampleSet:
     mean of that result, which cancels most of the first pass's rounding.
     ``data`` holds the centered rows and ``center_offset`` the sum of
     both means, so fitted quantities map back to the original
-    coordinates via :meth:`uncenter`.  ``max_row_norm`` is the largest
-    Euclidean norm of an observation (a design column); it and
-    :meth:`total_variance` are computed once, and :attr:`gram` on first
-    use.  Points whose centering or squared norms overflow are rejected.
+    coordinates via :meth:`uncenter`.  Two constants are stored with
+    them: ``max_row_norm``, the largest Euclidean norm of an observation
+    (a design column), and ``total_variance``, the mean squared norm of
+    the observations.  :attr:`gram` is built on first use.  Points whose
+    centering or squared norms overflow are rejected.
     """
 
     points: InitVar[np.ndarray]
     data: np.ndarray = field(init=False)
     center_offset: np.ndarray = field(init=False)
     max_row_norm: float = field(init=False, repr=False, compare=False)
-    _total_variance: float = field(init=False, repr=False, compare=False)
+    total_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, points):
         pts = as_finite_array(points, "points")
@@ -168,7 +169,7 @@ class SampleSet:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "center_offset", offset)
         object.__setattr__(self, "max_row_norm", math.sqrt(max_sq))
-        object.__setattr__(self, "_total_variance", mean_sq)
+        object.__setattr__(self, "total_variance", mean_sq)
 
     @property
     def n(self) -> int:
@@ -187,14 +188,10 @@ class SampleSet:
         """Map centered-coordinate vectors back to original coordinates."""
         return np.asarray(vectors, dtype=float) + self.center_offset
 
-    def total_variance(self) -> float:
-        """Mean squared norm of the centered observations."""
-        return self._total_variance
-
     @cached_property
     def gram(self) -> "Gram":
         """Inner products of the observations, ``data @ data.T``, built once."""
-        return Gram.of(self.design, col_max=self.max_row_norm)
+        return Gram.of(self.design)
 
 
 @dataclass(frozen=True)
@@ -224,12 +221,10 @@ class Gram:
         object.__setattr__(self, "columns", tuple(self.matrix.T))
 
     @classmethod
-    def of(cls, design: np.ndarray, col_max: float | None = None) -> "Gram":
-        """Build from the design; ``col_max`` is computed unless given."""
+    def of(cls, design: np.ndarray) -> "Gram":
+        """Build from the design: its Gram matrix and largest column norm."""
         D = np.asarray(design, dtype=float)
-        if col_max is None:
-            col_max = float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0)))
-        return cls(D.T @ D, col_max)
+        return cls(D.T @ D, float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0))))
 
 
 def default_variance_floor(Y: SampleSet) -> float:
@@ -239,7 +234,7 @@ def default_variance_floor(Y: SampleSet) -> float:
     variances; a floor of 1e-4 of the per-coordinate sample variance
     keeps every iterate away from that failure mode.
     """
-    floor = 1e-4 * Y.total_variance() / Y.d
+    floor = 1e-4 * Y.total_variance / Y.d
     return max(floor, 1e-300)
 
 
@@ -277,10 +272,6 @@ class MixtureParams:
     @property
     def K(self) -> int:
         return self.weights.size
-
-    @property
-    def n(self) -> int:
-        return self.betas.shape[1]
 
     def means(self, Y: SampleSet) -> np.ndarray:
         """Realized component means, shape (K, d)."""
@@ -404,8 +395,9 @@ class Blocks:
     are, read-only), so each block below is recomputed only when the
     array it derives from is a different object:
 
-    - ``betas``: the means ``betas @ Y.data``, the squared distances
-      ``sq`` and the l1 norms ``l1`` (:meth:`set_betas`);
+    - ``betas``: the squared distances ``sq`` to the means ``betas @
+      Y.data``, which are not kept, and the l1 norms ``l1``
+      (:meth:`set_betas`);
     - ``variances``: the terms ``d * (log 2 pi + log sigma_k^2)``;
     - ``betas`` or ``variances``: the log-density matrix;
     - ``weights``: the log weights.
@@ -429,10 +421,9 @@ class Blocks:
         self.betas = self.variances = self.weights = self.lams = self.log_dens = None
 
     def set_betas(self, betas: np.ndarray) -> None:
-        """Hold ``betas`` with its means, squared distances and l1 norms; the log densities go stale."""
+        """Hold ``betas`` with its squared distances and l1 norms; the log densities go stale."""
         self.betas = betas
-        self.means = betas @ self.Y.data
-        self.sq = squared_distances(self.Y.data, self.means)
+        self.sq = squared_distances(self.Y.data, betas @ self.Y.data)
         self.l1 = np.add.reduce(np.abs(betas), axis=1)
         self.log_dens = None
 

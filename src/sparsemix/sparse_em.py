@@ -226,7 +226,7 @@ def _step(blocks: Blocks, params: MixtureParams, tau: np.ndarray, tag: tuple[str
 # ---------------------------------------------------------------------------
 
 def default_sigma2(Y: SampleSet, K: int, floor: float) -> float:
-    return max(floor, Y.total_variance() / (Y.d * K))
+    return max(floor, Y.total_variance / (Y.d * K))
 
 
 def indicator_init(Y: SampleSet, K: int, floor: float, rng: np.random.Generator) -> MixtureParams:

@@ -33,7 +33,7 @@ class TestMStep:
         tau = np.ones((7, 1))
         params = _m_step(Blocks(Y), tau, floor=1e-12)
         npt.assert_allclose(params.means(Y)[0], 0.0, atol=1e-12)  # centered data
-        assert params.variances[0] == pytest.approx(Y.total_variance() / Y.d, rel=1e-12)
+        assert params.variances[0] == pytest.approx(Y.total_variance / Y.d, rel=1e-12)
         npt.assert_allclose(params.weights, [1.0])
 
     def test_hard_responsibilities_give_group_means(self):
@@ -92,7 +92,7 @@ class TestBaselineFit:
         rep = baseline_fit(Y, 1, Hyperparams(restarts=1))
         assert rep.converged
         npt.assert_allclose(rep.params.means[0], 0.0, atol=1e-12)
-        assert rep.params.variances[0] == pytest.approx(Y.total_variance() / Y.d, rel=1e-12)
+        assert rep.params.variances[0] == pytest.approx(Y.total_variance / Y.d, rel=1e-12)
 
     def test_loglik_trace_nondecreasing(self):
         rng = np.random.default_rng(74)

@@ -43,7 +43,7 @@ def direct_evaluate(params, Y):
     return log_joint(log_density_matrix(params, Y), params.weights)
 
 
-BLOCK_NAMES = ("means", "sq", "l1", "norms", "log_dens", "log_w")
+BLOCK_NAMES = ("sq", "l1", "norms", "log_dens", "log_w")
 
 
 def assert_blocks_match(blocks, params, names=BLOCK_NAMES):
@@ -157,7 +157,7 @@ class TestMStepBlocks:
         def checked_m_step(blocks, tau, floor):
             params = m_step(blocks, tau, floor)
             assert blocks.betas is params.betas  # so the loop's sync keeps them
-            assert_blocks_match(blocks, params, ("means", "sq", "l1"))
+            assert_blocks_match(blocks, params, ("sq", "l1"))
             assert blocks.log_dens is None  # stale until the sync that follows
             blocks.sync(params)
             assert_blocks_match(blocks, params)

@@ -84,6 +84,25 @@ def assert_matches_scipy(got, a):
     assert (np.abs(got[finite] - expected[finite]) <= 4 * ulp).all()
 
 
+scenario_samples = st.builds(
+    lambda dim, dilation, seed: SampleSet(gen_replicate(ScenarioConfig(dim, dilation, seed=seed), 0).points),
+    st.sampled_from([1, 2, 5, 50]),
+    st.sampled_from([10.0, 60.0, 100.0]),
+    st.integers(0, 2**32 - 1),
+)
+# raw points at scales 1e-150 to 1e150, with widths around the 8-wide unrolling and
+# 128-long blocks of numpy's pairwise sum
+raw_samples = st.builds(
+    lambda d, n, exponent, seed: SampleSet(
+        10.0**exponent * (np.random.default_rng(seed).normal(size=(n, d)) + np.arange(d))
+    ),
+    st.sampled_from([1, 2, 3, 8, 9, 16, 17, 50, 129, 200]),
+    st.integers(1, 200),
+    st.floats(-150.0, 150.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestSampleSet:
     def test_centering_and_offset(self):
         rng = np.random.default_rng(1)
@@ -125,26 +144,22 @@ class TestSampleSet:
         Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
         assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        dim=st.sampled_from([1, 2, 5, 50]),
-        dilation=st.sampled_from([10.0, 60.0, 100.0]),
-        data_seed=st.integers(0, 2**32 - 1),
-    )
-    def test_gram(self, dim, dilation, data_seed):
-        config = ScenarioConfig(dim=dim, dilation=dilation, seed=data_seed)
-        Y = SampleSet(gen_replicate(config, 0).points)
+    @settings(max_examples=120, deadline=None)
+    @given(Y=st.one_of(scenario_samples, raw_samples))
+    def test_gram(self, Y):
         gram = Y.gram
         assert gram is Y.gram
         assert not gram.matrix.flags.writeable
         D = Y.design
         assert gram.matrix.tobytes() == (D.T @ D).tobytes()
         assert gram.matrix.tobytes() == Gram.of(D).matrix.tobytes()
-        # the lasso tolerance's column max, which the sample's row norm replaces
-        assert Y.max_row_norm == float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0)))
-        assert gram.col_max == Y.max_row_norm == Gram.of(D).col_max
+        # the lasso tolerance's column max, derived from the design, has the bits of the stored row norm
+        assert gram.col_max == Gram.of(D).col_max == Y.max_row_norm
+        assert Y.total_variance == float(np.mean(np.sum(Y.data**2, axis=1)))
         assert gram.diag == tuple(np.diag(gram.matrix).tolist())
-        assert gram.live == tuple(range(Y.n)) and gram.dead == ()
+        nonzero = [bool(row.any()) for row in Y.data]  # a centered sample of one point is all zero
+        assert gram.live == tuple(j for j, x in enumerate(nonzero) if x)
+        assert gram.dead == tuple(j for j, x in enumerate(nonzero) if not x)
         for j, column in enumerate(gram.columns):
             assert column.tobytes() == gram.matrix[:, j].tobytes()
 
@@ -157,7 +172,7 @@ class TestSampleSet:
 
     def test_total_variance(self):
         Y = random_sample_set(np.random.default_rng(6), n=7, d=3)
-        assert Y.total_variance() == float(np.mean(np.sum(Y.data**2, axis=1)))
+        assert Y.total_variance == float(np.mean(np.sum(Y.data**2, axis=1)))
 
     def test_import_loads_no_scipy(self):
         # scipy is a test-only dependency; importing it would also

@@ -254,7 +254,7 @@ class TestRun:
         assert rep.converged and rep.cycles_run <= 2
         npt.assert_allclose(rep.params.weights, [1.0])
         npt.assert_array_equal(rep.params.betas, np.zeros((1, 6)))
-        assert rep.params.variances[0] == pytest.approx(Y.total_variance() / Y.d, rel=1e-12)
+        assert rep.params.variances[0] == pytest.approx(Y.total_variance / Y.d, rel=1e-12)
 
     def test_recovers_well_separated_clusters(self):
         Y, truth = two_cluster_line(gap=20.0)

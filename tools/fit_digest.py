@@ -55,6 +55,16 @@ def _feed(h, value) -> None:
         h.update(repr(value).encode())
 
 
+def feed_fit(h, fit, Y, K, hp, seed) -> None:
+    """Feed ``fit(Y, K, hp, seed=seed)``'s report into ``h``, or its exception's type and message if it raises."""
+    try:
+        report = fit(Y, K, hp, seed=seed)
+    except Exception as err:  # a failing fit is part of the digest
+        h.update(f"{type(err).__name__}: {err}".encode())
+    else:
+        _feed(h, report)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"),
@@ -84,12 +94,7 @@ def main(argv=None) -> int:
                     for method, fit in methods:
                         h = digests[method, i]
                         h.update(case)
-                        try:
-                            report = fit(Y, config.K, hp, seed=seed)
-                        except Exception as err:  # a failing fit is part of the digest
-                            h.update(f"{type(err).__name__}: {err}".encode())
-                        else:
-                            _feed(h, report)
+                        feed_fit(h, fit, Y, config.K, hp, seed)
                 fits += 1
     for (method, i), h in digests.items():
         label = " ".join(f"{key}={value}" for key, value in sorted(HP_SETS[i].items()))

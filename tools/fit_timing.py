@@ -41,7 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 
 import numpy as np  # noqa: E402
 
-from fit_digest import _feed  # noqa: E402  (tools/ is on sys.path when this script runs)
+from fit_digest import feed_fit  # noqa: E402  (tools/ is on sys.path when this script runs)
 
 CELLS = {2: ((10.0, 30.0, 50.0, 70.0, 100.0), 12), 50: ((60.0, 100.0), 40)}  # d: (dilations, replicates)
 HP = {"restarts": 1, "max_cycles": 60, "tol": 1e-7}
@@ -110,10 +110,7 @@ def fastest(versions: dict, count: int, rounds: int, call) -> dict:
 
 def fit_digest(fit, Y, K, hp, seed) -> str:
     h = hashlib.sha256()
-    try:
-        _feed(h, fit(Y, K, hp, seed=seed))
-    except Exception as err:  # a failing fit is part of the digest
-        h.update(f"{type(err).__name__}: {err}".encode())
+    feed_fit(h, fit, Y, K, hp, seed)
     return h.hexdigest()
 
 
