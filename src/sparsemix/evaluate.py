@@ -38,13 +38,8 @@ class ReplicateRecord:
 class McResult:
     """Per-replicate records plus their mean correct count for one cell."""
 
-    cell: tuple          # (dim, dilation, method)
     records: tuple       # ReplicateRecord, ordered by replicate index
     ancrci: float
-
-    @property
-    def correct_counts(self) -> np.ndarray:
-        return np.array([r.correct for r in self.records])
 
 
 def best_permutation_correct(assignments, truth, K: int) -> int:
@@ -150,9 +145,4 @@ def run_mc_cell(scenario: ScenarioConfig, method: str, hp: Hyperparams, jobs: in
             records = list(pool.map(fit_replicate, *columns, chunksize=8))
     else:
         records = list(map(fit_replicate, *columns))
-    ancrci = float(np.mean([rec.correct for rec in records]))
-    return McResult(
-        cell=(scenario.dim, scenario.dilation, method),
-        records=tuple(records),
-        ancrci=ancrci,
-    )
+    return McResult(records=tuple(records), ancrci=float(np.mean([rec.correct for rec in records])))

@@ -10,9 +10,10 @@ responsibility mass and sigma2 the component variance.  Coordinate
 updates are exact soft-threshold steps, so F never increases; the Gram
 matrix and column norms are computed once per sample
 (:attr:`sparsemix.model.SampleSet.gram`) and shared by every subproblem
-on it.  When the support stalls, an exact finish takes over: the
+on it.  When the support stalls, a finish is tried: the stationarity
 solutions of every sub-support for a support of at most 9 columns, a
-feature-sign search for a larger one.
+feature-sign search for a larger one.  No sub-support adds a column
+the optimum may need, so a finish can fall short and the sweeps go on.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def solve_weighted_lasso(
     Stops once the stationarity violation drops to ``tol`` (default:
     :func:`default_tolerance`) or after ``max_iters`` full sweeps
     (default 10 n).  Each time a sweep leaves an unconverged support
-    unchanged, an exact refinement runs.  On a support of at most 9
+    unchanged, a refinement runs.  On a support of at most 9
     columns it solves the stationarity system on every non-empty
     sub-support under the support's signs, one stacked LAPACK
     least-squares call per subset size; on a larger one it runs a
@@ -321,23 +322,22 @@ def solve_weighted_lasso(
         # rate, while the true solution keeps at most one column per
         # near-duplicate direction active.  When the support S has
         # stalled and |S| <= 9, solve the stationarity system exactly on
-        # each of its 2^|S| - 1 non-empty sub-supports (S contains the
-        # optimal one: a needed outside column would be a KKT violation
-        # coordinate descent would have activated), one stacked LAPACK
-        # call per subset size, and keep the finite, sign-consistent
-        # candidates.  A larger S, whose enumeration would cost more than
-        # the sweeps it saves, gets one candidate: the end point of a
-        # feature-sign search from b.  A candidate is accepted if its full
-        # KKT residual beats the current one without raising the
-        # objective, which keeps F monotone.  The lowest residual wins,
-        # ties to the lowest mask: the first-best rule in bitmask order of
-        # the plain solver, which tests/test_lasso_reference.py pins byte
-        # for byte.  One stacked matmul gives every candidate's gram @ cand
-        # (_gram_products), the bytes of a gemv per candidate as
+        # each of its 2^|S| - 1 non-empty sub-supports (an empty S has
+        # none), one stacked LAPACK call per subset size, and keep the
+        # finite, sign-consistent candidates.  No sub-support adds a
+        # column outside S that the optimum may need, so the finish can
+        # fall short and the sweeps go on.  A larger S, whose enumeration
+        # would cost more than the sweeps it saves, gets one candidate: the
+        # end point of a feature-sign search from b.  A candidate is
+        # accepted if its full KKT residual beats the current one without
+        # raising the objective, which keeps F monotone.  The lowest
+        # residual wins, ties to the lowest mask: the first-best rule in
+        # bitmask order of the plain solver, which
+        # tests/test_lasso_reference.py pins byte for byte.  One stacked
+        # matmul gives every candidate's gram @ cand (_gram_products), the
+        # bytes of a gemv per candidate as
         # tests/test_lasso.py::TestGramProducts pins them.
         support = np.flatnonzero(b)
-        if support.size == 0:
-            return None
         if 2 ** support.size > 512:
             cands = _feature_sign(D, gram, q, c, lam, b, tol, max_iters)[None]
         else:

@@ -136,17 +136,16 @@ class SampleSet:
     mean of that result, which cancels most of the first pass's rounding.
     ``data`` holds the centered rows and ``center_offset`` the sum of
     both means, so fitted quantities map back to the original
-    coordinates via :meth:`uncenter`.  Two constants are stored with
-    them: ``max_row_norm``, the largest Euclidean norm of an observation
-    (a design column), and ``total_variance``, the mean squared norm of
-    the observations.  :attr:`gram` is built on first use.  Points whose
-    centering or squared norms overflow are rejected.
+    coordinates via :meth:`uncenter`.  ``total_variance``, the mean
+    squared norm of the observations, is stored with them; :attr:`gram`,
+    which holds the largest observation norm as ``col_max``, is built on
+    first use.  Points whose centering or squared norms overflow are
+    rejected.
     """
 
     points: InitVar[np.ndarray]
     data: np.ndarray = field(init=False)
     center_offset: np.ndarray = field(init=False)
-    max_row_norm: float = field(init=False, repr=False, compare=False)
     total_variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, points):
@@ -160,15 +159,13 @@ class SampleSet:
             centered -= resid
             offset += resid
             data = np.ascontiguousarray(centered)  # row-major whatever the caller's layout
-            sq_norms = np.sum(data**2, axis=1)
-            max_sq, mean_sq = float(np.max(sq_norms)), float(np.mean(sq_norms))
+            mean_sq = float(np.mean(np.sum(data**2, axis=1)))
         if not math.isfinite(mean_sq):  # finite only if every centered entry is
             raise ValueError("squared norms of the centered data overflow; the coordinates are too large")
         data.setflags(write=False)
         offset.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "center_offset", offset)
-        object.__setattr__(self, "max_row_norm", math.sqrt(max_sq))
         object.__setattr__(self, "total_variance", mean_sq)
 
     @property

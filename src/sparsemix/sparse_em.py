@@ -103,7 +103,7 @@ def penalty_weight(Y: SampleSet, sigma2: float, total_weight: float, target: np.
     and +0.32 at d = 2 for dilations 10, 30, 50, 60, 70 and 100, and
     +0.20 to +1.03 at d = 50.
     """
-    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
+    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.gram.col_max / math.sqrt(sigma2)
     critical = (total_weight / sigma2) * float(np.maximum.reduce(np.abs(Y.data @ target)))
     return min(noise, MAX_PENALTY_FRACTION * critical)
 
@@ -430,7 +430,7 @@ def _kkt_certificate(params: MixtureParams, tau: np.ndarray, lams: np.ndarray,
     s = masses(tau)
     empty = is_empty(s, Y.n)
     resid_mass = (tau * np.sqrt(squared_distances(Y.data, params.means(Y)))).sum(axis=0)
-    scales = np.where(empty, np.nan, Y.max_row_norm * resid_mass / params.variances + lams)
+    scales = np.where(empty, np.nan, Y.gram.col_max * resid_mass / params.variances + lams)
     residuals = np.full(params.K, np.nan)
     for k in np.flatnonzero(~empty).tolist():
         s_k = float(s[k])

@@ -66,7 +66,8 @@ def paired_comparison(sparse, baseline):
     """Sparse - baseline ANCRCI, whether both cells fitted identical
     datasets, and the one-sided paired t-test p-value of the gap."""
     paired = [a.data_hash for a in sparse.records] == [b.data_hash for b in baseline.records]
-    test = stats.ttest_rel(sparse.correct_counts, baseline.correct_counts, alternative="greater")
+    test = stats.ttest_rel([a.correct for a in sparse.records], [b.correct for b in baseline.records],
+                           alternative="greater")
     return sparse.ancrci - baseline.ancrci, paired, test.pvalue
 
 

@@ -152,7 +152,8 @@ def reference_solve_weighted_lasso(problem, beta_init, max_iters=None, tol=None,
 def reference_penalty_weight(hp, Y, sigma2, total_weight, target):
     if hp.lam is not None:
         return hp.lam
-    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * Y.max_row_norm / math.sqrt(sigma2)
+    largest_norm = math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
+    noise = math.sqrt(2.0 * math.log(Y.n) * total_weight) * largest_norm / math.sqrt(sigma2)
     critical = (total_weight / sigma2) * float(np.max(np.abs(Y.data @ target), initial=0.0))
     return min(noise, sparse_em.MAX_PENALTY_FRACTION * critical)
 

@@ -142,7 +142,7 @@ class TestSampleSet:
 
     def test_max_row_norm(self):
         Y = random_sample_set(np.random.default_rng(5), n=7, d=3)
-        assert Y.max_row_norm == max(math.sqrt(float(row @ row)) for row in Y.data)
+        assert Y.gram.col_max == max(math.sqrt(float(row @ row)) for row in Y.data)
 
     @settings(max_examples=120, deadline=None)
     @given(Y=st.one_of(scenario_samples, raw_samples))
@@ -153,8 +153,8 @@ class TestSampleSet:
         D = Y.design
         assert gram.matrix.tobytes() == (D.T @ D).tobytes()
         assert gram.matrix.tobytes() == Gram.of(D).matrix.tobytes()
-        # the lasso tolerance's column max, derived from the design, has the bits of the stored row norm
-        assert gram.col_max == Gram.of(D).col_max == Y.max_row_norm
+        # the column max, derived from the design, has the bits of the largest row norm of the data
+        assert gram.col_max == Gram.of(D).col_max == math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
         assert Y.total_variance == float(np.mean(np.sum(Y.data**2, axis=1)))
         assert gram.diag == tuple(np.diag(gram.matrix).tolist())
         nonzero = [bool(row.any()) for row in Y.data]  # a centered sample of one point is all zero
