@@ -122,34 +122,23 @@ def cube_label(dilation: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    try:
-        points, _labels = read_sample(args.input)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    points, _labels = read_sample(args.input)
     try:
         Y = SampleSet(points)
     except ValueError as err:
-        print(f"error: {args.input}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        hp = hyperparams_from_args(args)
-        if not 1 <= args.components <= Y.n:
-            raise ValueError(f"--components must lie in [1, n={Y.n}], got {args.components}")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.input}: {err}") from err
+    hp = hyperparams_from_args(args)
+    if not 1 <= args.components <= Y.n:
+        raise ValueError(f"--components must lie in [1, n={Y.n}], got {args.components}")
 
     out = args.out or default_report_path(args.input)
     open(out, "w", encoding="ascii").close()  # a report path that cannot be written exits 2 before the fit
     sparse = args.method == "sparse"
     try:
         rep = (sparse_fit if sparse else baseline_fit)(Y, args.components, hp)
-    except NumericalError as err:
+    except BaseException:
         os.remove(out)  # no report, as for every other failure
-        print(f"error: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
 
     trace = rep.objective_trace if sparse else rep.loglik_trace
     report = {
@@ -209,11 +198,7 @@ def default_report_path(input_path: str) -> str:
 
 def cmd_simulate(args) -> int:
     out_dir = args.out or env_out(".")
-    try:
-        cfg = ScenarioConfig(**{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)})
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = ScenarioConfig(**{f.name: getattr(args, f.name) for f in fields(ScenarioConfig)})
     os.makedirs(out_dir, exist_ok=True)
     for r in range(cfg.replicates):
         sample = gen_replicate(cfg, r)
@@ -228,12 +213,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = build_sweep_spec(args)
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-
+    spec = build_sweep_spec(args)
     os.makedirs(spec.out, exist_ok=True)
     results = {}
     failures = []
@@ -270,17 +250,20 @@ def build_sweep_spec(args) -> SweepSpec:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
+    try:
         unknown = set(settings) - {f.name for f in fields(SweepSpec)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for f in fields(SweepSpec):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            settings[f.name] = flag
-    if settings.get("out") in (None, ""):  # any other value, false and 0 included, is checked by SweepSpec
-        settings["out"] = env_out(SweepSpec.out)
-    settings["hyperparams"] = hyperparams_from_args(args, settings)
-    return SweepSpec(**settings)
+        for f in fields(SweepSpec):
+            flag = getattr(args, f.name, None)
+            if flag is not None:
+                settings[f.name] = flag
+        if settings.get("out") in (None, ""):  # any other value, false and 0 included, is checked by SweepSpec
+            settings["out"] = env_out(SweepSpec.out)
+        settings["hyperparams"] = hyperparams_from_args(args, settings)
+        return SweepSpec(**settings)
+    except TypeError as err:  # a config value of the wrong type, such as {"dims": 5}, is invalid input
+        raise ValueError(str(err)) from err
 
 
 def write_ancrci_tables(spec: SweepSpec, results) -> None:
@@ -442,10 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; invalid input exits 2 and a numerical failure 1, each with one ``error:`` line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as err:  # a file that cannot be read, created or written
+    except NumericalError as err:
+        print(f"error: numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (OSError, ValueError) as err:  # invalid input, or a file that cannot be read, created or written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

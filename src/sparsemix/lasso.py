@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .model import EmptyClusterError, Gram, NumericalError, as_finite_array, no_bool
+from .model import EmptyClusterError, Gram, NumericalError, as_finite_array, as_int, no_bool
 
 _SCALE_EPS = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -289,7 +289,8 @@ def solve_weighted_lasso(
     point only if its KKT residual is lower and F rises by at most
     1e-12 (1 + |F|).  Coordinates whose design column is zero are forced
     to 0.  F is non-increasing across sweeps by exact per-coordinate
-    minimization.
+    minimization.  A negative or NaN ``tol``, or a ``max_iters`` that is
+    not an integer >= 0, raises a ValueError.
     """
     beta = np.array(beta_init, dtype=float)
     if beta.shape != (problem.n,):
@@ -300,10 +301,10 @@ def solve_weighted_lasso(
     lam = problem.lam
     c = problem.smooth_scale
     n = problem.n
-    if max_iters is None:
-        max_iters = 10 * n
-    if tol is None:
-        tol = default_tolerance(problem)
+    max_iters = as_int("max_iters", 10 * n if max_iters is None else max_iters, 0)
+    tol = default_tolerance(problem) if tol is None else tol
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
 
     g = problem.gram
     gram = g.matrix

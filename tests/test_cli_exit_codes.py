@@ -119,10 +119,12 @@ class TestExitCodes:
             flag("--points", ["10"], ["2"]),  # at least the 3 default components
             flag("--jobs", ["1"], ["0"]),
         )
-        # a flag overrides the config file, so its bool tol is read only without --tol
+        # a flag overrides the config file, so its bool tol, its dims of the wrong
+        # type and its lam of the wrong type are read only without their flag
         config, config_ok = data.draw(st.sampled_from([
             (None, True), ({"dims": [2]}, True), ({"dialations": [10]}, False),
-            ({"hyperparams": {"tol": True}}, "--tol" in tokens)]))
+            ({"hyperparams": {"tol": True}}, "--tol" in tokens), ({"dims": 5}, "--dims" in tokens),
+            ({"hyperparams": {"lam": "x"}}, "--lambda" in tokens)]))
         if config is not None:
             cfg_path = tmp_path / f"config{next(_fresh)}.json"
             cfg_path.write_text(json.dumps(config))

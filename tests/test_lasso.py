@@ -221,6 +221,21 @@ class TestSolveWeightedLasso:
         with pytest.raises(ValueError, match=f"^{message}$"):
             solve_weighted_lasso(problem, beta_init)
 
+    @pytest.mark.parametrize("stop, message", [
+        ({"tol": -1.0}, r"tol must be >= 0, got -1\.0"),
+        ({"tol": math.nan}, r"tol must be >= 0, got nan"),
+        ({"max_iters": 2.5}, r"max_iters must be an integer, got 2\.5"),
+        ({"max_iters": -1}, r"max_iters must be >= 0, got -1"),
+    ])
+    def test_stop_setting_errors_name_the_value(self, stop, message):
+        # lambda above the critical value: one sweep reaches the solution, exact zeros at
+        # residual 0, so an unchecked setting would go unnoticed
+        D = np.array([[1.0, 0.5, -0.2], [0.3, -1.0, 0.8]])
+        problem = WeightedLassoProblem(design=D, target=np.array([0.4, -0.6]), total_weight=1.0, sigma2=1.0,
+                                       lam=10.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_weighted_lasso(problem, np.zeros(3), **stop)
+
     def test_trusted_problem_matches_validated(self):
         rng = np.random.default_rng(46)
         Y = SampleSet(rng.normal(size=(10, 2)) * 30.0)
