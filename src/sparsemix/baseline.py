@@ -40,7 +40,7 @@ from .sparse_em import (_responsibilities, best_restart, floored_variances, mass
                         report_fields)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphericalParams:
     """Weights, explicit means (K, d) and per-component variances (K,)."""
 
@@ -52,7 +52,7 @@ class SphericalParams:
         freeze_mixture_fields(self, "means", "d")
 
 
-@dataclass
+@dataclass(slots=True)
 class BaselineReport:
     """Fit outcome; same conventions as the sparse driver's report."""
 
@@ -62,7 +62,7 @@ class BaselineReport:
     converged: bool
     assignments: np.ndarray
     restart_index: int
-    reseed_events: list     # (cycle, step index, component); the step index is always 0
+    reseed_events: tuple    # (cycle, step index, component); the step index is always 0
     diagnostic: str | None = None
 
 

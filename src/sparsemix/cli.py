@@ -250,6 +250,8 @@ def build_sweep_spec(args) -> SweepSpec:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
+        if not isinstance(settings, dict):
+            raise ValueError(f"config must be a JSON object, got {type(settings).__name__}")
     try:
         unknown = set(settings) - {f.name for f in fields(SweepSpec)}
         if unknown:

@@ -25,7 +25,7 @@ from .sparse_em import run as sparse_fit
 METHODS = ("sparse", "baseline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicateRecord:
     replicate: int
     correct: int

@@ -10,20 +10,19 @@ responsibility mass and sigma2 the component variance.  Coordinate
 updates are exact soft-threshold steps, so F never increases; the Gram
 matrix and column norms are computed once per sample
 (:attr:`sparsemix.model.SampleSet.gram`) and shared by every subproblem
-on it.  When the support stalls, a finish is tried: the stationarity
-solutions of every sub-support for a support of at most 9 columns, a
-feature-sign search for a larger one.  No sub-support adds a column
-the optimum may need, so a finish can fall short and the sweeps go on.
+on it.  When the support stalls short of the tolerance, a feature-sign
+search (Lee, Battle, Raina & Ng 2006) runs from the stalled point: it can
+drop a column of the support and add one outside it, and its end point
+replaces the stalled point only if that lowers the KKT residual without
+raising F.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import EmptyClusterError, Gram, NumericalError, as_finite_array, as_int, no_bool
 
@@ -138,17 +137,6 @@ def _stationarity_violation(grad: np.ndarray, beta: list, lam: float) -> float:
     return worst
 
 
-def _stationarity_violations(grads: np.ndarray, betas: np.ndarray, lam: float) -> np.ndarray:
-    """:func:`_stationarity_violation` of each row pair of ``grads`` and ``betas``, bit for bit."""
-    on = np.abs(grads + lam * np.sign(betas))
-    return np.maximum.reduce(np.where(betas != 0, on, np.abs(grads) - lam), axis=1, initial=0.0)
-
-
-def _gram_products(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``gram @ row`` of each row of the (count, n) ``rows``, one stacked matmul with the bytes of a gemv per row."""
-    return np.matmul(gram, rows[:, :, None])[:, :, 0]
-
-
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     """Stationarity violation of F at ``beta``.
 
@@ -171,42 +159,6 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     t = problem.target
     scale = problem.smooth_scale * math.sqrt(t @ t) * problem.gram.col_max  # t @ t and sqrt, as np.linalg.norm
     return 1e-8 * max(scale, _SCALE_EPS)
-
-
-def _svd_failed(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(sub, r, rcond=None)[0]`` of each pair of rows, bit for bit.
-
-    ``subs`` is a (count, t, t) stack of systems and ``rhs`` the (count, t)
-    right-hand sides.  One call of the LAPACK gufunc that
-    ``np.linalg.lstsq`` wraps solves them all, with that function's
-    default cutoff eps * t and its error rule: a failed SVD in any row
-    raises ``LinAlgError``.  The gufunc is looked up at call time, as
-    ``np.linalg.lstsq`` does.
-    """
-    rcond = _EPS * subs.shape[-1]
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        x = _umath_linalg.lstsq(subs, rhs[..., None], rcond, signature="ddd->ddid")[0]
-    return x[..., 0]
-
-
-@functools.cache
-def _subsets(size: int) -> tuple:
-    """The non-empty subsets of range(size), one group per member count t = 1 .. size.
-
-    Group t - 1 is (masks, members): the bitmasks of the t-member
-    subsets in ascending order, and a (count, t) array of their members,
-    each row the mask's set bits in ascending order, ready to gather the
-    sub-vectors and sub-Grams of many subsets at once.
-    """
-    masks = np.arange(1, 2**size)
-    bits = masks[:, None] >> np.arange(size) & 1
-    counts = bits.sum(axis=1)
-    return tuple((masks[counts == t].tolist(), np.nonzero(bits[counts == t])[1].reshape(-1, t))
-                 for t in range(1, size + 1))
 
 
 def _feature_sign(design: np.ndarray, gram: np.ndarray, q: np.ndarray, c: float, lam: float, beta: np.ndarray,
@@ -280,17 +232,14 @@ def solve_weighted_lasso(
     Stops once the stationarity violation drops to ``tol`` (default:
     :func:`default_tolerance`) or after ``max_iters`` full sweeps
     (default 10 n).  Each time a sweep leaves an unconverged support
-    unchanged, a refinement runs.  On a support of at most 9
-    columns it solves the stationarity system on every non-empty
-    sub-support under the support's signs, one stacked LAPACK
-    least-squares call per subset size; on a larger one it runs a
-    feature-sign search (:func:`_feature_sign`) of at most ``max_iters``
-    steps from the stalled point.  Either result replaces the stalled
-    point only if its KKT residual is lower and F rises by at most
-    1e-12 (1 + |F|).  Coordinates whose design column is zero are forced
-    to 0.  F is non-increasing across sweeps by exact per-coordinate
-    minimization.  A negative or NaN ``tol``, or a ``max_iters`` that is
-    not an integer >= 0, raises a ValueError.
+    unchanged, a feature-sign search (:func:`_feature_sign`) of at most
+    10 n steps, whatever ``max_iters`` is, runs from the stalled point.
+    Its end point replaces the stalled point only if its KKT residual is
+    lower and F rises by at most 1e-12 (1 + |F|).  Coordinates whose
+    design column is zero are forced to 0.  F is non-increasing across
+    sweeps by exact per-coordinate minimization.  A negative or NaN
+    ``tol``, or a ``max_iters`` that is not an integer >= 0, raises a
+    ValueError.
     """
     beta = np.array(beta_init, dtype=float)
     if beta.shape != (problem.n,):
@@ -301,7 +250,8 @@ def solve_weighted_lasso(
     lam = problem.lam
     c = problem.smooth_scale
     n = problem.n
-    max_iters = as_int("max_iters", 10 * n if max_iters is None else max_iters, 0)
+    steps = 10 * n
+    max_iters = as_int("max_iters", steps if max_iters is None else max_iters, 0)
     tol = default_tolerance(problem) if tol is None else tol
     if not tol >= 0:  # NaN included
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -321,46 +271,21 @@ def solve_weighted_lasso(
         # Near-duplicate design columns make plain coordinate descent
         # shuttle mass between them at a slow, sometimes non-geometric
         # rate, while the true solution keeps at most one column per
-        # near-duplicate direction active.  When the support S has
-        # stalled and |S| <= 9, solve the stationarity system exactly on
-        # each of its 2^|S| - 1 non-empty sub-supports (an empty S has
-        # none), one stacked LAPACK call per subset size, and keep the
-        # finite, sign-consistent candidates.  No sub-support adds a
-        # column outside S that the optimum may need, so the finish can
-        # fall short and the sweeps go on.  A larger S, whose enumeration
-        # would cost more than the sweeps it saves, gets one candidate: the
-        # end point of a feature-sign search from b.  A candidate is
-        # accepted if its full KKT residual beats the current one without
-        # raising the objective, which keeps F monotone.  The lowest
-        # residual wins, ties to the lowest mask: the first-best rule in
-        # bitmask order of the plain solver, which
-        # tests/test_lasso_reference.py pins byte for byte.  One stacked
-        # matmul gives every candidate's gram @ cand (_gram_products), the
-        # bytes of a gemv per candidate as
-        # tests/test_lasso.py::TestGramProducts pins them.
-        support = np.flatnonzero(b)
-        if 2 ** support.size > 512:
-            cands = _feature_sign(D, gram, q, c, lam, b, tol, max_iters)[None]
-        else:
-            signs = np.sign(b)
-            rhs_all = q[support] - (lam / c) * signs[support]
-            cands = np.zeros((2 ** support.size - 1, b.size))  # row mask - 1: that sub-support's solution
-            for masks, members in _subsets(support.size):
-                columns = support[members]
-                xs = _lstsq_stack(gram[columns[:, :, None], columns[:, None, :]], rhs_all[members])
-                cands[np.subtract(masks, 1)[:, None], columns] = xs
-            # a non-member entry is 0 and so is its sign, so whole rows test the members alone
-            cands = cands[np.isfinite(cands).all(axis=1) & ~(cands * signs < 0).any(axis=1)]
-        gbs = _gram_products(gram, cands)
-        residuals = _stationarity_violations(c * (gbs - q), cands, lam)
-        (better,) = np.nonzero(residuals < current_residual)  # a NaN residual compares false
-        if better.size == 0:
+        # near-duplicate direction active.  A feature-sign search from
+        # the stalled point can drop such a column and add one the
+        # optimum needs.  Its end point is accepted if its full KKT
+        # residual beats the current one without raising the objective,
+        # which keeps F monotone.  The search has its own budget of 10 n
+        # steps, so that ``max_iters`` counts sweeps alone.
+        cand = _feature_sign(D, gram, q, c, lam, b, tol, steps)
+        gb_cand = gram @ cand
+        residual = _stationarity_violation(c * (gb_cand - q), cand.tolist(), lam)
+        if not residual < current_residual:  # a NaN residual compares false
             return None
         base_value = value(b, gb_b)
-        for i in better[np.argsort(residuals[better], kind="stable")].tolist():
-            if value(cands[i], gbs[i]) <= base_value + 1e-12 * (1.0 + abs(base_value)):
-                return cands[i], gbs[i], residuals.item(i)
-        return None
+        if value(cand, gb_cand) > base_value + 1e-12 * (1.0 + abs(base_value)):
+            return None
+        return cand, gb_cand, residual
 
     sweeps = 0
     b = beta.tolist()

@@ -235,7 +235,7 @@ def default_variance_floor(Y: SampleSet) -> float:
     return max(floor, 1e-300)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixtureParams:
     """Full parameter vector (weights, betas, variances).
 
@@ -263,7 +263,9 @@ class MixtureParams:
         betas.setflags(write=False)
         variances.setflags(write=False)
         self = object.__new__(cls)
-        vars(self).update(weights=weights, betas=betas, variances=variances)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "variances", variances)
         return self
 
     @property

@@ -60,7 +60,7 @@ MAX_RESEEDS = 3
 MAX_PENALTY_FRACTION = 0.2
 
 
-@dataclass
+@dataclass(slots=True)
 class FitReport:
     """Outcome of one driver invocation (best restart)."""
 
@@ -73,7 +73,7 @@ class FitReport:
     converged: bool
     assignments: np.ndarray
     restart_index: int
-    reseed_events: list
+    reseed_events: tuple    # (cycle, step index, component)
     lams: np.ndarray    # the l1 weights of the last cycle, behind objective_trace[-1]
     diagnostic: str | None = None
 
@@ -271,7 +271,7 @@ class LoopOutcome(NamedTuple):
     cycles_run: int
     converged: bool
     tau: np.ndarray         # the responsibilities at params
-    reseed_events: list     # (cycle, step index, component)
+    reseed_events: tuple    # (cycle, step index, component)
     diagnostic: str | None
     lams: np.ndarray        # the l1 weights of the last cycle, behind trace[-1]
     loglik: float           # the log likelihood sum(lse) at params, by which restarts are ranked
@@ -353,7 +353,7 @@ def em_loop(Y: SampleSet, params: MixtureParams, hp: Hyperparams, order: tuple, 
             break
 
     return LoopOutcome(params, np.asarray(trace), cycles_run, converged, _responsibilities(logp, lse),
-                       reseed_events, diagnostic, blocks.lams, loglik)
+                       tuple(reseed_events), diagnostic, blocks.lams, loglik)
 
 
 def best_restart(Y: SampleSet, K: int, hp: Hyperparams, seed, order: tuple, step) -> tuple[int, LoopOutcome]:

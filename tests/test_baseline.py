@@ -82,7 +82,7 @@ class TestBaselineFit:
                 ref = baseline_fit(Y, 3, hp)
         assert_reports_identical(rep, ref)
         assert rep.diagnostic == f"component 0 stayed empty after {MAX_RESEEDS} re-seeds"
-        assert rep.reseed_events == [(it, 0, 0) for it in range(MAX_RESEEDS + 1)]
+        assert rep.reseed_events == tuple((it, 0, 0) for it in range(MAX_RESEEDS + 1))
         assert not rep.converged and rep.iterations == MAX_RESEEDS
         assert len(rep.loglik_trace) == MAX_RESEEDS + 1
 

@@ -296,6 +296,14 @@ class TestSweep:
         cfg_path.write_text(json.dumps({"dialations": [10]}))
         assert main(["sweep", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("config, kind", [([], "list"), (5, "int")])
+    def test_config_not_an_object_exit_2(self, config, kind, tmp_path, capsys):
+        # with no flag, [] used to end in an AttributeError traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config must be a JSON object, got {kind}\n"
+
     @pytest.mark.parametrize("config, message", [
         ({"hyperparams": {"tol": True, "lam": False}}, "takes numbers, not bools"),
         ({"hyperparams": {"variance_floor": True}}, "variance_floor takes numbers, not bools, got True"),

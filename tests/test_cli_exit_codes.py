@@ -124,7 +124,7 @@ class TestExitCodes:
         config, config_ok = data.draw(st.sampled_from([
             (None, True), ({"dims": [2]}, True), ({"dialations": [10]}, False),
             ({"hyperparams": {"tol": True}}, "--tol" in tokens), ({"dims": 5}, "--dims" in tokens),
-            ({"hyperparams": {"lam": "x"}}, "--lambda" in tokens)]))
+            ({"hyperparams": {"lam": "x"}}, "--lambda" in tokens), ([], False), (5, False)]))
         if config is not None:
             cfg_path = tmp_path / f"config{next(_fresh)}.json"
             cfg_path.write_text(json.dumps(config))

@@ -168,3 +168,30 @@ class TestRunMcCell:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             fit_replicate(self.CFG, "kmeans", self.HP, 0)
+
+
+class TestKeptRecords:
+    def test_records_a_fit_leaves_have_no_instance_dict(self):
+        # the benchmark keeps these for every fit it runs, so a __dict__ on
+        # any of them (a dataclass without slots) grows its memory per fit
+        reports = []
+
+        def keep(fit):
+            def kept(*args, **kwargs):
+                reports.append(fit(*args, **kwargs))
+                return reports[-1]
+
+            return kept
+
+        config = ScenarioConfig(dim=2, dilation=40.0, replicates=1, seed=3)
+        hp = Hyperparams(restarts=1, max_cycles=10, tol=1e-7, seed=0)
+        with (mock.patch.object(evaluate, "sparse_fit", keep(evaluate.sparse_fit)),
+              mock.patch.object(evaluate, "baseline_fit", keep(evaluate.baseline_fit))):
+            records = [fit_replicate(config, method, hp, 0) for method in evaluate.METHODS]
+        kept = [*records, *reports, *(rep.params for rep in reports)]
+        assert sorted(type(x).__name__ for x in kept) == sorted(
+            ["ReplicateRecord", "ReplicateRecord", "FitReport", "BaselineReport", "MixtureParams", "SphericalParams"])
+        for x in kept:
+            assert not hasattr(x, "__dict__"), type(x).__name__
+        for rep in reports:
+            assert type(rep.reseed_events) is tuple

@@ -5,16 +5,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsemix.lasso import (
     LassoSolution,
     WeightedLassoProblem,
-    _gram_products,
     _stationarity_violation,
-    _stationarity_violations,
-    _subsets,
     default_tolerance,
     kkt_residual,
     objective,
@@ -22,7 +19,7 @@ from sparsemix.lasso import (
 )
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
 from oracles import enumerate_sign_patterns, numpy_stationarity_violation
-from test_lasso_reference import near_duplicate_pairs_case, reference_skips
+from test_lasso_reference import near_duplicate_pairs_case, reference_stalls
 
 
 def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=None):
@@ -118,9 +115,10 @@ class TestSolveWeightedLasso:
         npt.assert_allclose(again.beta, sol.beta)
 
     def test_nonconvergence_flag(self):
+        # from 0 the one sweep grows the support, so no stall runs a finish
         rng = np.random.default_rng(37)
         problem = make_problem(rng, n=8, d=4, lam=0.01)
-        sol = solve_weighted_lasso(problem, rng.normal(size=8), max_iters=1, tol=1e-14)
+        sol = solve_weighted_lasso(problem, np.zeros(8), max_iters=1, tol=1e-14)
         assert not sol.converged
         assert sol.iterations == 1
 
@@ -256,7 +254,7 @@ class TestSolveWeightedLasso:
 
 
 class TestStalledLargeSupport:
-    """Stalls on more than 9 columns, which refine's enumeration leaves to a feature-sign search."""
+    """Stalls on more than 9 columns, on which the reference's sub-support enumeration gives up."""
 
     def test_near_duplicate_pairs_match_enumeration(self):
         # d=50, n=10 points in near-duplicate pairs: coordinate descent
@@ -267,6 +265,15 @@ class TestStalledLargeSupport:
         assert sol.converged and sol.kkt_residual <= default_tolerance(problem)
         value = objective(problem, sol.beta)
         assert abs(value - enumerate_sign_patterns(problem)) <= 1e-9 * (1.0 + abs(value))
+
+    def test_finish_budget_does_not_depend_on_max_iters(self):
+        # one sweep leaves the full support stalled; the finish runs its own
+        # 10 n steps from there, where a budget of max_iters = 1 stopped it
+        # at KKT residual 50.2
+        problem, beta0, _ = near_duplicate_pairs_case()
+        sol = solve_weighted_lasso(problem, beta0, max_iters=1)
+        assert sol.iterations == 1
+        assert sol.converged and sol.kkt_residual <= default_tolerance(problem)
 
     def test_rank_deficient_duplicates(self):
         # d=2, n=12: six points, each twice, from a dense random start; the
@@ -282,34 +289,12 @@ class TestStalledLargeSupport:
             problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0,
                                            lam=fraction * critical)
             beta0 = rng.normal(size=12)
-            assert max(reference_skips((problem, beta0, {}))) >= 10
+            assert max(reference_stalls((problem, beta0, {}))) >= 10
             with np.errstate(all="raise"):
                 sol = solve_weighted_lasso(problem, beta0)
             assert sol.converged
             if fraction > 1:
                 assert np.all(sol.beta == 0.0)
-
-
-class TestRefineReacceptance:
-    @pytest.mark.parametrize("seed, d, fraction", [(11, 50, 0.2), (21, 2, 0.01), (34, 5, 0.05)])
-    def test_reaccepted_candidate_matches_reference(self, seed, d, fraction):
-        # With tol = 0 refine accepts the same candidate again and again in
-        # one solve (97 or 98 times here), and the sweep updates the
-        # gram @ cand row it was handed in place, so every acceptance must
-        # hand out a row of its own: a row shared across refine calls
-        # would give a later acceptance a stale product.
-        from test_lasso_reference import outcome, reference_solve_weighted_lasso
-
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(10, d))
-        points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, d)) * 1e-6
-        D = SampleSet(points).design
-        weights = rng.random(10)
-        target = D @ weights / weights.sum()
-        lam = fraction * 3.0 * float(np.max(np.abs(D.T @ target)))
-        problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
-        assert outcome(solve_weighted_lasso, problem, np.zeros(10), tol=0.0) == outcome(
-            reference_solve_weighted_lasso, problem, np.zeros(10), tol=0.0)
 
 
 coordinates = st.one_of(
@@ -329,67 +314,6 @@ class TestStationarityViolation:
         assert type(got) is float
         assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-
-
-def as_bytes(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
-class TestStationarityViolations:
-    # refine scores all its new candidates at once; each row must give the
-    # bytes of the per-vector rule, which the coordinate sweep uses
-    @given(rows=st.integers(1, 12).flatmap(lambda n: st.lists(
-               st.tuples(st.lists(coordinates, min_size=n, max_size=n), st.lists(coordinates, min_size=n, max_size=n)),
-               min_size=1, max_size=6)),
-           lam=st.sampled_from([0.0, -0.0, 0.5, 3, 1e300]))
-    # the first row's violations are all negative, so it must read +0.0
-    @example(rows=[([0.25, -0.5, -0.0], [0.0, -0.0, 0.0]), ([4.0, 0.1, 0.2], [0.0, 0.0, 0.0])], lam=3)
-    def test_rows_match_the_vector_rule(self, rows, lam):
-        grads = np.array([g for g, _ in rows])
-        betas = np.array([b for _, b in rows])
-        got = _stationarity_violations(grads, betas, lam)
-        assert got.shape == (len(rows),)
-        for row, (g, b) in zip(got.tolist(), rows):
-            assert as_bytes(row) == as_bytes(_stationarity_violation(np.array(g), b, lam))
-
-
-class TestGramProducts:
-    # refine's gradients of up to 511 candidates come from one stacked
-    # matmul; each row must give the bytes of the per-candidate gemv it
-    # replaced, which tests/test_lasso_reference.py's plain solver makes
-    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), count=st.integers(1, 511),
-           d=st.sampled_from([1, 2, 50]), duplicates=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e4]))
-    def test_rows_match_one_gemv_each(self, seed, n, count, d, duplicates, scale):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(n, d)) * scale
-        if duplicates:  # near-duplicate design columns, the refine case
-            points = points[rng.integers(0, n, size=n)] + rng.normal(size=(n, d)) * 1e-6 * scale
-        gram = Gram.of((points - points.mean(axis=0)).T).matrix
-        # rows with at most 9 nonzeros, as refine's sub-support solutions, and dense ones
-        support = rng.choice(n, size=min(n, 9), replace=False)
-        rows = np.zeros((count, n))
-        rows[:, support] = rng.normal(size=(count, support.size)) * (rng.random((count, support.size)) < 0.7)
-        rows[::3] = rng.normal(size=rows[::3].shape)
-        got = _gram_products(gram, rows)
-        assert got.shape == (count, n)
-        for row, products in zip(rows, got):
-            assert (gram @ row).tobytes() == products.tobytes()
-
-
-class TestSubsets:
-    @pytest.mark.parametrize("size", range(1, 10))
-    def test_groups_list_every_mask_once_with_its_members(self, size):
-        groups = _subsets(size)
-        assert len(groups) == size
-        seen = []
-        for t, (masks, members) in enumerate(groups, start=1):
-            assert masks == sorted(masks)
-            assert members.shape == (len(masks), t)
-            for mask, row in zip(masks, members.tolist()):
-                assert row == [i for i in range(size) if mask >> i & 1]
-            seen += masks
-        assert sorted(seen) == list(range(1, 2**size))
 
 
 class TestKktResidual:

@@ -8,7 +8,7 @@ throughout.  Swapped in for the fast loop (``sparse_em.em_loop``) under
 the same restart driver, they must produce byte-identical reports.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -85,7 +85,7 @@ def reference_loop(Y, params, hp, order, _step):
         cycles_run = cycle + 1
 
     return sparse_em.LoopOutcome(params, np.asarray(trace), cycles_run, converged and not aborted,
-                                 sparse_em.e_step(params, Y), reseed_events, diagnostic, lams,
+                                 sparse_em.e_step(params, Y), tuple(reseed_events), diagnostic, lams,
                                  self_regression_log_likelihood(params, Y))
 
 
@@ -120,17 +120,17 @@ def reference_baseline_loop(Y, params, hp, _order, _step):
             break
 
     return sparse_em.LoopOutcome(params, np.asarray(trace), iterations, converged, sparse_em.e_step(params, Y),
-                                 reseed_events, diagnostic, np.zeros(params.K),
+                                 tuple(reseed_events), diagnostic, np.zeros(params.K),
                                  self_regression_log_likelihood(params, Y))
 
 
 def assert_reports_identical(fast, ref):
     assert type(fast) is type(ref)
-    for name, value in vars(ref).items():
-        got = getattr(fast, name)
+    for name in (f.name for f in fields(ref)):
+        value, got = getattr(ref, name), getattr(fast, name)
         if name == "params":
-            for field_name, arr in vars(value).items():
-                other = getattr(got, field_name)
+            for field_name in (f.name for f in fields(value)):
+                arr, other = getattr(value, field_name), getattr(got, field_name)
                 assert other.dtype == arr.dtype and other.shape == arr.shape, field_name
                 assert other.tobytes() == arr.tobytes(), field_name
                 assert not other.flags.writeable, field_name

@@ -170,12 +170,9 @@ class TestUpdateBeta:
            replicate=st.integers(0, 999))
     @example(cell=(50, 60.0), data_seed=0, replicate=1)
     @example(cell=(2, 30.0), data_seed=0, replicate=1)
-    # the known defect (ROADMAP item 17): a beta solve stops at its sweep cap short of its
-    # tolerance; the fix that mends it turns both into plain examples
-    @example(cell=(50, 100.0), data_seed=59103585, replicate=85).xfail(
-        raises=AssertionError, reason="third beta solve of 21 stops at 100 sweeps, KKT residual 0.276")
-    @example(cell=(2, 50.0), data_seed=7565, replicate=381).xfail(
-        raises=AssertionError, reason="third beta solve of 39 stops at 100 sweeps, KKT residual 0.0749")
+    # in each, coordinate descent stalls on a support that lacks a column the optimum needs
+    @example(cell=(50, 100.0), data_seed=59103585, replicate=85)
+    @example(cell=(2, 50.0), data_seed=7565, replicate=381)
     def test_every_benchmark_solve_converges(self, cell, data_seed, replicate):
         # fits of the benchmark's cells (n=10, K=3, acceptance hyperparameters):
         # every weighted lasso of every beta step reaches its tolerance, the

@@ -8,10 +8,11 @@ max_cycles 60, tol 1e-7, adaptive lambda), two restarts, the fixed
 lambda 0 with tol 1e-5 and the fixed lambda 0.5 with max_cycles 30.
 The baseline holds lambda at 0, so each set changes something it reads.
 Each report is hashed field by field (arrays by dtype, shape and bytes,
-so signed zeros count); a fit that raises is hashed by its exception
-type and message.  The sparse report's ``lams`` is left out, so that
-commits whose reports lack it compare too; it enters the last trace
-entry, which is hashed.
+so signed zeros count; a list and a tuple of the same items alike, so
+commits that store the re-seed events either way compare); a fit that
+raises is hashed by its exception type and message.  The sparse
+report's ``lams`` is left out, so that commits whose reports lack it
+compare too; it enters the last trace entry, which is hashed.
 
 Usage, from the root of a checkout:
 
@@ -25,6 +26,7 @@ one that predates this script.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -47,10 +49,12 @@ def _feed(h, value) -> None:
     if isinstance(value, np.ndarray):
         h.update(f"{value.dtype.str}{value.shape}".encode())
         h.update(value.tobytes())
-    elif hasattr(value, "__dataclass_fields__"):
-        for name in sorted(vars(value).keys() - UNHASHED_FIELDS):
+    elif dataclasses.is_dataclass(value):
+        for name in sorted({f.name for f in dataclasses.fields(value)} - UNHASHED_FIELDS):
             h.update(name.encode())
             _feed(h, getattr(value, name))
+    elif isinstance(value, tuple):
+        h.update(repr(list(value)).encode())
     else:
         h.update(repr(value).encode())
 

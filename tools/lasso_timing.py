@@ -3,7 +3,7 @@
 The problems are shaped like the EM's β subproblems: the design holds
 the centered points as columns, half of the samples repeat points up to
 a 1e-6 jitter (the near-duplicate columns that make coordinate descent
-stall and ``refine`` run), the target is a random weighted mean of the
+stall and its finish run), the target is a random weighted mean of the
 columns, and λ is 5%, 20% or 50% of its critical value.  Half start
 from zero, half from a small random β.  The set crosses n in
 {10, 50, 200} with d in {2, 50}, 12 problems per cell, all drawn from
@@ -18,7 +18,9 @@ first two counts patch numpy's private ``lstsq`` gufunc, which
 ``np.linalg.lstsq`` and a stacked call alike look up by attribute, so
 the counts compare across checkouts that call either one; a call on a
 stack of k systems counts k systems and one call.  The SVD count
-patches ``np.linalg.svd`` the same way, one call per search step.  The
+patches ``np.linalg.svd`` the same way, one call per search step.  A
+tree whose finish is the feature-sign search alone, with no sub-support
+enumeration, reads 0 systems and 0 calls per solve.  The
 converged column counts the cell's solves that return converged.
 Given another checkout's ``src``, both packages are loaded side by
 side, the timed solves alternate between them problem by problem, and
