@@ -297,6 +297,41 @@ class TestStalledLargeSupport:
                 assert np.all(sol.beta == 0.0)
 
 
+class TestRefineReacceptance:
+    @pytest.mark.parametrize("seed, d, fraction", [(11, 50, 0.2), (21, 2, 0.01), (34, 5, 0.05)])
+    def test_reaccepted_candidate_matches_reference(self, seed, d, fraction):
+        # With tol = 0 the reference's refine accepts a candidate again and
+        # again in one solve (97 or 98 times here), and the solver's finish
+        # runs 3 to 5 times.  The sweep updates the gram @ cand row a finish
+        # hands it in place, so every acceptance must hand out a row of its
+        # own: a row shared across finishes would give a later sweep a stale
+        # product.  The tol = 0 flags cannot be compared; the end point must
+        # solve the problem no worse than the reference's and keep F below
+        # its start.
+        from test_lasso_reference import (
+            assert_no_worse,
+            assert_solver_guarantees,
+            count_finishes,
+            reference_solve_weighted_lasso,
+        )
+
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(10, d))
+        points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, d)) * 1e-6
+        D = SampleSet(points).design
+        weights = rng.random(10)
+        target = D @ weights / weights.sum()
+        lam = fraction * 3.0 * float(np.max(np.abs(D.T @ target)))
+        problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
+        stalls = []
+        reference = reference_solve_weighted_lasso(problem, np.zeros(10), tol=0.0, stalls=stalls)
+        with count_finishes() as search:
+            sol = solve_weighted_lasso(problem, np.zeros(10), tol=0.0)
+        assert len(stalls) > 1 and search.call_count > 1
+        assert_no_worse(problem, sol.beta, reference[0], 0.0)
+        assert_solver_guarantees(problem, np.zeros(10), sol.beta)
+
+
 coordinates = st.one_of(
     st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300])
 )

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from sparsemix import sparse_em
 from sparsemix.lasso import (
     WeightedLassoProblem,
+    _feature_sign,
     default_tolerance,
     kkt_residual,
     objective,
@@ -440,6 +441,65 @@ class TestSolverMatchesReference:
         assert outcome(solve_weighted_lasso, problem, beta0) == expected
         with pytest.raises(NumericalError):
             solve_weighted_lasso(problem, beta0)
+
+
+@contextlib.contextmanager
+def count_finishes():
+    """Count the feature-sign searches the solver runs, one per stalled support it finishes."""
+    with mock.patch("sparsemix.lasso._feature_sign", wraps=_feature_sign) as search:
+        yield search
+
+
+@contextlib.contextmanager
+def count_lstsq_systems():
+    """Count the least-squares systems solved through ``np.linalg.lstsq``, one per call."""
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        yield lstsq
+
+
+class TestRefineSystems:
+    def test_solves_exactly_the_reference_systems(self):
+        # d=50, n=10 near-duplicate points: the reference's refine stalls on
+        # nested supports of 8, 8 and 9 columns and solves every non-empty
+        # sub-support of each, 2^|S| - 1 systems per stall and 1,021 in all;
+        # the solver solves none of them, finishes the one stall it meets
+        # with one feature-sign search, and must end no worse
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(10, 50))
+        points = points[rng.integers(0, 10, size=10)] + rng.normal(size=(10, 50)) * 1e-6
+        D = SampleSet(points).design
+        weights = rng.random(10)
+        target = D @ weights / weights.sum()
+        lam = 0.05 * 3.0 * float(np.max(np.abs(D.T @ target)))
+        problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
+        stalls = []
+        with count_lstsq_systems() as lstsq:
+            reference = reference_solve_weighted_lasso(problem, np.zeros(10), stalls=stalls)
+        assert stalls and max(stalls) <= 9
+        assert lstsq.call_count == sum(2**size - 1 for size in stalls)
+        with count_lstsq_systems() as lstsq, count_finishes() as search:
+            sol = solve_weighted_lasso(problem, np.zeros(10))
+        assert lstsq.call_count == 0 and search.call_count == 1
+        assert reference[3] and sol.converged
+        assert_no_worse(problem, sol.beta, reference[0], default_tolerance(problem))
+
+    def test_tied_residuals_go_to_the_lowest_mask(self):
+        # columns 0 and 1 are equal, so the reference's sub-supports {0, 2}
+        # (mask 5) and {1, 2} (mask 6) give mirrored candidates with the same
+        # KKT residual, the lowest of the stalled support's, and mask 5 wins;
+        # the solver's finish runs on the same stall and must keep the same
+        # column of the tied pair, and solve the problem no worse (the two
+        # end points differ in their last bits)
+        problem, beta0, _ = small_case()
+        stalls = []
+        reference = reference_solve_weighted_lasso(problem, beta0, stalls=stalls)
+        with count_finishes() as search:
+            sol = solve_weighted_lasso(problem, beta0)
+        assert stalls and search.call_count > 0
+        assert reference[3] and sol.converged
+        assert sol.beta[0] != 0 and sol.beta[1] == 0 and sol.beta[2] != 0
+        assert reference[0][1] == 0
+        assert_no_worse(problem, sol.beta, reference[0], default_tolerance(problem))
 
 
 # Benchmark-style replicates (n=10, K=3) at a few points along a fit.
