@@ -1,4 +1,4 @@
-"""Weighted l1-penalized least squares via cyclic coordinate descent.
+"""Weighted l1-penalized least squares by a warm-started active-set method.
 
 The mean update of one mixture component reduces to
 
@@ -6,15 +6,16 @@ The mean update of one mixture component reduces to
 
 over beta in R^n, where D is the d x n design (the centered data as
 columns), m the responsibility-weighted cluster mean, s the total
-responsibility mass and sigma2 the component variance.  Coordinate
-updates are exact soft-threshold steps, so F never increases; the Gram
-matrix and column norms are computed once per sample
-(:attr:`sparsemix.model.SampleSet.gram`) and shared by every subproblem
-on it.  When the support stalls short of the tolerance, a feature-sign
-search (Lee, Battle, Raina & Ng 2006) runs from the stalled point: it can
-drop a column of the support and add one outside it, and its end point
-replaces the stalled point only if that lowers the KKT residual without
-raising F.
+responsibility mass and sigma2 the component variance.  The solver
+keeps a signed active set, starting from the support of the warm
+start, and takes feature-sign steps on it (Lee, Battle, Raina & Ng
+2006): each solves the stationarity system on the active set exactly,
+or steps along a null vector of the active columns while they are
+linearly dependent, and none raises F.  After a step that solved the
+system, or from an empty active set, the worst KKT violator outside the
+active set joins it.  The Gram matrix is computed once per sample
+(:attr:`sparsemix.model.SampleSet.gram`) and shared by every
+subproblem on it.
 """
 
 from __future__ import annotations
@@ -117,24 +118,13 @@ def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     )
 
 
-def _stationarity_violation(grad: np.ndarray, beta: list, lam: float) -> float:
-    """Max coordinate violation of 0 in grad + lam * subdiff(|.|).
+def _violations(grad: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
+    """Each coordinate's violation of 0 in grad + lam * subdiff(|.|) under the signs ``theta``.
 
-    The coordinate terms of :func:`kkt_residual`, evaluated on Python
-    floats like the coordinate sweep, which holds ``beta`` as a list; a
-    NaN coordinate makes the result NaN, as numpy's ``max`` would.
+    |g_j + lam theta_j| where theta_j != 0 (NaN included) and |g_j| - lam
+    where theta_j = 0.
     """
-    worst = 0.0
-    for g, b in zip(grad.tolist(), beta):
-        if b != 0:  # NaN included, whose sign is NaN
-            v = abs(g + lam * (1.0 if b > 0 else -1.0 if b < 0 else b))
-        else:
-            v = abs(g) - lam
-        if v > worst:
-            worst = v
-        elif v != v:
-            return v
-    return worst
+    return np.where(theta != 0, np.abs(grad + lam * theta), np.abs(grad) - lam)
 
 
 def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
@@ -142,11 +132,11 @@ def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
 
     With g the gradient of the smooth part, returns the max over
     coordinates of |g_j + lam sign(beta_j)| where beta_j != 0 and
-    max(|g_j| - lam, 0) where beta_j = 0.
+    max(|g_j| - lam, 0) where beta_j = 0; a NaN coordinate makes it NaN.
     """
     b = np.asarray(beta, dtype=float)
     grad = -problem.smooth_scale * (problem.design.T @ (problem.target - problem.design @ b))
-    return _stationarity_violation(grad, b.tolist(), problem.lam)
+    return float(np.max(_violations(grad, np.sign(b), problem.lam), initial=0.0))
 
 
 def default_tolerance(problem: WeightedLassoProblem) -> float:
@@ -161,64 +151,73 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
-def _feature_sign(design: np.ndarray, gram: np.ndarray, q: np.ndarray, c: float, lam: float, beta: np.ndarray,
-                  tol: float, steps: int) -> np.ndarray:
-    """Feature-sign search from ``beta``, at most ``steps`` steps.
+def _feature_sign(design: np.ndarray, scale: np.ndarray, target: np.ndarray, c: float, lam: float,
+                  beta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """One feature-sign step from ``beta`` on the signed active set ``theta``.
 
     Lee, Battle, Raina & Ng (2006), "Efficient sparse coding
-    algorithms".  Each step works on the signed active set A: it solves
-    the stationarity system on A and moves along the segment toward that
-    solution to the point of lowest objective among the solution and the
-    points where a coordinate changes sign, dropping the coordinates
-    that land on zero.  Once a step reaches its solution with no sign
-    change, the worst outside KKT violator joins A under the sign that
-    lowers F.  When D_A has a null space (d < |A|, or duplicate
+    algorithms".  With A the coordinates where ``theta`` is nonzero, the
+    step solves the stationarity system of F on A under the signs
+    ``theta`` and moves to the point of lowest F among that solution and
+    the points of the segment toward it where a coordinate changes sign,
+    dropping the coordinates that land on zero.  A solution whose signs
+    agree with ``theta`` is the minimiser of F on that orthant face and
+    is taken as it is.  When D_A has a null space (d < |A|, or duplicate
     columns), the step instead moves along a null vector, which leaves
     the fit alone, in the direction that lowers sign(beta_A) . beta_A,
-    until the first coordinate reaches zero.  Stops once no outside
-    coordinate violates the KKT conditions by more than ``tol`` or a
-    step fails to lower F.
+    until the first coordinate reaches zero.  The SVD is of D_A with each
+    column divided by its largest entry (``scale``), so that the round-off
+    of the null vector and of the solution is relative to each column's
+    own size, not to the largest column's.  Returns the new point and
+    whether it is the solution on A, or None when the step cannot lower F.
     """
-    b = beta.copy()
-    theta = np.sign(b)
-    solved = False
-    for _ in range(steps):
-        if solved or not theta.any():
-            grad = c * (gram @ b - q)
-            outside = np.where(theta != 0, -np.inf, np.abs(grad) - lam)
-            j = int(np.argmax(outside))
-            if not outside[j] > tol:
-                break
-            theta[j] = -np.sign(grad[j])
-        active = np.flatnonzero(theta)
-        b_a, theta_a = b[active], theta[active]
-        _, sv, vt = np.linalg.svd(design[:, active])
-        if sv.size < active.size or sv[-1] <= _EPS * max(design.shape[0], active.size) * sv[0]:
-            v = vt[-1] if theta_a @ vt[-1] <= 0 else -vt[-1]
-            (shrinking,) = np.nonzero(theta_a * v < 0)
-            ts = -b_a[shrinking] / v[shrinking]
-            i = int(np.argmin(ts))
-            b_a = b_a + ts[i] * v
-            b_a[shrinking[i]] = 0.0
-            solved = False
+    (active,) = theta.nonzero()
+    b_a, theta_a, s_a = beta[active], theta[active], scale[active]
+    d_a = design[:, active]
+    u, sv, vt = np.linalg.svd(d_a / s_a, full_matrices=active.size > design.shape[0])
+    if sv.size < active.size or sv[-1] <= _EPS * max(design.shape[0], active.size) * sv[0]:
+        v = vt[-1] / s_a
+        if theta_a @ v > 0:
+            v = -v
+        (shrinking,) = np.nonzero(theta_a * v < 0)
+        ts = -b_a[shrinking] / v[shrinking]
+        i = int(np.argmin(ts))
+        if not ts[i] > 0:  # the column just added would leave its sign at once
+            return None
+        b_a = b_a + ts[i] * v
+        b_a[shrinking[i]] = 0.0
+        solved = False
+    else:
+        # x = (D_A^T D_A)^-1 (D_A^T m - (lam / c) theta_A), through U^T m, not
+        # V^T D_A^T m / sv, whose round-off the smallest sv would amplify twice,
+        # and one step of iterative refinement on the residual of x
+        shift = (lam / c) * (vt @ (theta_a / s_a)) / sv
+
+        def face_solve(rhs):
+            return vt.T @ ((u.T @ rhs - shift) / sv) / s_a
+
+        x = face_solve(target)
+        x = x + face_solve(target - d_a @ x)
+        solved = bool((x * theta_a > 0).all())
+        if solved:
+            b_a = x
         else:
-            x = vt.T @ ((vt @ (q[active] - (lam / c) * theta_a)) / sv / sv)
             (crossing,) = np.nonzero((b_a != 0) & (x * theta_a <= 0))
             # row 0 is the current point, rows 1.. the sign changes, the last row x
-            ts = np.concatenate(([0.0], b_a[crossing] / (b_a[crossing] - x[crossing]), [1.0]))
-            points = b_a + ts[:, None] * (x - b_a)
+            ts = b_a[crossing] / (b_a[crossing] - x[crossing])
+            points = np.vstack((b_a, b_a + ts[:, None] * (x - b_a), x))
             points[np.arange(1, crossing.size + 1), crossing] = 0.0
-            sub = gram[np.ix_(active, active)]
-            values = (0.5 * c * ((points @ sub) * points).sum(axis=1) - c * (points @ q[active])
-                      + lam * np.abs(points).sum(axis=1))
-            best = int(np.argmin(values))
-            if best == 0:
-                break
+            resid = target - points @ d_a.T
+            values = 0.5 * c * (resid * resid).sum(axis=1) + lam * np.abs(points).sum(axis=1)
+            # a candidate at the current point's F is taken too: a sign change
+            # there drops a coordinate a solve left at round-off size
+            best = 1 + int(values[1:].argmin())
+            if values[best] > values[0]:
+                return None
             b_a = points[best]
-            solved = crossing.size == 0
-        b[active] = b_a
-        theta = np.sign(b)
-    return b
+    out = beta.copy()
+    out[active] = b_a
+    return out, solved
 
 
 def solve_weighted_lasso(
@@ -227,19 +226,22 @@ def solve_weighted_lasso(
     max_iters: int | None = None,
     tol: float | None = None,
 ) -> LassoSolution:
-    """Cyclic coordinate descent on F, warm-started from ``beta_init``.
+    """Active-set minimisation of F by feature-sign steps, warm-started from ``beta_init``.
 
-    Stops once the stationarity violation drops to ``tol`` (default:
-    :func:`default_tolerance`) or after ``max_iters`` full sweeps
-    (default 10 n).  Each time a sweep leaves an unconverged support
-    unchanged, a feature-sign search (:func:`_feature_sign`) of at most
-    10 n steps, whatever ``max_iters`` is, runs from the stalled point.
-    Its end point replaces the stalled point only if its KKT residual is
-    lower and F rises by at most 1e-12 (1 + |F|).  Coordinates whose
-    design column is zero are forced to 0.  F is non-increasing across
-    sweeps by exact per-coordinate minimization.  A negative or NaN
-    ``tol``, or a ``max_iters`` that is not an integer >= 0, raises a
-    ValueError.
+    The signed active set starts as the support of ``beta_init``, with
+    coordinates whose design column is zero forced to 0.  While the KKT
+    residual, recomputed from ``gram @ beta``, exceeds ``tol`` (default:
+    :func:`default_tolerance`) and fewer than ``max_iters`` steps
+    (default 10 n) have run, each step is one :func:`_feature_sign` step;
+    ``iterations`` counts them.  When the active set is empty or the last
+    step solved on it, the step first adds the worst outside KKT violator
+    under the sign that lowers F.  A warm start is solved first even when
+    its active coordinates are stationary within ``tol``: their residuals
+    can add up to an outside violation.  The loop also stops when a step
+    cannot lower F, or when a solved point has no outside violator above
+    ``tol``, so a fixed point ends it whatever ``tol`` is.  A non-finite
+    gradient raises NumericalError; a negative or NaN ``tol``, or a
+    ``max_iters`` that is not an integer >= 0, raises a ValueError.
     """
     beta = np.array(beta_init, dtype=float)
     if beta.shape != (problem.n,):
@@ -249,98 +251,35 @@ def solve_weighted_lasso(
     D = problem.design
     lam = problem.lam
     c = problem.smooth_scale
-    n = problem.n
-    steps = 10 * n
-    max_iters = as_int("max_iters", steps if max_iters is None else max_iters, 0)
+    max_iters = as_int("max_iters", 10 * problem.n if max_iters is None else max_iters, 0)
     tol = default_tolerance(problem) if tol is None else tol
     if not tol >= 0:  # NaN included
         raise ValueError(f"tol must be >= 0, got {tol!r}")
 
-    g = problem.gram
-    gram = g.matrix
+    gram = problem.gram.matrix
     q = D.T @ problem.target
-    for j in g.dead:
-        beta[j] = 0.0
-    gb = gram @ beta
-
-    def value(b, gb_b):
-        # objective up to the constant (c/2) ||m||^2
-        return 0.5 * c * (b @ gb_b) - c * (q @ b) + lam * np.add.reduce(np.abs(b))
-
-    def refine(b, gb_b, current_residual):
-        # Near-duplicate design columns make plain coordinate descent
-        # shuttle mass between them at a slow, sometimes non-geometric
-        # rate, while the true solution keeps at most one column per
-        # near-duplicate direction active.  A feature-sign search from
-        # the stalled point can drop such a column and add one the
-        # optimum needs.  Its end point is accepted if its full KKT
-        # residual beats the current one without raising the objective,
-        # which keeps F monotone.  The search has its own budget of 10 n
-        # steps, so that ``max_iters`` counts sweeps alone.
-        cand = _feature_sign(D, gram, q, c, lam, b, tol, steps)
-        gb_cand = gram @ cand
-        residual = _stationarity_violation(c * (gb_cand - q), cand.tolist(), lam)
-        if not residual < current_residual:  # a NaN residual compares false
-            return None
-        base_value = value(b, gb_b)
-        if value(cand, gb_cand) > base_value + 1e-12 * (1.0 + abs(base_value)):
-            return None
-        return cand, gb_cand, residual
-
-    sweeps = 0
-    b = beta.tolist()
-    grad = c * (gb - q)
-    residual = _stationarity_violation(grad, b, lam)
-    converged = residual <= tol
-    if converged or max_iters < 1:
-        return LassoSolution(beta=beta, kkt_residual=residual, iterations=sweeps, converged=converged)
-
-    # The sweeps run on Python floats: beta as a list, the soft-threshold
-    # step written out.  It reproduces sign(z) * max(|z| - lam, 0) bit
-    # for bit, signed zeros and NaN included; gb stays a numpy vector.
-    # The stall test reads the support off the list, and a beta array is
-    # built only for refine and the result.
-    live, col2, columns = g.live, g.diag, g.columns
-    curvature = [c * x for x in col2]
-    if any(curvature[j] == 0.0 for j in live):
-        # c * ||D_j||^2 underflowed: the coordinate map divides by zero
-        raise NumericalError("coordinate descent produced non-finite values")
-    qs = q.tolist()
-    prev_support = [j for j, x in enumerate(b) if x]
-    while not converged and sweeps < max_iters:
-        changed = False
-        for j in live:
-            bj = b[j]
-            z = c * (qs[j] - gb.item(j) + col2[j] * bj)
-            shrunk = abs(z) - lam
-            if shrunk > 0.0:
-                new = (shrunk if z > 0.0 else -shrunk) / curvature[j]
-            elif shrunk <= 0.0:
-                new = (-0.0 if z < 0.0 else 0.0) / curvature[j]
-            else:
-                new = shrunk
-            if new != bj:
-                gb += (new - bj) * columns[j]
-                b[j] = new
-                changed = True
-        sweeps += 1
-        grad = c * (gb - q)
-        if not np.isfinite(grad).all():
-            raise NumericalError("coordinate descent produced non-finite values")
-        residual = _stationarity_violation(grad, b, lam)
-        converged = residual <= tol
-        support = [j for j, x in enumerate(b) if x]
-        if not converged and support == prev_support:
-            refined = refine(np.array(b), gb, residual)
-            if refined is not None:
-                cand, gb, residual = refined
-                b = cand.tolist()
-                converged = residual <= tol
-                support = [j for j, x in enumerate(b) if x]
-        prev_support = support
-        if not changed and not converged:
-            # float-precision fixed point of the coordinate map; further
-            # sweeps cannot move, so stop even when tol is unreachable
+    scale = np.abs(D).max(axis=0, initial=0.0)
+    beta[scale == 0] = 0.0
+    steps, solved = 0, False
+    while True:
+        theta = np.sign(beta)
+        grad = c * (gram @ beta - q)
+        violations = _violations(grad, theta, lam)
+        residual = float(violations.max(initial=0.0))
+        if not math.isfinite(residual):
+            raise NumericalError("the lasso gradient is not finite")
+        if residual <= tol or steps == max_iters:
             break
+        if solved or not theta.any():
+            outside = np.where(theta == 0, violations, -np.inf)
+            j = int(outside.argmax())
+            if not outside[j] > tol:
+                break  # stationary on the active set to round-off, and no outside violator
+            theta[j] = -np.sign(grad[j])
+        step = _feature_sign(D, scale, problem.target, c, lam, beta, theta)
+        steps += 1
+        if step is None:
+            break
+        beta, solved = step
 
-    return LassoSolution(beta=np.array(b), kkt_residual=residual, iterations=sweeps, converged=converged)
+    return LassoSolution(beta=beta, kkt_residual=residual, iterations=steps, converged=residual <= tol)

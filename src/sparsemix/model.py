@@ -193,29 +193,17 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class Gram:
-    """The Gram matrix ``D^T D`` of a d x n design and what the lasso reads of it.
+    """The Gram matrix ``D^T D`` of a d x n design and its largest column norm.
 
     Every weighted lasso on one design shares these constants: the
-    read-only n x n ``matrix``; ``col_max``, the largest column norm;
-    the squared column norms ``diag`` as floats; the indices of the
-    nonzero (``live``) and zero (``dead``) columns; and the matrix
-    ``columns`` split out once.
+    read-only n x n ``matrix`` and ``col_max``, the largest column norm.
     """
 
     matrix: np.ndarray
     col_max: float
-    diag: tuple = field(init=False, repr=False, compare=False)
-    live: tuple = field(init=False, repr=False, compare=False)
-    dead: tuple = field(init=False, repr=False, compare=False)
-    columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-        diag = tuple(np.diag(self.matrix).tolist())
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "live", tuple(j for j, x in enumerate(diag) if not x <= 0.0))
-        object.__setattr__(self, "dead", tuple(j for j, x in enumerate(diag) if x <= 0.0))
-        object.__setattr__(self, "columns", tuple(self.matrix.T))
 
     @classmethod
     def of(cls, design: np.ndarray) -> "Gram":

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from sparsemix.lasso import (
     LassoSolution,
     WeightedLassoProblem,
-    _stationarity_violation,
+    _violations,
     default_tolerance,
     kkt_residual,
     objective,
     solve_weighted_lasso,
 )
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
+from sparsemix.simulate import ScenarioConfig, gen_replicate
 from oracles import enumerate_sign_patterns, numpy_stationarity_violation
 from test_lasso_reference import near_duplicate_pairs_case, reference_stalls
 
@@ -95,16 +96,22 @@ class TestSolveWeightedLasso:
         assert sol.beta[2] == 0.0
         assert sol.converged
 
-    def test_objective_nonincreasing_per_sweep(self):
+    def test_objective_nonincreasing_per_step(self):
+        # from a dense start on a rank-3 design the first steps are null
+        # steps, which drop a column each and leave the fit alone, and the
+        # solves follow; each run of max_iters steps is the first max_iters
+        # steps of the next, so F must fall or stay from one to the next
         rng = np.random.default_rng(35)
         problem = make_problem(rng, n=6, d=3, lam=0.4)
         beta0 = rng.normal(size=6)
         values = [objective(problem, beta0)]
-        for sweeps in range(1, 8):
-            sol = solve_weighted_lasso(problem, beta0, max_iters=sweeps, tol=0.0)
+        for steps in range(1, 8):
+            sol = solve_weighted_lasso(problem, beta0, max_iters=steps, tol=0.0)
+            assert sol.iterations <= steps
             values.append(objective(problem, sol.beta))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)
+        assert values[-1] < values[0]
 
     def test_warm_start_at_optimum_converges_immediately(self):
         rng = np.random.default_rng(36)
@@ -115,7 +122,7 @@ class TestSolveWeightedLasso:
         npt.assert_allclose(again.beta, sol.beta)
 
     def test_nonconvergence_flag(self):
-        # from 0 the one sweep grows the support, so no stall runs a finish
+        # from 0 the one step adds one column and solves on it
         rng = np.random.default_rng(37)
         problem = make_problem(rng, n=8, d=4, lam=0.01)
         sol = solve_weighted_lasso(problem, np.zeros(8), max_iters=1, tol=1e-14)
@@ -226,7 +233,7 @@ class TestSolveWeightedLasso:
         ({"max_iters": -1}, r"max_iters must be >= 0, got -1"),
     ])
     def test_stop_setting_errors_name_the_value(self, stop, message):
-        # lambda above the critical value: one sweep reaches the solution, exact zeros at
+        # lambda above the critical value: the start is the solution, exact zeros at
         # residual 0, so an unchecked setting would go unnoticed
         D = np.array([[1.0, 0.5, -0.2], [0.3, -1.0, 0.8]])
         problem = WeightedLassoProblem(design=D, target=np.array([0.4, -0.6]), total_weight=1.0, sigma2=1.0,
@@ -257,29 +264,35 @@ class TestStalledLargeSupport:
     """Stalls on more than 9 columns, on which the reference's sub-support enumeration gives up."""
 
     def test_near_duplicate_pairs_match_enumeration(self):
-        # d=50, n=10 points in near-duplicate pairs: coordinate descent
-        # stalls on the full support, and without the search ran to its
-        # 100-sweep cap unconverged
+        # d=50, n=10 points in near-duplicate pairs from a random start:
+        # coordinate descent stalls on the full support, and without a
+        # feature-sign finish ran to its 100-sweep cap unconverged
         problem, beta0, _ = near_duplicate_pairs_case()
         sol = solve_weighted_lasso(problem, beta0)
         assert sol.converged and sol.kkt_residual <= default_tolerance(problem)
         value = objective(problem, sol.beta)
         assert abs(value - enumerate_sign_patterns(problem)) <= 1e-9 * (1.0 + abs(value))
 
-    def test_finish_budget_does_not_depend_on_max_iters(self):
-        # one sweep leaves the full support stalled; the finish runs its own
-        # 10 n steps from there, where a budget of max_iters = 1 stopped it
-        # at KKT residual 50.2
+    def test_max_iters_bounds_the_steps(self):
+        # max_iters counts every step, null steps and solves alike: a budget
+        # short of the full solve's steps stops after that many, unconverged,
+        # with F between the start's and the full solve's
         problem, beta0, _ = near_duplicate_pairs_case()
-        sol = solve_weighted_lasso(problem, beta0, max_iters=1)
-        assert sol.iterations == 1
-        assert sol.converged and sol.kkt_residual <= default_tolerance(problem)
+        full = solve_weighted_lasso(problem, beta0)
+        assert full.converged and full.iterations > 1
+        for budget in range(1, full.iterations):
+            sol = solve_weighted_lasso(problem, beta0, max_iters=budget)
+            assert sol.iterations == budget and not sol.converged
+            assert objective(problem, full.beta) <= objective(problem, sol.beta) <= objective(problem, beta0)
+        again = solve_weighted_lasso(problem, beta0, max_iters=full.iterations)
+        assert again.beta.tobytes() == full.beta.tobytes() and again.converged
 
     def test_rank_deficient_duplicates(self):
         # d=2, n=12: six points, each twice, from a dense random start; the
-        # support stalls at 10 or more columns of a rank-2 design, so the
-        # search steps along null vectors before it solves a system.  Without
-        # the search, the 0.01 problem ended unconverged after 120 sweeps.
+        # reference's coordinate descent stalls at 10 or more columns of a
+        # rank-2 design, and without a feature-sign finish the 0.01 problem
+        # ended unconverged after 120 sweeps.  The solver steps along null
+        # vectors before it solves a system.
         for fraction in (0.01, 0.1, 1.01, 1.5):
             rng = np.random.default_rng(7)
             D = SampleSet(rng.normal(size=(6, 2))[np.arange(12) // 2]).design
@@ -297,21 +310,35 @@ class TestStalledLargeSupport:
                 assert np.all(sol.beta == 0.0)
 
 
+class TestRoundOffCoordinates:
+    def test_dropped_at_equal_objective(self):
+        # a warm start at the exact fit of the mean of points 2, 5 and 6, with
+        # two more coordinates at round-off size, as an earlier solve can
+        # leave them; the solve on that support crosses zero in them almost
+        # at once, where F is equal to rounding.  The step still drops them,
+        # where a strict decrease of F stopped the solve at residual lam = 0.5
+        Y = SampleSet(gen_replicate(ScenarioConfig(dim=50, dilation=100.0, seed=942), 942).points)
+        target = (Y.data[2] + Y.data[5] + Y.data[6]) / 3
+        beta0 = np.array([1e-16, 0.0, 1 / 3, 0.0, -3e-16, 1 / 3, 1 / 3, 0.0, 0.0, 0.0])
+        for sigma2 in (1.0, 5.0, 20.0):
+            problem = WeightedLassoProblem(design=Y.design, target=target, total_weight=3.0, sigma2=sigma2, lam=0.5)
+            sol = solve_weighted_lasso(problem, beta0)
+            assert sol.converged and sol.beta[0] == sol.beta[4] == 0.0
+            assert objective(problem, sol.beta) < objective(problem, beta0)
+
+
 class TestRefineReacceptance:
     @pytest.mark.parametrize("seed, d, fraction", [(11, 50, 0.2), (21, 2, 0.01), (34, 5, 0.05)])
     def test_reaccepted_candidate_matches_reference(self, seed, d, fraction):
         # With tol = 0 the reference's refine accepts a candidate again and
-        # again in one solve (97 or 98 times here), and the solver's finish
-        # runs 3 to 5 times.  The sweep updates the gram @ cand row a finish
-        # hands it in place, so every acceptance must hand out a row of its
-        # own: a row shared across finishes would give a later sweep a stale
-        # product.  The tol = 0 flags cannot be compared; the end point must
-        # solve the problem no worse than the reference's and keep F below
-        # its start.
+        # again in one solve (97 or 98 times here); the solver takes its
+        # feature-sign steps, one call each.  The tol = 0 flags cannot be
+        # compared; the end point must solve the problem no worse than the
+        # reference's and keep F below its start.
         from test_lasso_reference import (
             assert_no_worse,
             assert_solver_guarantees,
-            count_finishes,
+            count_steps,
             reference_solve_weighted_lasso,
         )
 
@@ -325,11 +352,11 @@ class TestRefineReacceptance:
         problem = WeightedLassoProblem(design=D, target=target, total_weight=3.0, sigma2=1.0, lam=lam)
         stalls = []
         reference = reference_solve_weighted_lasso(problem, np.zeros(10), tol=0.0, stalls=stalls)
-        with count_finishes() as search:
+        with count_steps() as steps:
             sol = solve_weighted_lasso(problem, np.zeros(10), tol=0.0)
-        assert len(stalls) > 1 and search.call_count > 1
+        assert len(stalls) > 1 and steps.call_count == sol.iterations > 0
         assert_no_worse(problem, sol.beta, reference[0], 0.0)
-        assert_solver_guarantees(problem, np.zeros(10), sol.beta)
+        assert_solver_guarantees(problem, np.zeros(10), sol.beta, sol.converged)
 
 
 coordinates = st.one_of(
@@ -345,7 +372,8 @@ class TestStationarityViolation:
         beta = np.array([b for _, b in pairs])
         with np.errstate(all="ignore"):
             expected = numpy_stationarity_violation(grad, beta, lam)
-            got = _stationarity_violation(grad, beta.tolist(), lam)
+            # the largest violation, and 0 at least, as kkt_residual and the solver read it
+            got = float(np.max(_violations(grad, np.sign(beta), lam), initial=0.0))
         assert type(got) is float
         assert got == expected or (math.isnan(got) and math.isnan(expected))
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)
@@ -370,12 +398,14 @@ class TestKktResidual:
         assert kkt_residual(problem, np.zeros(4)) == 0.0
 
     def test_positive_and_decreasing_along_sweeps(self):
+        # a draw on which each of the first five steps lowers the KKT
+        # residual; an active-set step lowers F, not always the residual
         rng = np.random.default_rng(42)
         problem = make_problem(rng, n=5, d=4, lam=0.2)
         beta0 = rng.normal(size=5)
         residuals = [kkt_residual(problem, beta0)]
-        for sweeps in range(1, 6):
-            sol = solve_weighted_lasso(problem, beta0, max_iters=sweeps, tol=0.0)
+        for steps in range(1, 6):
+            sol = solve_weighted_lasso(problem, beta0, max_iters=steps, tol=0.0)
             residuals.append(kkt_residual(problem, sol.beta))
         assert residuals[0] > 0.0
         assert np.all(np.diff(residuals) <= 1e-12)

@@ -156,17 +156,15 @@ class TestSampleSet:
         # the column max, derived from the design, has the bits of the largest row norm of the data
         assert gram.col_max == Gram.of(D).col_max == math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
         assert Y.total_variance == float(np.mean(np.sum(Y.data**2, axis=1)))
-        assert gram.diag == tuple(np.diag(gram.matrix).tolist())
-        nonzero = [bool(row.any()) for row in Y.data]  # a centered sample of one point is all zero
-        assert gram.live == tuple(j for j, x in enumerate(nonzero) if x)
-        assert gram.dead == tuple(j for j, x in enumerate(nonzero) if not x)
-        for j, column in enumerate(gram.columns):
-            assert column.tobytes() == gram.matrix[:, j].tobytes()
+        # a centered sample of one point is all zero: its column and Gram row are zero
+        nonzero = np.array([bool(row.any()) for row in Y.data])
+        assert np.array_equal(D.any(axis=0), nonzero)
+        assert np.array_equal(gram.matrix.any(axis=0), nonzero)
 
     def test_gram_dead_columns(self):
         D = np.array([[1.0, 0.0, -2.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
         gram = Gram.of(D)
-        assert gram.live == (0, 2) and gram.dead == (1, 3)
+        assert np.array_equal(np.diag(gram.matrix), [10.0, 0.0, 4.25, 0.0])
         assert gram.col_max == math.sqrt(10.0)
         assert Gram.of(np.zeros((2, 3))).col_max == 0.0
 

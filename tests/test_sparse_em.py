@@ -170,7 +170,8 @@ class TestUpdateBeta:
            replicate=st.integers(0, 999))
     @example(cell=(50, 60.0), data_seed=0, replicate=1)
     @example(cell=(2, 30.0), data_seed=0, replicate=1)
-    # in each, coordinate descent stalls on a support that lacks a column the optimum needs
+    # in each, the coordinate descent the solver replaced stalled on a support
+    # that lacks a column the optimum needs, and stopped at its sweep cap
     @example(cell=(50, 100.0), data_seed=59103585, replicate=85)
     @example(cell=(2, 50.0), data_seed=7565, replicate=381)
     def test_every_benchmark_solve_converges(self, cell, data_seed, replicate):
