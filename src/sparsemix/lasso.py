@@ -16,6 +16,21 @@ system, or from an empty active set, the worst KKT violator outside the
 active set joins it.  The Gram matrix is computed once per sample
 (:attr:`sparsemix.model.SampleSet.gram`) and shared by every
 subproblem on it.
+
+The design never changes within a sample, so neither does the
+factorisation a step takes of its active columns.  Each is computed on
+the first step that meets its active set and kept in
+:attr:`sparsemix.model.Gram.faces`, keyed by the bytes of the active
+index array, for as long as the ``Gram`` lives: the sample's, or the
+problem's when it was built with ``gram=None``.  Every later step on
+that set reads it, with the same bytes as a fresh SVD.  A full-rank
+entry holds D_A, its column scales, U, the singular values and V^T:
+(2 d + |A| + 2) |A| floats, with |A| <= d.  A rank-deficient one holds
+only its null vector, |A| floats, the one array its step reads.  On the
+140 inputs of ``tools/fit_timing.py`` (n = 10) a fit leaves 0.8 KB
+(d = 2) and 38 KB (d = 50) in its sample's cache on average, at most
+96 KB; the largest cache a solve of ``tools/lasso_timing.py`` leaves,
+at n = 200 and d = 50, is 4.2 MB.
 """
 
 from __future__ import annotations
@@ -35,8 +50,11 @@ _EPS = float(np.finfo(float).eps)
 class WeightedLassoProblem:
     """One component's penalized least-squares subproblem.
 
-    ``gram`` carries the design's Gram constants; when absent they are
-    computed from ``design``.
+    ``gram`` carries the design's Gram constants, its cache of active-set
+    factorisations included; when absent they are computed from
+    ``design``.  A ``gram`` whose column scales differ from the design's
+    is rejected, since its cached factorisations would be of another
+    design.
     """
 
     design: np.ndarray      # (d, n)
@@ -68,6 +86,8 @@ class WeightedLassoProblem:
         gram = Gram.of(D) if self.gram is None else self.gram
         if gram.matrix.shape != (D.shape[1],) * 2:
             raise ValueError(f"gram must have shape {(D.shape[1],) * 2}, got {gram.matrix.shape}")
+        if gram.scale.tobytes() != np.abs(D).max(axis=0, initial=0.0).tobytes():
+            raise ValueError("gram must be of this design: its column scales differ")
         object.__setattr__(self, "design", D)
         object.__setattr__(self, "target", m)
         object.__setattr__(self, "gram", gram)
@@ -151,7 +171,7 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
-def _feature_sign(design: np.ndarray, scale: np.ndarray, target: np.ndarray, c: float, lam: float,
+def _feature_sign(design: np.ndarray, gram: Gram, target: np.ndarray, c: float, lam: float,
                   beta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """One feature-sign step from ``beta`` on the signed active set ``theta``.
 
@@ -166,17 +186,32 @@ def _feature_sign(design: np.ndarray, scale: np.ndarray, target: np.ndarray, c: 
     columns), the step instead moves along a null vector, which leaves
     the fit alone, in the direction that lowers sign(beta_A) . beta_A,
     until the first coordinate reaches zero.  The SVD is of D_A with each
-    column divided by its largest entry (``scale``), so that the round-off
-    of the null vector and of the solution is relative to each column's
-    own size, not to the largest column's.  Returns the new point and
-    whether it is the solution on A, or None when the step cannot lower F.
+    column divided by its largest entry (``gram.scale``), so that the
+    round-off of the null vector and of the solution is relative to each
+    column's own size, not to the largest column's.  It is a constant of
+    the design, so it is taken once per active set and kept, read-only,
+    in ``gram.faces``: (D_A, scales, U, singular values, V^T) for a
+    full-rank D_A, and only the null vector for a rank-deficient one.
+    Returns the new point and whether it is the solution on A, or None
+    when the step cannot lower F.
     """
     (active,) = theta.nonzero()
-    b_a, theta_a, s_a = beta[active], theta[active], scale[active]
-    d_a = design[:, active]
-    u, sv, vt = np.linalg.svd(d_a / s_a, full_matrices=active.size > design.shape[0])
-    if sv.size < active.size or sv[-1] <= _EPS * max(design.shape[0], active.size) * sv[0]:
-        v = vt[-1] / s_a
+    b_a, theta_a = beta[active], theta[active]
+    key = active.tobytes()
+    face = gram.faces.get(key)
+    if face is None:
+        s_a = gram.scale[active]
+        d_a = design[:, active]
+        u, sv, vt = np.linalg.svd(d_a / s_a, full_matrices=active.size > design.shape[0])
+        if sv.size < active.size or sv[-1] <= _EPS * max(design.shape[0], active.size) * sv[0]:
+            face = (vt[-1] / s_a,)
+        else:
+            face = (d_a, s_a, u, sv, vt)
+        for array in face:
+            array.setflags(write=False)
+        gram.faces[key] = face
+    if face[0].ndim == 1:  # the null vector of a rank-deficient D_A
+        (v,) = face
         if theta_a @ v > 0:
             v = -v
         (shrinking,) = np.nonzero(theta_a * v < 0)
@@ -188,6 +223,7 @@ def _feature_sign(design: np.ndarray, scale: np.ndarray, target: np.ndarray, c: 
         b_a[shrinking[i]] = 0.0
         solved = False
     else:
+        d_a, s_a, u, sv, vt = face
         # x = (D_A^T D_A)^-1 (D_A^T m - (lam / c) theta_A), through U^T m, not
         # V^T D_A^T m / sv, whose round-off the smallest sv would amplify twice,
         # and one step of iterative refinement on the residual of x
@@ -258,8 +294,7 @@ def solve_weighted_lasso(
 
     gram = problem.gram.matrix
     q = D.T @ problem.target
-    scale = np.abs(D).max(axis=0, initial=0.0)
-    beta[scale == 0] = 0.0
+    beta[problem.gram.scale == 0] = 0.0
     steps, solved = 0, False
     while True:
         theta = np.sign(beta)
@@ -276,7 +311,7 @@ def solve_weighted_lasso(
             if not outside[j] > tol:
                 break  # stationary on the active set to round-off, and no outside violator
             theta[j] = -np.sign(grad[j])
-        step = _feature_sign(D, scale, problem.target, c, lam, beta, theta)
+        step = _feature_sign(D, problem.gram, problem.target, c, lam, beta, theta)
         steps += 1
         if step is None:
             break

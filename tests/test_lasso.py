@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsemix.lasso import (
@@ -20,7 +20,7 @@ from sparsemix.lasso import (
 from sparsemix.model import EmptyClusterError, Gram, SampleSet
 from sparsemix.simulate import ScenarioConfig, gen_replicate
 from oracles import enumerate_sign_patterns, numpy_stationarity_violation
-from test_lasso_reference import near_duplicate_pairs_case, reference_stalls
+from test_lasso_reference import count_steps, near_duplicate_pairs_case, reference_stalls
 
 
 def make_problem(rng, n=4, d=3, lam=0.5, s=2.0, sigma2=1.5, design=None, target=None):
@@ -184,6 +184,17 @@ class TestSolveWeightedLasso:
                 lam=0.1, gram=Gram.of(rng.normal(size=(3, 5))),
             )
 
+    def test_rejects_gram_of_another_design(self):
+        # same shape, other columns: the factorisations it caches would be of
+        # the other design; a Gram of an equal copy of the design is accepted
+        rng = np.random.default_rng(47)
+        D = rng.normal(size=(3, 4))
+        args = dict(design=D, target=rng.normal(size=3), total_weight=1.0, sigma2=1.0, lam=0.1)
+        with pytest.raises(ValueError, match="^gram must be of this design: its column scales differ$"):
+            WeightedLassoProblem(**args, gram=Gram.of(2.0 * D))
+        gram = Gram.of(D.copy())
+        assert WeightedLassoProblem(**args, gram=gram).gram is gram
+
     def test_rejects_nonfinite_inputs(self):
         rng = np.random.default_rng(39)
         D = rng.normal(size=(2, 3))
@@ -308,6 +319,90 @@ class TestStalledLargeSupport:
             assert sol.converged
             if fraction > 1:
                 assert np.all(sol.beta == 0.0)
+
+
+@st.composite
+def solve_sequences(draw):
+    """A design and a run of warm-started lasso subproblems on it, as one sample's fit makes them.
+
+    The design has up to 10 centered points in d = 1, 2 or 5, with exact
+    duplicate columns or zeroed ones when drawn.  Each solve starts from
+    0, from a dense random point (an active set larger than d, where d < n)
+    or from the solution of the solve before it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([1, 2, 5]))
+    n = draw(st.integers(1, 10))
+    points = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        points = points[rng.integers(0, n, size=n)]
+    design = SampleSet(points).design.copy()
+    design[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    solves = []
+    for _ in range(draw(st.integers(1, 8))):
+        weights = rng.random(n)
+        target = design @ weights / weights.sum()
+        s, sigma2 = float(rng.uniform(0.5, n)), float(rng.uniform(0.5, 2.0))
+        lam = draw(st.sampled_from([0.0, 0.05, 0.3, 1.5])) * (s / sigma2) * float(np.max(np.abs(design.T @ target)))
+        solves.append((target, s, sigma2, lam, draw(st.sampled_from(["zero", "dense", "previous"]))))
+    return design, solves
+
+
+def shared_and_fresh_solves(design, solves):
+    """Solve ``solves`` in turn on one shared Gram and each on a fresh one; returns the shared Gram and both outcomes."""
+    shared = Gram.of(design)
+    rng = np.random.default_rng(0)
+    outcomes = {"shared": [], "fresh": []}
+    beta0 = np.zeros(design.shape[1])
+    for target, s, sigma2, lam, start in solves:
+        if start != "previous":
+            beta0 = rng.normal(size=design.shape[1]) if start == "dense" else np.zeros(design.shape[1])
+        for label, gram in (("shared", shared), ("fresh", None)):
+            problem = WeightedLassoProblem(design=design, target=target, total_weight=s, sigma2=sigma2, lam=lam,
+                                           gram=gram)
+            sol = solve_weighted_lasso(problem, beta0)
+            outcomes[label].append((sol.beta.tobytes(), sol.kkt_residual, sol.iterations, sol.converged))
+        beta0 = sol.beta
+    return shared, outcomes
+
+
+def duplicates_and_zeros_case():
+    # d = 1, eight columns from four points, each twice, and one zeroed: the
+    # dense starts take null steps on active sets of up to 7 columns, and
+    # later solves meet active sets that earlier ones factorised
+    design = SampleSet(np.random.default_rng(8).normal(size=(4, 1))[np.arange(8) // 2]).design.copy()
+    design[:, 3] = 0.0
+    target = design @ np.linspace(0.1, 0.8, 8) / 3.6
+    return design, [(target, 2.0, 1.0, lam, start) for lam in (0.0, 0.1, 0.5)
+                    for start in ("dense", "previous", "zero", "dense")]
+
+
+class TestFaceCache:
+    """The active-set factorisations cached on a Gram change no solve's output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=solve_sequences())
+    @example(case=duplicates_and_zeros_case())
+    def test_warm_cache_changes_no_output(self, case):
+        shared, outcomes = shared_and_fresh_solves(*case)
+        assert outcomes["shared"] == outcomes["fresh"]
+        d = case[0].shape[0]
+        for key, face in shared.faces.items():
+            assert all(not array.flags.writeable for array in face)
+            active = np.frombuffer(key, dtype=np.intp)
+            if face[0].ndim == 1:  # rank-deficient: its null vector alone
+                assert len(face) == 1 and face[0].shape == active.shape
+            else:
+                assert len(face) == 5 and face[0].shape == (d, active.size) and active.size <= d
+
+    def test_example_reuses_rank_deficient_faces_larger_than_d(self):
+        design, solves = duplicates_and_zeros_case()
+        with count_steps() as steps:
+            shared, _ = shared_and_fresh_solves(design, solves)
+        sizes = [np.frombuffer(key, dtype=np.intp).size for key, face in shared.faces.items() if face[0].ndim == 1]
+        assert max(sizes) > design.shape[0] == 1
+        # half the steps counted are the shared Gram's, and some of those reuse a face
+        assert len(shared.faces) < steps.call_count / 2
 
 
 class TestRoundOffCoordinates:

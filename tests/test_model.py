@@ -160,12 +160,18 @@ class TestSampleSet:
         nonzero = np.array([bool(row.any()) for row in Y.data])
         assert np.array_equal(D.any(axis=0), nonzero)
         assert np.array_equal(gram.matrix.any(axis=0), nonzero)
+        # each column's largest absolute entry, read-only, and an empty cache of factorisations
+        assert not gram.scale.flags.writeable
+        assert gram.scale.tobytes() == np.array([np.abs(row).max() for row in Y.data]).tobytes()
+        assert np.array_equal(gram.scale != 0, nonzero)
+        assert Gram.of(D).faces == {}
 
     def test_gram_dead_columns(self):
         D = np.array([[1.0, 0.0, -2.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
         gram = Gram.of(D)
         assert np.array_equal(np.diag(gram.matrix), [10.0, 0.0, 4.25, 0.0])
         assert gram.col_max == math.sqrt(10.0)
+        assert np.array_equal(gram.scale, [3.0, 0.0, 2.0, 0.0])
         assert Gram.of(np.zeros((2, 3))).col_max == 0.0
 
     def test_total_variance(self):

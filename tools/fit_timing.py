@@ -8,15 +8,21 @@ are the cells of the benchmark's two workloads: d = 2 at dilations 10,
 with the acceptance configuration (restarts 1, max_cycles 60, tol 1e-7,
 adaptive lambda) unless ``--restarts``, ``--max-cycles`` or ``--tol``
 says otherwise.  Each fit is timed ROUNDS times and keeps its
-fastest, which discounts interference from other processes.
+fastest, which discounts interference from other processes.  Every
+timed fit gets a fresh ``SampleSet``, built untimed, so that no round
+reads the Gram, and the lasso factorisations cached on it, that an
+earlier fit of the same points left.
 
-For each (estimator, d) the table gives the fits' ms p50 and p90.  Given
-another checkout's ``src``, both packages are loaded side by side, the
-timed fits alternate between them fit by fit, and two more columns
-follow: the median over fits of this/other time, and whether every
-report is identical, hashed field by field as ``tools/fit_digest.py``
-hashes it (a fit that raises by its exception).  BLAS runs
-single-threaded, as in ``perfbench``.
+For each (estimator, d) the table gives the fits' ms p50 and p90, and
+the mean over fits of the exact Python ``call`` and builtin ``c_call``
+events that ``sys.setprofile`` sees in one fit on a fresh
+``SampleSet``, counted in an untimed pass: unlike the times, the counts
+repeat exactly from run to run.  Given another checkout's ``src``, both
+packages are loaded side by side, the timed fits alternate between them
+fit by fit, and two more columns follow: the median over fits of
+this/other time, and whether every report is identical, hashed field by
+field as ``tools/fit_digest.py`` hashes it (a fit that raises by its
+exception).  BLAS runs single-threaded, as in ``perfbench``.
 
 Usage, from the root of a checkout:
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -89,28 +96,48 @@ def print_header(versions: dict, leading: str, columns: list[str]) -> None:
     print(header, "|" + "---|" * (header.count("|") - 1), sep="\n")
 
 
-def fastest(versions: dict, count: int, rounds: int, call) -> dict:
-    """{label: [the fastest of ``rounds`` timed ``call(label, i)`` for i < count]} in seconds.
+def fastest(versions: dict, count: int, rounds: int, prepare) -> dict:
+    """{label: [the fastest of ``rounds`` timed calls of ``prepare(label, i)()`` for i < count]} in seconds.
 
-    The versions alternate in an order that reverses after each i.  A
-    call that raises is timed like any other; the identity check sees it.
+    ``prepare`` builds each call's inputs afresh and untimed.  The
+    versions alternate in an order that reverses after each i.  A call
+    that raises is timed like any other; the identity check sees it.
     """
     best = {label: [float("inf")] * count for label in versions}
     order = list(versions)
     for _ in range(rounds):
         for i in range(count):
             for label in order:
+                call = prepare(label, i)
                 start = time.perf_counter()
                 with contextlib.suppress(Exception):
-                    call(label, i)
+                    call()
                 best[label][i] = min(best[label][i], time.perf_counter() - start)
             order.reverse()
     return best
 
 
-def fit_digest(fit, Y, K, hp, seed) -> str:
+def count_calls(call) -> tuple[int, int]:
+    """The ``call`` and ``c_call`` events ``sys.setprofile`` sees while ``call()`` runs, raising or not."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    with contextlib.suppress(Exception):
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
+def fit_digest(call: functools.partial) -> str:
+    """sha256 of the report of ``call``, a partial of ``fit`` on (Y, K, hp, seed), as ``feed_fit`` feeds it."""
     h = hashlib.sha256()
-    feed_fit(h, fit, Y, K, hp, seed)
+    feed_fit(h, call.func, *call.args)
     return h.hexdigest()
 
 
@@ -126,24 +153,31 @@ def main(argv=None) -> int:
     hp = {name: getattr(args, name) for name in HP}
     versions = load_versions(args.other)
     simulate = versions["this"].simulate
-    print_header(versions, "| estimator | d | fits | ", ["ms p50", "ms p90"])
+    print_header(versions, "| estimator | d | fits | ", ["ms p50", "ms p90", "calls/fit", "C calls/fit"])
     for dim, (dilations, replicates) in CELLS.items():
         inputs = []  # (points, K, fit seed) per fit
         for dilation in dilations:
             config = simulate.ScenarioConfig(dim=dim, dilation=dilation, seed=SEED)
             inputs += [(simulate.gen_replicate(config, r).points, config.K, simulate.fit_seed_seq(config, r))
                        for r in range(replicates)]
-        # each version fits its own SampleSet and Hyperparams, built from the same points
-        args_of = {label: [(v.model.SampleSet(points), K, v.model.Hyperparams(**hp), seed)
-                           for points, K, seed in inputs]
-                   for label, v in versions.items()}
         for method in ("sparse", "baseline"):
-            digests = {label: [fit_digest(v.fits[method], *a) for a in args_of[label]] for label, v in versions.items()}
-            best = fastest(versions, len(inputs), ROUNDS,
-                           lambda label, i: versions[label].fits[method](*args_of[label][i]))
+
+            def fit_call(label, i):
+                """Fit input i with ``label``'s package, on a SampleSet and Hyperparams of its own."""
+                v = versions[label]
+                points, K, seed = inputs[i]
+                return functools.partial(v.fits[method], v.model.SampleSet(points), K, v.model.Hyperparams(**hp),
+                                         seed)
+
+            digests = {label: [fit_digest(fit_call(label, i)) for i in range(len(inputs))]
+                       for label in versions}
+            calls = {label: np.mean([count_calls(fit_call(label, i)) for i in range(len(inputs))], axis=0)
+                     for label in versions}
+            best = fastest(versions, len(inputs), ROUNDS, fit_call)
             ms = {label: np.array(t) * 1e3 for label, t in best.items()}
             row = f"| {method} | {dim} | {len(inputs)} | " + " | ".join(
-                f"{np.percentile(t, 50):.3f} | {np.percentile(t, 90):.3f}" for t in ms.values())
+                f"{np.percentile(ms[label], 50):.3f} | {np.percentile(ms[label], 90):.3f} | "
+                f"{calls[label][0]:,.0f} | {calls[label][1]:,.0f}" for label in versions)
             if "other" in versions:
                 ratio = float(np.median(ms["this"] / ms["other"]))
                 same = digests["this"] == digests["other"]

@@ -11,11 +11,15 @@ run solves the same problems.
 
 For each cell the table gives µs per solve (the mean over the cell's
 problems of each one's fastest of seven timed solves, which discounts
-interference from other processes), and, from an untimed pass, the
-steps per solve (``LassoSolution.iterations``: active-set steps, or
-coordinate sweeps in a checkout that still runs them), the SVDs per
-solve (``np.linalg.svd`` patched by attribute, one per feature-sign
-step) and the cell's solves that return converged.  Given another
+interference from other processes; every timed solve is of a problem
+built afresh and untimed, so that none reads the active-set
+factorisations an earlier solve cached on its Gram), and, from an
+untimed pass, the steps per solve (``LassoSolution.iterations``:
+active-set steps, or coordinate sweeps in a checkout that still runs
+them), the SVDs per solve (``np.linalg.svd`` patched by attribute: the
+factorisations computed, that is the steps whose active set missed the
+problem's cache, or one per feature-sign step in a checkout without
+it) and the cell's solves that return converged.  Given another
 checkout's ``src``, both packages are loaded side by side, the timed
 solves alternate between them problem by problem, and the last column
 says whether every solution (β bytes, KKT residual, step count and
@@ -33,6 +37,7 @@ Usage, from the root of a checkout:
 
 from __future__ import annotations
 
+import functools
 import sys
 from unittest import mock
 
@@ -83,17 +88,22 @@ def main(argv=None) -> int:
     for n in SIZES:
         for d in DIMS:
             inputs = problem_inputs(n, d, rng)
-            problems = {label: [(lasso.WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=v, lam=lam), b0)
-                                for D, m, s, v, lam, b0 in inputs]
-                        for label, lasso in lassos.items()}
+
+            def solve_call(label, i):
+                """Solve problem i with ``label``'s package, on a problem, and so a Gram, of its own."""
+                lasso = lassos[label]
+                D, m, s, v, lam, b0 = inputs[i]
+                problem = lasso.WeightedLassoProblem(design=D, target=m, total_weight=s, sigma2=v, lam=lam)
+                return functools.partial(outcome, lasso, problem, b0)
+
             outcomes, svds, converged = {}, {}, {}
-            for label, lasso in lassos.items():
+            for label in lassos:
                 with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-                    outcomes[label] = [outcome(lasso, p, b0) for p, b0 in problems[label]]
+                    outcomes[label] = [solve_call(label, i)() for i in range(PROBLEMS)]
                 svds[label] = svd.call_count / PROBLEMS
                 converged[label] = sum(len(o) == 4 and bool(o[3]) for o in outcomes[label])
             unconverged += PROBLEMS - converged["this"]
-            best = fastest(versions, PROBLEMS, ROUNDS, lambda label, i: outcome(lassos[label], *problems[label][i]))
+            best = fastest(versions, PROBLEMS, ROUNDS, solve_call)
             us = {label: sum(t) / PROBLEMS * 1e6 for label, t in best.items()}
             row = f"| {n} | {d} | " + " | ".join(
                 f"{us[label]:.1f} | {sum(o[2] for o in outcomes[label] if len(o) == 4) / PROBLEMS:.1f} | "
