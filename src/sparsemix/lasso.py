@@ -13,9 +13,12 @@ start, and takes feature-sign steps on it (Lee, Battle, Raina & Ng
 or steps along a null vector of the active columns while they are
 linearly dependent, and none raises F.  After a step that solved the
 system, or from an empty active set, the worst KKT violator outside the
-active set joins it.  The Gram matrix is computed once per sample
-(:attr:`sparsemix.model.SampleSet.gram`) and shared by every
-subproblem on it.
+active set joins it.  The solver and :func:`kkt_residual` read the
+gradient of the smooth part through one formula, c D^T (D beta - m),
+so the residual a solve reports is bit for bit the one
+:func:`kkt_residual` recomputes at its point.  The design's constants
+are built once per sample (:attr:`sparsemix.model.SampleSet.gram`)
+and shared by every subproblem on it.
 
 The design never changes within a sample, so neither does the
 factorisation a step takes of its active columns.  Each is computed on
@@ -50,11 +53,12 @@ _EPS = float(np.finfo(float).eps)
 class WeightedLassoProblem:
     """One component's penalized least-squares subproblem.
 
-    ``gram`` carries the design's Gram constants, its cache of active-set
-    factorisations included; when absent they are computed from
-    ``design``.  A ``gram`` whose column scales differ from the design's
-    is rejected, since its cached factorisations would be of another
-    design.
+    ``gram`` carries the design's constants, its cache of active-set
+    factorisations included; when absent it is built from ``design``.
+    A ``gram`` whose design differs from ``design`` in shape or in any
+    byte is rejected, since its cached factorisations would be of
+    another design.  ``design`` is then the Gram's read-only view, so
+    the caller's array is left as it was.
     """
 
     design: np.ndarray      # (d, n)
@@ -83,23 +87,23 @@ class WeightedLassoProblem:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2!r}")
         if not (self.lam >= 0):
             raise ValueError(f"lam must be >= 0, got {self.lam!r}")
-        gram = Gram.of(D) if self.gram is None else self.gram
-        if gram.matrix.shape != (D.shape[1],) * 2:
-            raise ValueError(f"gram must have shape {(D.shape[1],) * 2}, got {gram.matrix.shape}")
-        if gram.scale.tobytes() != np.abs(D).max(axis=0, initial=0.0).tobytes():
-            raise ValueError("gram must be of this design: its column scales differ")
-        object.__setattr__(self, "design", D)
+        gram = Gram(D) if self.gram is None else self.gram
+        if gram.design.shape != D.shape:
+            raise ValueError(f"gram must be of a design of shape {D.shape}, got {gram.design.shape}")
+        if gram.design.tobytes() != D.tobytes():
+            raise ValueError("gram must be of this design: its entries differ")
+        object.__setattr__(self, "design", gram.design)
         object.__setattr__(self, "target", m)
         object.__setattr__(self, "gram", gram)
 
     @classmethod
-    def _trusted(cls, design: np.ndarray, target: np.ndarray, total_weight: float, sigma2: float, lam: float,
+    def _trusted(cls, target: np.ndarray, total_weight: float, sigma2: float, lam: float,
                  gram: Gram) -> "WeightedLassoProblem":
-        """Build without the array checks, for a subproblem of a fit.
+        """Build without the array checks, for a subproblem of a fit on ``gram.design``.
 
-        The EM checks what ``__post_init__`` would: the design and its
-        Gram belong to a validated sample, the target is a weighted mean
-        of it under finite responsibilities, the weight exceeds the
+        The EM checks what ``__post_init__`` would: the Gram is a
+        validated sample's, the target is a weighted mean of its design
+        under finite responsibilities, the weight exceeds the
         empty-cluster threshold and the penalty weight is >= 0.  Only the
         variance, which can overflow at extreme coordinate scales, is
         still checked here.
@@ -107,7 +111,7 @@ class WeightedLassoProblem:
         if not (math.isfinite(sigma2) and sigma2 > 0):
             raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
         self = object.__new__(cls)
-        vars(self).update(design=design, target=target, total_weight=total_weight, sigma2=sigma2, lam=lam,
+        vars(self).update(design=gram.design, target=target, total_weight=total_weight, sigma2=sigma2, lam=lam,
                           gram=gram)
         return self
 
@@ -138,6 +142,11 @@ def objective(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     )
 
 
+def _gradient(design: np.ndarray, target: np.ndarray, c: float, beta: np.ndarray) -> np.ndarray:
+    """The gradient c D^T (D beta - m) of the smooth part of F, the one formula every residual reads."""
+    return -c * (design.T @ (target - design @ beta))
+
+
 def _violations(grad: np.ndarray, theta: np.ndarray, lam: float) -> np.ndarray:
     """Each coordinate's violation of 0 in grad + lam * subdiff(|.|) under the signs ``theta``.
 
@@ -155,7 +164,7 @@ def kkt_residual(problem: WeightedLassoProblem, beta: np.ndarray) -> float:
     max(|g_j| - lam, 0) where beta_j = 0; a NaN coordinate makes it NaN.
     """
     b = np.asarray(beta, dtype=float)
-    grad = -problem.smooth_scale * (problem.design.T @ (problem.target - problem.design @ b))
+    grad = _gradient(problem.design, problem.target, problem.smooth_scale, b)
     return float(np.max(_violations(grad, np.sign(b), problem.lam), initial=0.0))
 
 
@@ -171,7 +180,7 @@ def default_tolerance(problem: WeightedLassoProblem) -> float:
     return 1e-8 * max(scale, _SCALE_EPS)
 
 
-def _feature_sign(design: np.ndarray, gram: Gram, target: np.ndarray, c: float, lam: float,
+def _feature_sign(gram: Gram, target: np.ndarray, c: float, lam: float,
                   beta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """One feature-sign step from ``beta`` on the signed active set ``theta``.
 
@@ -200,10 +209,11 @@ def _feature_sign(design: np.ndarray, gram: Gram, target: np.ndarray, c: float, 
     key = active.tobytes()
     face = gram.faces.get(key)
     if face is None:
+        d = gram.design.shape[0]
         s_a = gram.scale[active]
-        d_a = design[:, active]
-        u, sv, vt = np.linalg.svd(d_a / s_a, full_matrices=active.size > design.shape[0])
-        if sv.size < active.size or sv[-1] <= _EPS * max(design.shape[0], active.size) * sv[0]:
+        d_a = gram.design[:, active]
+        u, sv, vt = np.linalg.svd(d_a / s_a, full_matrices=active.size > d)
+        if sv.size < active.size or sv[-1] <= _EPS * max(d, active.size) * sv[0]:
             face = (vt[-1] / s_a,)
         else:
             face = (d_a, s_a, u, sv, vt)
@@ -266,12 +276,12 @@ def solve_weighted_lasso(
 
     The signed active set starts as the support of ``beta_init``, with
     coordinates whose design column is zero forced to 0.  While the KKT
-    residual, recomputed from ``gram @ beta``, exceeds ``tol`` (default:
-    :func:`default_tolerance`) and fewer than ``max_iters`` steps
-    (default 10 n) have run, each step is one :func:`_feature_sign` step;
-    ``iterations`` counts them.  When the active set is empty or the last
-    step solved on it, the step first adds the worst outside KKT violator
-    under the sign that lowers F.  A warm start is solved first even when
+    residual, recomputed from the design as :func:`kkt_residual` computes
+    it, exceeds ``tol`` (default: :func:`default_tolerance`) and fewer
+    than ``max_iters`` steps (default 10 n) have run, each step is one
+    :func:`_feature_sign` step; ``iterations`` counts them.  When the
+    active set is empty or the last step solved on it, the step first
+    adds the worst outside KKT violator under the sign that lowers F.  A warm start is solved first even when
     its active coordinates are stationary within ``tol``: their residuals
     can add up to an outside violation.  The loop also stops when a step
     cannot lower F, or when a solved point has no outside violator above
@@ -284,7 +294,7 @@ def solve_weighted_lasso(
         raise ValueError(f"beta_init must have shape ({problem.n},), got {beta.shape}")
     as_finite_array(beta, "beta_init")
 
-    D = problem.design
+    D, m = problem.design, problem.target
     lam = problem.lam
     c = problem.smooth_scale
     max_iters = as_int("max_iters", 10 * problem.n if max_iters is None else max_iters, 0)
@@ -292,13 +302,11 @@ def solve_weighted_lasso(
     if not tol >= 0:  # NaN included
         raise ValueError(f"tol must be >= 0, got {tol!r}")
 
-    gram = problem.gram.matrix
-    q = D.T @ problem.target
     beta[problem.gram.scale == 0] = 0.0
     steps, solved = 0, False
     while True:
         theta = np.sign(beta)
-        grad = c * (gram @ beta - q)
+        grad = _gradient(D, m, c, beta)
         violations = _violations(grad, theta, lam)
         residual = float(violations.max(initial=0.0))
         if not math.isfinite(residual):
@@ -311,7 +319,7 @@ def solve_weighted_lasso(
             if not outside[j] > tol:
                 break  # stationary on the active set to round-off, and no outside violator
             theta[j] = -np.sign(grad[j])
-        step = _feature_sign(D, problem.gram, problem.target, c, lam, beta, theta)
+        step = _feature_sign(problem.gram, m, c, lam, beta, theta)
         steps += 1
         if step is None:
             break

@@ -187,22 +187,23 @@ class SampleSet:
 
     @cached_property
     def gram(self) -> "Gram":
-        """Inner products of the observations, ``data @ data.T``, built once."""
-        return Gram.of(self.design)
+        """The constants of :attr:`design` that every weighted lasso on this sample shares, built once."""
+        return Gram(self.design)
 
 
 @dataclass(frozen=True)
 class Gram:
-    """The Gram matrix ``D^T D`` of a d x n design and the other constants of that design.
+    """A d x n design and the constants that every weighted lasso on it shares.
 
-    Every weighted lasso on one design shares these constants: the
-    read-only n x n ``matrix``, ``col_max``, the largest column norm,
-    the read-only ``scale``, each column's largest absolute entry, and
-    ``faces``, the factorisations of the active sets that the lasso
-    solver has met on this design (see :mod:`sparsemix.lasso`).  The
-    solver fills ``faces`` on first use of an active set, keyed by its
-    index array's bytes, so the cache lives as long as this object: the
-    sample's, for ``SampleSet.gram``, or the problem's, for a Gram a
+    ``Gram(design)`` keeps a read-only view of ``design``, so the
+    caller's array stays as writable as it was, and derives the rest
+    from it: ``col_max``, the largest column norm, the read-only
+    ``scale``, each column's largest absolute entry, and ``faces``, the
+    factorisations of the active sets that the lasso solver has met on
+    this design (see :mod:`sparsemix.lasso`).  The solver fills
+    ``faces`` on first use of an active set, keyed by its index array's
+    bytes, so the cache lives as long as this object: the sample's, for
+    ``SampleSet.gram``, or the problem's, for a Gram a
     ``WeightedLassoProblem`` built itself.  A full-rank entry holds
     D_A, its column scales and the SVD of D_A divided by them, with
     |A| <= d; a rank-deficient one holds one null vector.  The lasso
@@ -210,21 +211,19 @@ class Gram:
     own Gram, leave at most 4.2 MB in one cache.
     """
 
-    matrix: np.ndarray
-    col_max: float
-    scale: np.ndarray
-    faces: dict[bytes, tuple] = field(default_factory=dict, repr=False, compare=False)
+    design: np.ndarray
+    col_max: float = field(init=False)
+    scale: np.ndarray = field(init=False)
+    faces: dict[bytes, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.scale.setflags(write=False)
-
-    @classmethod
-    def of(cls, design: np.ndarray) -> "Gram":
-        """Build from the design: its Gram matrix, largest column norm and column scales."""
-        D = np.asarray(design, dtype=float)
-        return cls(D.T @ D, float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0))),
-                   np.abs(D).max(axis=0, initial=0.0))
+        D = np.asarray(self.design, dtype=float).view()
+        D.setflags(write=False)
+        scale = np.abs(D).max(axis=0, initial=0.0)
+        scale.setflags(write=False)
+        object.__setattr__(self, "design", D)
+        object.__setattr__(self, "col_max", float(np.sqrt(np.max(np.sum(D**2, axis=0), initial=0.0))))
+        object.__setattr__(self, "scale", scale)
 
 
 def default_variance_floor(Y: SampleSet) -> float:

@@ -183,8 +183,7 @@ def update_beta(k: int, params: MixtureParams, tau: np.ndarray, Y: SampleSet, hp
     (:func:`effective_lams`).
     """
     s_k = nonempty_mass(k, masses(tau), Y.n)
-    problem = WeightedLassoProblem._trusted(Y.design, target(k, tau, Y, s_k), s_k, float(params.variances[k]),
-                                            lam, Y.gram)
+    problem = WeightedLassoProblem._trusted(target(k, tau, Y, s_k), s_k, float(params.variances[k]), lam, Y.gram)
     # the inner solve must outresolve the outer stopping rule, or the
     # truncation error turns into a perpetual per-cycle objective creep
     tol = default_tolerance(problem) * min(1.0, hp.tol / 1e-8)

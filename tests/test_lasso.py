@@ -181,19 +181,44 @@ class TestSolveWeightedLasso:
         with pytest.raises(ValueError, match="gram"):
             WeightedLassoProblem(
                 design=rng.normal(size=(3, 4)), target=rng.normal(size=3), total_weight=1.0, sigma2=1.0,
-                lam=0.1, gram=Gram.of(rng.normal(size=(3, 5))),
+                lam=0.1, gram=Gram(rng.normal(size=(3, 5))),
             )
 
     def test_rejects_gram_of_another_design(self):
-        # same shape, other columns: the factorisations it caches would be of
-        # the other design; a Gram of an equal copy of the design is accepted
+        # same shape, other entries: the factorisations it caches would be of
+        # the other design.  With only D[0, 0]'s sign flipped the column
+        # scales are equal, so only the entries tell the designs apart; a
+        # solve from 0 on that Gram stops unconverged at residual 1.32.  A
+        # Gram of an equal copy of the design is accepted, the problem reads
+        # the copy's design, and the solve converges.
         rng = np.random.default_rng(47)
         D = rng.normal(size=(3, 4))
         args = dict(design=D, target=rng.normal(size=3), total_weight=1.0, sigma2=1.0, lam=0.1)
-        with pytest.raises(ValueError, match="^gram must be of this design: its column scales differ$"):
-            WeightedLassoProblem(**args, gram=Gram.of(2.0 * D))
-        gram = Gram.of(D.copy())
-        assert WeightedLassoProblem(**args, gram=gram).gram is gram
+        flipped = D.copy()
+        flipped[0, 0] = -flipped[0, 0]
+        for other in (2.0 * D, flipped):
+            with pytest.raises(ValueError, match="^gram must be of this design: its entries differ$"):
+                WeightedLassoProblem(**args, gram=Gram(other))
+        gram = Gram(D.copy())
+        problem = WeightedLassoProblem(**args, gram=gram)
+        assert problem.gram is gram and problem.design is gram.design
+        sol = solve_weighted_lasso(problem, np.zeros(4))
+        assert sol.converged and sol.kkt_residual <= 1e-15
+
+    def test_leaves_the_callers_design_writable(self):
+        # the Gram freezes a view of its own, not the caller's array, and
+        # neither building nor solving writes to it
+        rng = np.random.default_rng(48)
+        D = rng.normal(size=(3, 6))
+        before = D.tobytes()
+        for gram in (None, Gram(D)):
+            problem = WeightedLassoProblem(design=D, target=rng.normal(size=3), total_weight=2.0, sigma2=1.0,
+                                           lam=0.2, gram=gram)
+            sol = solve_weighted_lasso(problem, rng.normal(size=6))
+            assert sol.converged and sol.iterations > 0
+            assert problem.design is problem.gram.design and problem.design is not D
+            assert not problem.design.flags.writeable and np.shares_memory(problem.design, D)
+            assert D.flags.writeable and D.tobytes() == before
 
     def test_rejects_nonfinite_inputs(self):
         rng = np.random.default_rng(39)
@@ -220,7 +245,8 @@ class TestSolveWeightedLasso:
          r"design contains non-finite entries, got nan at \(1, 2\)"),
         ("target", np.where(np.arange(50) == 3, -np.inf, 0.5), ValueError,
          r"target contains non-finite entries, got -inf at \(3,\)"),
-        ("gram", Gram.of(np.ones((50, 11))), ValueError, r"gram must have shape \(10, 10\), got \(11, 11\)"),
+        ("gram", Gram(np.ones((50, 11))), ValueError, r"gram must be of a design of shape \(50, 10\), got \(50, 11\)"),
+        ("gram", Gram(np.ones((10, 50))), ValueError, r"gram must be of a design of shape \(50, 10\), got \(10, 50\)"),
     ])
     def test_input_errors_name_the_value(self, field, value, error, message):
         args = dict(design=np.ones((50, 10)), target=np.zeros(50), total_weight=1.0, sigma2=1.0, lam=0.5)
@@ -258,7 +284,9 @@ class TestSolveWeightedLasso:
         D = Y.design
         m = D @ rng.random(10) / 3.0
         checked = WeightedLassoProblem(design=D, target=m, total_weight=3.0, sigma2=40.0, lam=0.5, gram=Y.gram)
-        trusted = WeightedLassoProblem._trusted(D, m, 3.0, 40.0, 0.5, Y.gram)
+        trusted = WeightedLassoProblem._trusted(m, 3.0, 40.0, 0.5, Y.gram)
+        # both read the sample's design through its Gram
+        assert trusted.design is checked.design is Y.gram.design
         assert vars(trusted).keys() == vars(checked).keys()
         for name, value in vars(checked).items():
             got = getattr(trusted, name)
@@ -268,7 +296,7 @@ class TestSolveWeightedLasso:
         assert a.beta.tobytes() == b.beta.tobytes() and a.kkt_residual == b.kkt_residual
         for sigma2 in (math.inf, 0.0, math.nan):
             with pytest.raises(ValueError, match="sigma2"):
-                WeightedLassoProblem._trusted(D, m, 3.0, sigma2, 0.5, Y.gram)
+                WeightedLassoProblem._trusted(m, 3.0, sigma2, 0.5, Y.gram)
 
 
 class TestStalledLargeSupport:
@@ -350,7 +378,7 @@ def solve_sequences(draw):
 
 def shared_and_fresh_solves(design, solves):
     """Solve ``solves`` in turn on one shared Gram and each on a fresh one; returns the shared Gram and both outcomes."""
-    shared = Gram.of(design)
+    shared = Gram(design)
     rng = np.random.default_rng(0)
     outcomes = {"shared": [], "fresh": []}
     beta0 = np.zeros(design.shape[1])
@@ -511,4 +539,4 @@ class TestKktResidual:
         sol = solve_weighted_lasso(problem, np.zeros(4))
         assert isinstance(sol, LassoSolution)
         assert sol.kkt_residual >= 0.0
-        assert sol.kkt_residual == pytest.approx(kkt_residual(problem, sol.beta), abs=1e-14)
+        assert sol.kkt_residual == kkt_residual(problem, sol.beta)

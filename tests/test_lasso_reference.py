@@ -15,7 +15,8 @@ do no worse than the reference (:func:`assert_no_worse`).  Under
 ``tol = 0`` or ``max_iters = 1``, which the EM never sets, the two stop
 at points whose flags cannot be compared, and the solver must keep its
 own guarantees (:func:`assert_solver_guarantees`).  Everywhere, the
-residual the solver reports is that of the point it returns.
+residual the solver reports is, bit for bit, that of the point it
+returns.
 """
 
 import contextlib
@@ -433,7 +434,7 @@ class TestSolverMatchesReference:
         solution = solve_weighted_lasso(problem, beta0, **stop)
         beta = solution.beta
         assert beta.dtype == np.float64 and beta.shape == (problem.n,)
-        assert abs(solution.kkt_residual - kkt_residual(problem, beta)) <= kkt_roundoff(problem, beta)
+        assert solution.kkt_residual == kkt_residual(problem, beta)
         reference_beta, _, _, reference_converged = reference_solve_weighted_lasso(problem, beta0, **stop)
         if stop:
             assert_solver_guarantees(problem, beta0, beta, solution.converged)

@@ -149,30 +149,36 @@ class TestSampleSet:
     def test_gram(self, Y):
         gram = Y.gram
         assert gram is Y.gram
-        assert not gram.matrix.flags.writeable
+        # a read-only view of the sample's design, its data transposed
         D = Y.design
-        assert gram.matrix.tobytes() == (D.T @ D).tobytes()
-        assert gram.matrix.tobytes() == Gram.of(D).matrix.tobytes()
+        assert not gram.design.flags.writeable
+        assert gram.design.shape == D.shape and gram.design.tobytes() == D.tobytes()
+        assert np.shares_memory(gram.design, Y.data)
         # the column max, derived from the design, has the bits of the largest row norm of the data
-        assert gram.col_max == Gram.of(D).col_max == math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
+        assert gram.col_max == Gram(D).col_max == math.sqrt(float(np.max(np.sum(Y.data**2, axis=1))))
         assert Y.total_variance == float(np.mean(np.sum(Y.data**2, axis=1)))
-        # a centered sample of one point is all zero: its column and Gram row are zero
+        # a centered sample of one point is all zero: its column is zero
         nonzero = np.array([bool(row.any()) for row in Y.data])
         assert np.array_equal(D.any(axis=0), nonzero)
-        assert np.array_equal(gram.matrix.any(axis=0), nonzero)
         # each column's largest absolute entry, read-only, and an empty cache of factorisations
         assert not gram.scale.flags.writeable
         assert gram.scale.tobytes() == np.array([np.abs(row).max() for row in Y.data]).tobytes()
         assert np.array_equal(gram.scale != 0, nonzero)
-        assert Gram.of(D).faces == {}
+        assert Gram(D).faces == {}
 
     def test_gram_dead_columns(self):
         D = np.array([[1.0, 0.0, -2.0, 0.0], [3.0, 0.0, 0.5, 0.0]])
-        gram = Gram.of(D)
-        assert np.array_equal(np.diag(gram.matrix), [10.0, 0.0, 4.25, 0.0])
+        gram = Gram(D)
         assert gram.col_max == math.sqrt(10.0)
         assert np.array_equal(gram.scale, [3.0, 0.0, 2.0, 0.0])
-        assert Gram.of(np.zeros((2, 3))).col_max == 0.0
+        assert Gram(np.zeros((2, 3))).col_max == 0.0
+        # the design is the only argument: the constants derived from it cannot be passed
+        with pytest.raises(TypeError):
+            Gram(D, math.sqrt(10.0), np.array([3.0, 0.0, 2.0, 0.0]))
+        with pytest.raises(TypeError):
+            Gram(D, faces={})
+        # the Gram's view is read-only and the caller's array is not
+        assert not gram.design.flags.writeable and D.flags.writeable and np.shares_memory(gram.design, D)
 
     def test_total_variance(self):
         Y = random_sample_set(np.random.default_rng(6), n=7, d=3)

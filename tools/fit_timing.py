@@ -20,9 +20,10 @@ events that ``sys.setprofile`` sees in one fit on a fresh
 repeat exactly from run to run.  Given another checkout's ``src``, both
 packages are loaded side by side, the timed fits alternate between them
 fit by fit, and two more columns follow: the median over fits of
-this/other time, and whether every report is identical, hashed field by
-field as ``tools/fit_digest.py`` hashes it (a fit that raises by its
-exception).  BLAS runs single-threaded, as in ``perfbench``.
+this/other time, and the count of fits whose reports are identical,
+e.g. ``78/80``, each hashed field by field as ``tools/fit_digest.py``
+hashes it (a fit that raises by its exception).  BLAS runs
+single-threaded, as in ``perfbench``.
 
 Usage, from the root of a checkout:
 
@@ -180,8 +181,8 @@ def main(argv=None) -> int:
                 f"{calls[label][0]:,.0f} | {calls[label][1]:,.0f}" for label in versions)
             if "other" in versions:
                 ratio = float(np.median(ms["this"] / ms["other"]))
-                same = digests["this"] == digests["other"]
-                row += f" | {ratio:.3f} | {'yes' if same else 'NO'}"
+                same = sum(a == b for a, b in zip(digests["this"], digests["other"]))
+                row += f" | {ratio:.3f} | {same}/{len(inputs)}"
             print(row + " |")
     return 0
 

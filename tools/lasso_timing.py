@@ -22,9 +22,9 @@ problem's cache, or one per feature-sign step in a checkout without
 it) and the cell's solves that return converged.  Given another
 checkout's ``src``, both packages are loaded side by side, the timed
 solves alternate between them problem by problem, and the last column
-says whether every solution (β bytes, KKT residual, step count and
-flag, or the error raised) is identical.  BLAS runs single-threaded;
-the harness is ``tools/fit_timing.py``'s.
+counts the cell's solutions (β bytes, KKT residual, step count and
+flag, or the error raised) that are identical, e.g. ``11/12``.  BLAS
+runs single-threaded; the harness is ``tools/fit_timing.py``'s.
 
 The exit status is 1 when any solve of ./src ends unconverged, and 0
 otherwise, however the times compare.
@@ -109,8 +109,8 @@ def main(argv=None) -> int:
                 f"{us[label]:.1f} | {sum(o[2] for o in outcomes[label] if len(o) == 4) / PROBLEMS:.1f} | "
                 f"{svds[label]:.1f} | {converged[label]}/{PROBLEMS}" for label in versions)
             if "other" in versions:
-                same = outcomes["this"] == outcomes["other"]
-                row += f" | {us['this'] / us['other']:.3f} | {'yes' if same else 'NO'}"
+                same = sum(a == b for a, b in zip(outcomes["this"], outcomes["other"]))
+                row += f" | {us['this'] / us['other']:.3f} | {same}/{PROBLEMS}"
             print(row + " |")
     if unconverged:
         print(f"{unconverged} solve(s) of ./src ended unconverged")
